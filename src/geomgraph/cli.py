@@ -4,7 +4,7 @@ One subcommand per solver plus `gen` for instance files.  Solver runs
 print a one-line summary (or, with --json, a full report whose bytes
 depend only on the arguments and input file contents); wall-clock time
 goes to stderr so it never perturbs the output.  Exit codes: 0 success,
-1 a requested verification failed, 2 bad input.
+1 a requested verification failed, 2 bad input, 3 internal error.
 """
 
 from __future__ import annotations
@@ -383,6 +383,9 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 3
     finally:
         elapsed = time.monotonic() - start
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

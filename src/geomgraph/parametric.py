@@ -6,16 +6,18 @@ cycle's weight is linear in lam, the feasible set is a (possibly empty or
 unbounded) closed interval; this module computes it exactly, together with
 cycle witnesses that pin both endpoints.
 
-Two independent routes are provided for threshold problems:
+One engine serves every caller.  It needs only Bellman-Ford probes: a probe
+at an infeasible lam returns a negative cycle C, and C stays negative up to
+its root -I(C)/S(C) (I and S are the sums of C's arc intercepts and slopes),
+so no endpoint lies before that root.  Jumping to it is a Newton
+(Dinkelbach) step on the cycle ratio, as in Karp and Orlin's parametric
+shortest paths; the walk stops at the first feasible probe, and its last
+cycle is tight there.
 
-- :func:`parametric_feasible_interval` runs a min-plus matrix-squaring engine
-  over piecewise-linear concave envelopes, narrowing the search bracket by
-  exact feasibility probes until the relevant diagonal entry is a single
-  line whose root is the endpoint.
-- :func:`karp_orlin_threshold` (for the restricted slope set {0, -1}) never
-  builds envelopes at all: it brackets the threshold by bisection and then
-  identifies the exact rational with a continued-fraction search, using only
-  Bellman-Ford probes.
+- :func:`parametric_feasible_interval` walks up to the lower endpoint from
+  below every cycle root, and down to the upper endpoint from above them.
+- :func:`karp_orlin_threshold` (for the restricted slope set {0, -1}) is the
+  downward walk alone.
 """
 
 from __future__ import annotations
@@ -75,145 +77,6 @@ def is_feasible(g: ParamDigraph, lam: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear concave functions as lower envelopes of lines
-# ---------------------------------------------------------------------------
-
-
-def _meet(l1: tuple[Fraction, Fraction], l2: tuple[Fraction, Fraction]) -> Fraction:
-    """x-coordinate where two lines (slope, intercept) with distinct slopes meet."""
-    return (l2[1] - l1[1]) / (l1[0] - l2[0])
-
-
-@dataclass(frozen=True)
-class PLConcaveFn:
-    """A concave piecewise-linear function represented as the pointwise
-    minimum of its lines, stored as (slope, intercept) with slopes strictly
-    decreasing.  The empty tuple is the identity for min: the constant +inf.
-    Construct through :func:`envelope` so redundant lines are dropped."""
-
-    lines: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def is_infinite(self) -> bool:
-        return not self.lines
-
-    def value(self, x: Fraction) -> Fraction | None:
-        if not self.lines:
-            return None
-        return min(s * x + i for s, i in self.lines)
-
-    def breakpoints(self) -> list[Fraction]:
-        return [
-            _meet(self.lines[k], self.lines[k + 1])
-            for k in range(len(self.lines) - 1)
-        ]
-
-    def active_line_at(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        """The unique line achieving the minimum at x (ties broken toward
-        smaller slope, which is only hit exactly at a breakpoint)."""
-        assert self.lines, "no active line on the +inf function"
-        best = None
-        for s, i in self.lines:
-            v = s * x + i
-            if best is None or v < best[0]:
-                best = (v, (s, i))
-        return best[1]
-
-
-_INFINITE = PLConcaveFn(())
-
-
-def envelope(lines, lo: Fraction | None = None, hi: Fraction | None = None) -> PLConcaveFn:
-    """Lower envelope of a set of lines, pruned to the domain [lo, hi].
-
-    Lines that are nowhere minimal on the closed domain are removed; the
-    function's values on the domain are preserved exactly.
-    """
-    by_slope: dict[Fraction, Fraction] = {}
-    for s, i in lines:
-        if s not in by_slope or i < by_slope[s]:
-            by_slope[s] = i
-    cand = sorted(by_slope.items(), key=lambda si: si[0], reverse=True)
-    hull: list[tuple[Fraction, Fraction]] = []
-    for line in cand:
-        while len(hull) >= 2 and _meet(hull[-2], line) <= _meet(hull[-2], hull[-1]):
-            hull.pop()
-        hull.append(line)
-    if lo is None and hi is None or len(hull) <= 1:
-        return PLConcaveFn(tuple(hull))
-    # Piece k is active on [meet(k-1,k), meet(k,k+1)]; keep pieces whose
-    # active interval meets [lo, hi] (closed comparisons: harmless extras
-    # at the endpoints beat accidentally dropping the active piece).
-    meets = [_meet(hull[k], hull[k + 1]) for k in range(len(hull) - 1)]
-    kept = []
-    for k, line in enumerate(hull):
-        left = meets[k - 1] if k > 0 else None
-        right = meets[k] if k < len(meets) else None
-        if hi is not None and left is not None and left > hi:
-            continue
-        if lo is not None and right is not None and right < lo:
-            continue
-        kept.append(line)
-    assert kept, "domain pruning must keep at least one line"
-    return PLConcaveFn(tuple(kept))
-
-
-def pl_min(f: PLConcaveFn, g: PLConcaveFn, lo=None, hi=None) -> PLConcaveFn:
-    return envelope(f.lines + g.lines, lo, hi)
-
-
-def pl_plus(f: PLConcaveFn, g: PLConcaveFn, lo=None, hi=None) -> PLConcaveFn:
-    """Pointwise sum.  min_i f_i + min_j g_j = min_{i,j} (f_i + g_j), so the
-    sum is the envelope of all pairwise line sums; +inf absorbs."""
-    if f.is_infinite or g.is_infinite:
-        return _INFINITE
-    sums = [
-        (sf + sg, i_f + i_g) for sf, i_f in f.lines for sg, i_g in g.lines
-    ]
-    return envelope(sums, lo, hi)
-
-
-def pl_minplus_square(matrix, lo=None, hi=None):
-    """One min-plus squaring step over PL concave entries.
-
-    Returns R with R[i][j] = min(M[i][j], min_k (M[i][k] + M[k][j])): after
-    t squarings of the one-hop matrix, entry (i, j) is the exact minimum
-    weight of any walk from i to j using between 1 and 2**t arcs.
-    """
-    n = len(matrix)
-    result = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lines = list(matrix[i][j].lines)
-            for k in range(n):
-                f, g = matrix[i][k], matrix[k][j]
-                if f.is_infinite or g.is_infinite:
-                    continue
-                lines.extend(
-                    (sf + sg, i_f + i_g) for sf, i_f in f.lines for sg, i_g in g.lines
-                )
-            row.append(envelope(lines, lo, hi))
-        result.append(row)
-    return result
-
-
-def one_hop_matrix(g: ParamDigraph, lo=None, hi=None):
-    """Matrix M with M[t][h] = envelope of the arcs from t to h (+inf when
-    there is no arc)."""
-    n = g.vertex_count
-    lines: list[list[list[tuple[Fraction, Fraction]]]] = [
-        [[] for _ in range(n)] for _ in range(n)
-    ]
-    for t, h, intercept, slope in g.arcs:
-        lines[t][h].append((slope, intercept))
-    return [
-        [envelope(lines[i][j], lo, hi) if lines[i][j] else _INFINITE for j in range(n)]
-        for i in range(n)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # feasible intervals
 # ---------------------------------------------------------------------------
 
@@ -269,177 +132,53 @@ def _root_bound(g: ParamDigraph) -> Fraction:
     return intercept_sum * denom_lcm
 
 
-class _Lex(tuple):
-    """Pair with lexicographic order and componentwise addition, used as a
-    Bellman-Ford weight to find cycles that are tight in the first component
-    and strictly signed in the second."""
+def _newton_walk(g: ParamDigraph, lam: Fraction, rising: bool):
+    """Walk from an outer parameter toward the feasible set by Newton steps.
 
-    def __new__(cls, a, b):
-        return super().__new__(cls, (a, b))
-
-    def __add__(self, other):
-        return _Lex(self[0] + other[0], self[1] + other[1])
-
-
-def _tight_cycle(g: ParamDigraph, lam: Fraction, want_slope: str) -> tuple[int, ...]:
-    """A cycle with weight exactly 0 at lam and slope < 0 ("negative", so the
-    cycle goes negative above lam) or > 0 ("positive", negative below lam).
-    Precondition: lam is feasible, and such a binding cycle exists."""
-    sign = Fraction(1) if want_slope == "negative" else Fraction(-1)
-    arcs = [
-        (t, h, _Lex(i + s * lam, sign * s)) for (t, h, i, s) in g.arcs
-    ]
-    res = bellman_ford_multi(
-        g.vertex_count, arcs, range(g.vertex_count), _Lex(Fraction(0), Fraction(0))
-    )
-    assert res.negative_cycle is not None, "binding cycle must exist at an endpoint"
-    cycle = res.negative_cycle
-    intercept, slope = _cycle_sums(g, cycle)
-    assert intercept + slope * lam == 0, "endpoint witness must be tight"
-    assert (slope < 0) if want_slope == "negative" else (slope > 0)
-    return cycle
-
-
-def _narrow(g: ParamDigraph, a: Fraction, b: Fraction, bps, lower_mode: bool):
-    """Shrink (a, b) by probing feasibility at breakpoints until none is
-    strictly inside.  lower_mode keeps the invariant infeasible(a) and
-    feasible(b); otherwise feasible(a) and infeasible(b)."""
-    bps = sorted({x for x in bps if a < x < b})
-    while bps:
-        mid = bps[len(bps) // 2]
-        if is_feasible(g, mid) == lower_mode:
-            b = mid
-        else:
-            a = mid
-        bps = [x for x in bps if a < x < b]
-    return a, b
-
-
-def _matrix_breakpoints(matrix, a, b):
-    out = set()
-    for row in matrix:
-        for fn in row:
-            out.update(x for x in fn.breakpoints() if a < x < b)
-    return out
-
-
-def _reclamp(matrix, a, b):
-    return [[envelope(fn.lines, a, b) for fn in row] for row in matrix]
-
-
-def _endpoint(g: ParamDigraph, a: Fraction, b: Fraction, lower_mode: bool) -> Fraction:
-    """Exact feasibility endpoint inside the bracket.
-
-    lower_mode: infeasible(a), feasible(b), returns the lower endpoint in
-    (a, b].  Otherwise feasible(a), infeasible(b), returns the upper endpoint
-    in [a, b).  The bracket is narrowed until the minimum closed-walk weight
-    (diagonal of the iterated min-plus square, walks up to >=|V| arcs) is a
-    single line on it, whose root is the endpoint.
+    Each infeasible probe returns a negative cycle C.  When C's slope has the
+    walk's sign (positive when rising), C is nonnegative exactly beyond its
+    root -I(C)/S(C), so no feasible parameter lies before that root, and the
+    walk jumps there; the roots strictly advance through finitely many
+    cycles.  Returns (endpoint, witness, None) at the first feasible probe,
+    where the last cycle is tight, or (None, None, None) when the start is
+    already feasible.  A cycle with slope zero is negative everywhere, and one
+    with the other sign cannot hold together with the last cycle; either
+    ends the walk with (None, None, certificate).
     """
-    n = g.vertex_count
-    matrix = one_hop_matrix(g, a, b)
-    a, b = _narrow(g, a, b, _matrix_breakpoints(matrix, a, b), lower_mode)
-    matrix = _reclamp(matrix, a, b)
-    squarings = (max(n, 2) - 1).bit_length()
-    for _ in range(squarings):
-        matrix = pl_minplus_square(matrix, a, b)
-        a, b = _narrow(g, a, b, _matrix_breakpoints(matrix, a, b), lower_mode)
-        matrix = _reclamp(matrix, a, b)
-    diag_lines = [
-        line for i in range(n) for line in matrix[i][i].lines
-    ]
-    g_fn = envelope(diag_lines, a, b)
-    assert not g_fn.is_infinite, "an infeasible bracket endpoint implies a cycle"
-    a, b = _narrow(g, a, b, g_fn.breakpoints(), lower_mode)
-    g_fn = envelope(g_fn.lines, a, b)
-    slope, intercept = g_fn.active_line_at((a + b) / 2)
-    # g_fn is the min closed-walk weight: negative exactly where infeasible.
-    assert slope != 0, "the binding walk weight must depend on the parameter"
-    root = -intercept / slope
-    assert a <= root <= b
-    return root
+    tight = None
+    while True:
+        cycle = feasibility_witness(g, lam)
+        if cycle is None:
+            return (lam if tight is not None else None), tight, None
+        intercept, slope = _cycle_sums(g, cycle)
+        if slope == 0:
+            return None, None, (cycle,)
+        if (slope > 0) != rising and tight is not None:
+            return None, None, (tight, cycle)
+        root = -intercept / slope
+        if not (root > lam if rising else root < lam):
+            raise AssertionError("Newton step made no progress")
+        lam, tight = root, cycle
 
 
 def parametric_feasible_interval(g: ParamDigraph) -> FeasibleInterval:
     """The exact interval of parameters admitting no negative cycle.
 
-    Finite endpoints come with witness cycles that are tight (weight zero)
-    at the endpoint and negative just beyond; an empty result carries one
-    always-negative cycle or two cycles with incompatible constraints.
+    The lower endpoint is found by a Newton walk up from below every cycle
+    root, the upper one by a walk down from above them.  Finite endpoints
+    come with witness cycles that are tight (weight zero) at the endpoint
+    and negative just beyond; an empty result carries one always-negative
+    cycle or two cycles with incompatible constraints.
     """
-    if g.vertex_count == 0 or not g.arcs:
-        return FeasibleInterval(empty=False, lo=None, hi=None)
     bound = _root_bound(g)
-    lam_lo = -bound - 1
-    lam_hi = bound + 1
-    witness_left = feasibility_witness(g, lam_lo)
-    witness_right = feasibility_witness(g, lam_hi)
-
-    if witness_left is None and witness_right is None:
-        # Every cycle is nonnegative outside the root range on both sides,
-        # hence nonnegative everywhere (each cycle weight is linear).
-        return FeasibleInterval(empty=False, lo=None, hi=None)
-
-    if witness_left is None:
-        hi = _endpoint(g, lam_lo, lam_hi, lower_mode=False)
-        return FeasibleInterval(
-            empty=False,
-            lo=None,
-            hi=hi,
-            hi_witness=_tight_cycle(g, hi, "negative"),
-        )
-
-    if witness_right is None:
-        lo = _endpoint(g, lam_lo, lam_hi, lower_mode=True)
-        return FeasibleInterval(
-            empty=False,
-            lo=lo,
-            hi=None,
-            lo_witness=_tight_cycle(g, lo, "positive"),
-        )
-
-    # Both probes infeasible: either the interval is pinched between two
-    # constraints, or it is empty.  Walk candidate lower endpoints upward.
-    il, sl = _cycle_sums(g, witness_left)
-    if sl == 0:
-        return FeasibleInterval(empty=True, empty_certificate=(witness_left,))
-    assert sl > 0, "a cycle negative left of every root must gain with lam"
-    ir, sr = _cycle_sums(g, witness_right)
-    if sr == 0:
-        return FeasibleInterval(empty=True, empty_certificate=(witness_right,))
-    assert sr < 0, "a cycle negative right of every root must fall with lam"
-
-    need_at_least = -il / sl  # cycle_left >= 0 requires lam >= this
-    need_at_most = -ir / sr  # cycle_right >= 0 requires lam <= this
-    cert_left, cert_right = witness_left, witness_right
-    while True:
-        if need_at_least > need_at_most:
-            return FeasibleInterval(
-                empty=True, empty_certificate=(cert_left, cert_right)
-            )
-        probe = need_at_least
-        witness = feasibility_witness(g, probe)
-        if witness is None:
-            lo = probe
-            hi = _endpoint(g, probe, lam_hi, lower_mode=False)
-            return FeasibleInterval(
-                empty=False,
-                lo=lo,
-                hi=hi,
-                lo_witness=_tight_cycle(g, lo, "positive"),
-                hi_witness=_tight_cycle(g, hi, "negative"),
-            )
-        iw, sw = _cycle_sums(g, witness)
-        if sw == 0:
-            return FeasibleInterval(empty=True, empty_certificate=(witness,))
-        if sw > 0:
-            new_need = -iw / sw
-            assert new_need > need_at_least, "progress toward the lower endpoint"
-            cert_left, need_at_least = witness, new_need
-        else:
-            return FeasibleInterval(
-                empty=True, empty_certificate=(cert_left, witness)
-            )
+    lo, lo_witness, certificate = _newton_walk(g, -bound - 1, rising=True)
+    if certificate is None:
+        hi, hi_witness, certificate = _newton_walk(g, bound + 1, rising=False)
+    if certificate is not None:
+        return FeasibleInterval(empty=True, empty_certificate=certificate)
+    return FeasibleInterval(
+        empty=False, lo=lo, hi=hi, lo_witness=lo_witness, hi_witness=hi_witness
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,60 +186,22 @@ def parametric_feasible_interval(g: ParamDigraph) -> FeasibleInterval:
 # ---------------------------------------------------------------------------
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The unique rational with smallest denominator (ties: smallest
-    magnitude) in the closed interval [lo, hi], by continued fractions."""
-    assert lo <= hi
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest_between(-hi, -lo)
-    whole = math.ceil(lo)
-    if whole <= hi:
-        return Fraction(whole)
-    floor_lo = math.floor(lo)
-    return floor_lo + 1 / _simplest_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-
-
 def karp_orlin_threshold(g: ParamDigraph):
     """Largest lam with no negative cycle, for slopes restricted to {0, -1}.
 
     This equals the minimum over cycles containing at least one sloped arc
     of (cycle intercept sum) / (number of sloped arcs); +inf when no cycle
-    uses a sloped arc.  Implemented by bisection plus continued-fraction
-    identification: the answer's denominator divides lcm(intercept
-    denominators) * (cycle length), so once the bracket is narrower than
-    1/D**2 the simplest rational inside it is the answer.  Uses only
-    Bellman-Ford probes, no piecewise-linear machinery.
+    uses a sloped arc.  It is the upper endpoint of the feasible interval,
+    found by the downward Newton walk: each probe's negative cycle is a
+    ratio candidate, and the walk jumps to its ratio until a probe is
+    feasible.
     """
     for _t, _h, _i, s in g.arcs:
         if s != 0 and s != -1:
             raise InputError(f"slopes must be 0 or -1, got {s}")
-    sloped = sum(1 for a in g.arcs if a[3] == -1)
-    intercept_bound = sum((abs(a[2]) for a in g.arcs), Fraction(0))
-    hi_probe = intercept_bound + 1
-    if is_feasible(g, hi_probe):
-        # A cycle with a sloped arc would be negative at this lam (its
-        # intercept cannot exceed the bound); hence none exists.
-        return INF
-    lo_probe = -intercept_bound - 1
-    if not is_feasible(g, lo_probe):
+    hi, _witness, certificate = _newton_walk(g, _root_bound(g) + 1, rising=False)
+    if certificate is not None:
         raise InputError(
             "threshold undefined: the graph has a negative cycle with no sloped arcs"
         )
-    denom = math.lcm(1, *(a[2].denominator for a in g.arcs))
-    d_bound = denom * max(1, min(g.vertex_count, sloped))
-    a, b = lo_probe, hi_probe
-    gap = Fraction(1, d_bound * d_bound)
-    while b - a >= gap:
-        mid = (a + b) / 2
-        if is_feasible(g, mid):
-            a = mid
-        else:
-            b = mid
-    threshold = _simplest_between(a, b)
-    assert is_feasible(g, threshold)
-    assert not is_feasible(g, threshold + gap / 2)
-    return threshold
+    return INF if hi is None else hi

@@ -136,17 +136,20 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
         raise InputError("need at least two points")
     g = build_parametric_graph(d)
     interval = parametric_feasible_interval(g)
-    assert not interval.empty and interval.lo is not None
-    assert interval.hi is None, "feasibility is upward closed in lambda"
+    if interval.empty or interval.lo is None:
+        raise AssertionError("the feasible set must be a ray with a finite start")
+    if interval.hi is not None:
+        raise AssertionError("feasibility is upward closed in lambda")
     delta = interval.lo
-    assert delta >= 1
+    if delta < 1:
+        raise AssertionError(f"dilation {delta} is below 1")
 
     res = bellman_ford_multi(
         g.vertex_count, evaluate_arcs(g, delta), (0,), Fraction(0)
     )
-    assert res.distances is not None
     dist = res.distances
-    assert all(v is not None for v in dist)
+    if dist is None or any(v is None for v in dist):
+        raise AssertionError("every auxiliary vertex must be reachable at delta")
 
     candidates = []
     for sign in (1, -1):

@@ -252,21 +252,27 @@ def optimize_angles(tiling: Tiling) -> AngleSolution:
 
     g = angle_graph(tiling)
     lam = karp_orlin_threshold(g)
-    assert lam is not INF, "every tile induces a cycle of min-angle arcs"
+    if lam is INF:
+        raise AssertionError("every tile induces a cycle of min-angle arcs")
 
     res = bellman_ford_multi(
         g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
     )
-    assert res.distances is not None
     d = res.distances
+    if d is None:
+        raise AssertionError(f"threshold {lam} admits a negative cycle")
     adjustments = tuple(d[z] for z in range(1, g.vertex_count))
 
     new_angles = [
         interior + adjustments[a - 1] - adjustments[b - 1]
         for _t, _j, a, b, interior in tiling.corners()
     ]
-    assert min(new_angles) == lam
-    assert all(lam <= angle <= 180 for angle in new_angles)
+    if min(new_angles) != lam:
+        raise AssertionError(
+            f"smallest adjusted angle {min(new_angles)} is not the threshold {lam}"
+        )
+    if not all(lam <= angle <= 180 for angle in new_angles):
+        raise AssertionError("an adjusted angle leaves [lambda, 180]")
 
     directions = tuple(
         theta + dz

@@ -13,11 +13,12 @@ from fractions import Fraction
 from itertools import product
 
 from .bends import BendAssignment, PlaneMap
+from .errors import InputError
 from .gallery import GuardCertificate, verify_guard_certificate
 from .geometry import Polygon, dist2, segments_intersect
 from .parametric import ParamDigraph, feasibility_witness
 from .rectpart import RectPartition, concave_vertices, good_diagonals
-from .stars import DistanceMatrix, StarEmbedding, build_parametric_graph
+from .stars import DistanceMatrix, StarEmbedding, build_parametric_graph, dilation
 from .strips import StripResult, _edge_owner, _tri_edges
 from .tiling import Tiling, angle_graph
 
@@ -314,6 +315,12 @@ def check_tiling(tiling: Tiling, lam: Fraction) -> tuple[str, str]:
 
 
 def check_star(d: DistanceMatrix, emb: StarEmbedding) -> tuple[str, str]:
+    try:
+        achieved = dilation(d, emb.hub_distances)
+    except InputError as exc:
+        return "failed", f"hub distances are not an embedding: {exc}"
+    if achieved != emb.dilation:
+        return "failed", f"hub distances give dilation {achieved}, not {emb.dilation}"
     if d.n > 7:
         return "not-run", f"{d.n} points exceed oracle bound 7"
     g = build_parametric_graph(d)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from geomgraph import verify
+from geomgraph import cli, verify
 from geomgraph.cli import main
 from geomgraph.clustering import load_points
 from geomgraph.geometry import load_polygon
@@ -112,6 +112,18 @@ def test_verification_failure_exits_one(monkeypatch, capsys):
     out = capsys.readouterr()
     assert "verification failed: forced" in out.err
     assert "verify: failed" in out.out
+
+
+def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):
+    def broken(d):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(cli, "optimal_star_embedding", broken)
+    assert main(["star", "--in", path("c4.dist")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[0] == "internal error: RuntimeError: solver bug"
+    assert "Traceback" not in out.err
 
 
 # ---------------------------------------------------------------------------

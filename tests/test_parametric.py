@@ -14,7 +14,7 @@ from geomgraph.parametric import (
     karp_orlin_threshold,
     parametric_feasible_interval,
 )
-from geomgraph.verify import min_cycle_ratio
+from geomgraph.verify import _simple_cycles, min_cycle_ratio
 
 
 def test_evaluate_arcs_is_exact():
@@ -91,6 +91,78 @@ def test_interval_everywhere_and_empty():
     box = parametric_feasible_interval(g)
     assert box.empty
     assert box.empty_certificate
+
+
+def _closed_cycle_sums(g, cycle):
+    """(intercept sum, slope sum) of a cycle, which must close up."""
+    for k, a in enumerate(cycle):
+        assert g.arcs[a][1] == g.arcs[cycle[(k + 1) % len(cycle)]][0]
+    return (
+        sum(g.arcs[a][2] for a in cycle),
+        sum(g.arcs[a][3] for a in cycle),
+    )
+
+
+def _random_sloped_graph(rng):
+    n = rng.randint(1, 5)
+    slopes = [Fraction(v) for v in (-2, -1, -1, 0, 0, 1, 1, 2)]
+    slopes += [Fraction(1, 2), Fraction(-3, 2)]
+    arcs = []
+    for _ in range(rng.randint(1, 9)):
+        t, h = rng.randrange(n), rng.randrange(n)
+        arcs.append((t, h, Fraction(rng.randint(-6, 9)), rng.choice(slopes)))
+    return ParamDigraph(n, arcs)
+
+
+def test_interval_matches_cycle_enumeration_on_random_graphs():
+    rng = random.Random(57)
+    seen = set()
+    for _ in range(400):
+        g = _random_sloped_graph(rng)
+        lo = hi = None
+        empty = False
+        for isum, ssum in _simple_cycles(g.vertex_count, g.arcs):
+            if ssum > 0 and (lo is None or -isum / ssum > lo):
+                lo = -isum / ssum
+            if ssum < 0 and (hi is None or -isum / ssum < hi):
+                hi = -isum / ssum
+            empty |= ssum == 0 and isum < 0
+        empty |= lo is not None and hi is not None and lo > hi
+
+        box = parametric_feasible_interval(g)
+        assert box.empty == empty
+        if empty:
+            cert = box.empty_certificate
+            sums = [_closed_cycle_sums(g, c) for c in cert]
+            if len(cert) == 1:
+                seen.add("empty, one cycle")
+                assert sums[0][1] == 0 and sums[0][0] < 0
+            else:
+                seen.add("empty, two cycles")
+                assert len(cert) == 2
+                (ia, sa), (ib, sb) = sorted(sums, key=lambda si: -si[1])
+                assert sa > 0 > sb and -ia / sa > -ib / sb
+            continue
+        assert (box.lo, box.hi) == (lo, hi)
+        seen.add(
+            "everywhere" if lo is None and hi is None
+            else "lower only" if hi is None
+            else "upper only" if lo is None
+            else "single point" if lo == hi
+            else "two-sided"
+        )
+        assert (box.lo_witness is None) == (lo is None)
+        assert (box.hi_witness is None) == (hi is None)
+        if lo is not None:
+            isum, ssum = _closed_cycle_sums(g, box.lo_witness)
+            assert ssum > 0 and isum + ssum * lo == 0
+        if hi is not None:
+            isum, ssum = _closed_cycle_sums(g, box.hi_witness)
+            assert ssum < 0 and isum + ssum * hi == 0
+    assert seen == {
+        "everywhere", "lower only", "upper only", "two-sided",
+        "single point", "empty, one cycle", "empty, two cycles",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from geomgraph.parametric import (
 )
 from geomgraph.stars import (
     DistanceMatrix,
+    StarEmbedding,
     build_parametric_graph,
     cycle_metric,
     dilation,
@@ -157,6 +162,49 @@ def test_random_metrics_agree_with_the_oracle():
         assert dilation(d, emb.hub_distances) == emb.dilation
         status, detail = check_star(d, emb)
         assert status == "passed", detail
+
+
+def test_oracle_checks_the_hub_vector_not_only_the_value():
+    d = random_metric(6, 4)
+    emb = optimal_star_embedding(d)
+    bad = [
+        # right value, hub vector of another dilation
+        StarEmbedding(tuple(2 * h for h in emb.hub_distances), emb.dilation),
+        # contraction
+        StarEmbedding((Fraction(0),) * d.n, emb.dilation),
+        # negative hub distance
+        StarEmbedding((Fraction(-1),) + emb.hub_distances[1:], emb.dilation),
+    ]
+    for wrong in bad:
+        status, _detail = check_star(d, wrong)
+        assert status == "failed"
+
+
+def test_broken_interval_fails_loudly_under_python_O(tmp_path):
+    # An interval claiming an upper end is impossible for a star graph; the
+    # guard against it must survive -O, which strips assert statements.
+    src = Path(__file__).resolve().parent.parent / "src"
+    instance = tmp_path / "c4.dist"
+    instance.write_text(matrix_to_text(cycle_metric(4)), encoding="utf-8")
+    script = (
+        "import dataclasses, sys\n"
+        "from geomgraph import cli, stars\n"
+        "real = stars.parametric_feasible_interval\n"
+        "def broken(g):\n"
+        "    box = real(g)\n"
+        "    return dataclasses.replace(box, hi=box.lo + 1)\n"
+        "stars.parametric_feasible_interval = broken\n"
+        f"sys.exit(cli.main(['star', '--in', {str(instance)!r}]))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 3, run.stderr
+    assert "internal error: AssertionError" in run.stderr
 
 
 # ---------------------------------------------------------------------------
