@@ -55,7 +55,21 @@ def orientation(a: Point, b: Point, c: Point) -> Fraction:
     Positive when a,b,c make a left turn (counterclockwise), negative for a
     right turn, zero for collinear points.
     """
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    if (
+        ax.denominator == ay.denominator == bx.denominator
+        == by.denominator == cx.denominator == cy.denominator == 1
+    ):
+        # Integer coordinates (every shipped fixture and generator): the same
+        # exact product on plain ints, without a Fraction per operation.
+        ax, ay = ax.numerator, ay.numerator
+        return Fraction(
+            (bx.numerator - ax) * (cy.numerator - ay)
+            - (by.numerator - ay) * (cx.numerator - ax)
+        )
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def dist2(a: Point, b: Point) -> Fraction:
