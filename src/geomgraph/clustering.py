@@ -177,15 +177,21 @@ def min_diameter_k_cluster(points, k: int) -> ClusterResult:
             for j in range(i + 1, len(points))
         }
     )
+    # `cluster` is the probe at values[hi] once one has succeeded.
     lo, hi = 0, len(values) - 1
+    cluster = None
     while lo < hi:
         mid = (lo + hi) // 2
-        if len(max_cluster_given_d2(points, values[mid])) >= k:
+        probe = max_cluster_given_d2(points, values[mid])
+        if len(probe) >= k:
             hi = mid
+            cluster = probe
         else:
             lo = mid + 1
-    assert len(max_cluster_given_d2(points, values[lo])) >= k
-    cluster = max_cluster_given_d2(points, values[lo])
+    if cluster is None:
+        cluster = max_cluster_given_d2(points, values[lo])
+    if len(cluster) < k:
+        raise AssertionError(f"no {k}-cluster at the largest squared distance")
     members = cluster[:k]
     diam2 = max(
         (
@@ -196,5 +202,8 @@ def min_diameter_k_cluster(points, k: int) -> ClusterResult:
         default=Fraction(0),
     )
     # A smaller trimmed diameter would contradict the minimality of values[lo].
-    assert diam2 == values[lo]
+    if diam2 != values[lo]:
+        raise AssertionError(
+            f"trimmed cluster has squared diameter {diam2}, not {values[lo]}"
+        )
     return ClusterResult(members, diam2)

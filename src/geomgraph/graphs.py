@@ -186,15 +186,33 @@ def max_bipartite_matching(g: BipartiteGraph) -> Matching:
                     q.append(nxt)
         return found
 
-    def dfs(u: int) -> bool:
-        for r in adj[u]:
-            nxt = match_r[r]
-            if nxt == -1 or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                match_l[u] = r
-                match_r[r] = u
-                return True
-        dist[u] = INF
-        return False
+    def dfs(root: int) -> None:
+        """Depth-first search for an augmenting path from a free left vertex
+        along the BFS layers, with an explicit stack (a path can be longer
+        than Python's recursion limit).  path[i] is a left vertex and
+        edge[i] the index in adj[path[i]] of the right vertex being tried;
+        a left vertex with no way on leaves the layers (dist INF)."""
+        path, edge = [root], [0]
+        while path:
+            u, i = path[-1], edge[-1]
+            if i == len(adj[u]):
+                dist[u] = INF
+                path.pop()
+                edge.pop()
+                if edge:
+                    edge[-1] += 1
+                continue
+            nxt = match_r[adj[u][i]]
+            if nxt == -1:
+                for u, i in zip(path, edge):
+                    match_l[u] = adj[u][i]
+                    match_r[adj[u][i]] = u
+                return
+            if dist[nxt] == dist[u] + 1:
+                path.append(nxt)
+                edge.append(0)
+            else:
+                edge[-1] += 1
 
     while bfs():
         for u in range(g.left_count):

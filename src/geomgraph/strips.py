@@ -7,13 +7,26 @@ and where no move applies, bisecting two adjacent triangles from different
 cycles creates a vertex at which a merging move is guaranteed.  Iterating
 yields one cyclic strip over a mesh that covers the same surface, growing
 the triangle count by at most a factor of 3/2.
+
+`single_strip` builds the topology once (directed-edge owners, dual
+neighbours, one incident triangle per vertex) and keeps the matching as a
+partner array with a cycle id and a position along the cycle for every
+triangle.  A merge test at a vertex of degree k reads only its ring and
+counts the cycles after the swap in O(k log k), and a per-vertex counter
+rejects in O(1) the vertices around which the matching does not
+alternate; an accepted swap relabels only the cycles that merged, and
+bisections split triangles in place.  The
+public `vertex_ring`, `merge_move`, `cycle_cover_from_matching` and
+`bisect_pair` work on whole meshes and share the driver's helpers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import InputError
 from .graphs import Graph, Matching, perfect_matching_general
@@ -145,7 +158,7 @@ def _edge_owner(mesh: TriMesh) -> dict[tuple[int, int], int]:
 @lru_cache(maxsize=16)
 def dual_graph(mesh: TriMesh) -> Graph:
     """One vertex per triangle, one edge per adjacent pair; always cubic,
-    and bridgelessness (no cut edge) is asserted.  Meshes with boundary
+    and bridgelessness (no cut edge) is checked.  Meshes with boundary
     never get this far: they are rejected at construction."""
     owner = _edge_owner(mesh)
     edges = {
@@ -154,8 +167,10 @@ def dual_graph(mesh: TriMesh) -> Graph:
     }
     g = Graph(len(mesh.triangles), edges)
     adj = g.adjacency()
-    assert all(len(nbrs) == 3 for nbrs in adj)
-    assert not _has_bridge(adj)
+    if any(len(nbrs) != 3 for nbrs in adj):
+        raise AssertionError("dual graph is not cubic")
+    if _has_bridge(adj):
+        raise AssertionError("dual graph has a bridge")
     return g
 
 
@@ -198,6 +213,95 @@ def _has_bridge(adj: list[list[int]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# topology, built once and split in place
+# ---------------------------------------------------------------------------
+
+
+def _ring(triangles, owner, start: int, v: int) -> list[int]:
+    """Triangles around v in rotation order, beginning at `start`."""
+    ring = [start]
+    cur = start
+    while True:
+        tri = triangles[cur]
+        after = tri[(tri.index(v) + 1) % 3]
+        cur = owner[(after, v)]
+        if cur == start:
+            return ring
+        ring.append(cur)
+
+
+class _Topology:
+    """Mutable incidence of a closed mesh: the directed-edge owner map, the
+    three dual neighbours of every triangle, and one incident triangle per
+    vertex, so that a ring walk costs O(degree)."""
+
+    def __init__(self, mesh: TriMesh) -> None:
+        self.vertices = list(mesh.vertices)
+        self.triangles = list(mesh.triangles)
+        self.owner = {
+            e: t for t, tri in enumerate(self.triangles) for e in _tri_edges(tri)
+        }
+        self.corner = [0] * len(self.vertices)
+        for t, tri in enumerate(self.triangles):
+            for v in tri:
+                self.corner[v] = t
+        self.adj = [self._neighbors(t) for t in range(len(self.triangles))]
+
+    def _neighbors(self, t: int) -> list[int]:
+        return [self.owner[(v, u)] for u, v in _tri_edges(self.triangles[t])]
+
+    def ring(self, v: int) -> list[int]:
+        return _ring(self.triangles, self.owner, self.corner[v], v)
+
+    def dual_edges(self, ts) -> set[tuple[int, int]]:
+        """The dual edges at triangles `ts`, as (min, max) pairs."""
+        return {(min(t, s), max(t, s)) for t in ts for s in self.adj[t]}
+
+    def split(self, t1: int, t2: int) -> None:
+        """Bisect adjacent triangles t1 and t2 in place, as `bisect_pair`
+        describes."""
+        t_count = len(self.triangles)
+        if t1 == t2:
+            raise InputError("cannot bisect a triangle with itself")
+        for t in (t1, t2):
+            if not 0 <= t < t_count:
+                raise InputError(f"triangle {t} out of range")
+        owner = self.owner
+        tri1, tri2 = self.triangles[t1], self.triangles[t2]
+        shared = [(u, v) for u, v in _tri_edges(tri1) if owner[(v, u)] == t2]
+        if not shared:
+            raise InputError(f"triangles {t1} and {t2} are not adjacent")
+        (a, b) = shared[0]  # the only one: TriMesh rejects a non-simple dual
+        c = next(x for x in tri1 if x not in (a, b))
+        d = next(x for x in tri2 if x not in (a, b))
+
+        pa, pb = self.vertices[a], self.vertices[b]
+        w = len(self.vertices)
+        self.vertices.append(tuple((pa[i] + pb[i]) / 2 for i in range(3)))
+        self.corner.append(t1)
+        if self.corner[a] == t2:
+            self.corner[a] = t1
+        if self.corner[b] == t1:
+            self.corner[b] = t2
+
+        del owner[(a, b)], owner[(b, a)]
+        changed = {
+            t1: (a, w, c), t2: (b, w, d), t_count: (w, b, c), t_count + 1: (w, a, d)
+        }
+        self.triangles += [None, None]
+        self.adj += [None, None]
+        for t, tri in changed.items():
+            self.triangles[t] = tri
+            for e in _tri_edges(tri):
+                owner[e] = t
+        for s in set(changed).union(*(self._neighbors(t) for t in changed)):
+            self.adj[s] = self._neighbors(s)
+
+    def mesh(self) -> TriMesh:
+        return TriMesh(self.vertices, self.triangles)
+
+
+# ---------------------------------------------------------------------------
 # cycle covers
 # ---------------------------------------------------------------------------
 
@@ -215,6 +319,30 @@ class CycleCover:
         return len(self.cycles)
 
 
+def _partner(t_count: int, pairs) -> list[int]:
+    """Matched pairs as an array: partner[t] is t's mate, or -1."""
+    partner = [-1] * t_count
+    for a, b in pairs:
+        partner[a] = b
+        partner[b] = a
+    return partner
+
+
+def _canonical_cycle(adj, partner, start: int) -> tuple[int, ...]:
+    """The cycle of unmatched dual edges through `start`, leaving it toward
+    its smaller unmatched neighbour."""
+    cycle = [start]
+    prev, cur = start, min(s for s in adj[start] if s != partner[start])
+    while cur != start:
+        cycle.append(cur)
+        mate = partner[cur]
+        for nxt in adj[cur]:
+            if nxt != prev and nxt != mate:
+                break
+        prev, cur = cur, nxt
+    return tuple(cycle)
+
+
 def cycle_cover_from_matching(mesh: TriMesh, pm: Matching) -> CycleCover:
     """Walk the complement of a perfect dual matching into cycles.
 
@@ -223,56 +351,160 @@ def cycle_cover_from_matching(mesh: TriMesh, pm: Matching) -> CycleCover:
     """
     g = dual_graph(mesh)
     t_count = len(mesh.triangles)
-    partner: dict[int, int] = {}
     for a, b in pm.pairs:
         if (a, b) not in g.edges:
             raise InputError(f"matched pair ({a},{b}) is not a dual edge")
-        partner[a] = b
-        partner[b] = a
-    if len(partner) != t_count:
+    partner = _partner(t_count, pm.pairs)
+    if 2 * len(pm.pairs) != t_count or -1 in partner:
         raise InputError("matching is not perfect on the dual graph")
 
     adj = g.adjacency()
-    complement = [
-        [w for w in adj[t] if w != partner[t]] for t in range(t_count)
-    ]
-    assert all(len(nbrs) == 2 for nbrs in complement)
-
     cycles = []
     seen = [False] * t_count
     for start in range(t_count):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        prev, cur = start, min(complement[start])
-        while cur != start:
-            cycle.append(cur)
-            seen[cur] = True
-            a, b = complement[cur]
-            prev, cur = cur, b if a == prev else a
-        assert len(cycle) >= 3
-        cycles.append(tuple(cycle))
+        if not seen[start]:
+            cycle = _canonical_cycle(adj, partner, start)
+            for t in cycle:
+                seen[t] = True
+            cycles.append(cycle)
     return CycleCover(pm, tuple(cycles))
+
+
+class _Cover:
+    """A perfect dual matching as a `partner` array over a `_Topology`, with
+    the id of its cycle and a position along that cycle for every triangle.
+    Positions order the triangles of one cycle cyclically.
+
+    blocked[v] counts the triangles at v matched across their edge opposite
+    v.  The matching alternates around v's ring exactly when it is 0: a
+    triangle's mate lies on v's ring iff their shared edge ends at v.
+    """
+
+    def __init__(self, topo: _Topology, partner: list[int]) -> None:
+        self.topo = topo
+        self.partner = partner
+        self.cycle = [-1] * len(partner)
+        self.pos = [0] * len(partner)
+        self._next_id = 0
+        self.count = self._label(range(len(partner)))
+        self.blocked = [0] * len(topo.vertices)
+        self._block(range(len(partner)), 1)
+
+    def matching(self) -> Matching:
+        return Matching((t, s) for t, s in enumerate(self.partner) if t < s)
+
+    def _block(self, ts, sign: int) -> None:
+        triangles = self.topo.triangles
+        for t in ts:
+            mate = triangles[self.partner[t]]
+            for v in triangles[t]:
+                if v not in mate:
+                    self.blocked[v] += sign
+
+    def _label(self, starts) -> int:
+        """Give each cycle through `starts` a fresh id and fresh positions;
+        returns how many cycles that was."""
+        adj, partner, cycle, pos = self.topo.adj, self.partner, self.cycle, self.pos
+        fresh = self._next_id
+        for s in starts:
+            if cycle[s] >= fresh:
+                continue
+            for i, t in enumerate(_canonical_cycle(adj, partner, s)):
+                cycle[t] = self._next_id
+                pos[t] = i
+            self._next_id += 1
+        return self._next_id - fresh
+
+    def merge(self, v: int) -> bool:
+        """Make `merge_move`'s swap at v in place if it merges cycles.
+
+        The test reads v's ring alone, O(k log k) for degree k, after an
+        O(1) check of `blocked`; an accepted swap relabels the cycles that
+        merged.
+        """
+        if self.blocked[v]:
+            return False
+        ring = self.topo.ring(v)
+        k = len(ring)
+        partner = self.partner
+        shift = 0 if partner[ring[0]] == ring[1] else 1
+        cycle, pos = self.cycle, self.pos
+        before = len({cycle[t] for t in ring})
+        if before == 1:
+            return False
+
+        # Ring slots: mate[j] is matched with j, and j's cycle crosses the
+        # ring edge to other[j].  Each cycle through the ring alternates
+        # such inside steps with outside paths, which join consecutive ring
+        # triangles of that cycle, in order of position, that are not
+        # inside pairs.
+        mate, other = [0] * k, [0] * k
+        for i in range(shift, k, 2):
+            j, nxt = (i + 1) % k, (i + 2) % k
+            mate[i], mate[j] = j, i
+            other[j], other[nxt] = nxt, j
+        outside = [0] * k
+        order = sorted(range(k), key=lambda j: (cycle[ring[j]], pos[ring[j]]))
+        for _, group in groupby(order, key=lambda j: cycle[ring[j]]):
+            run = list(group)
+            if other[run[0]] == run[1]:
+                run = run[1:] + run[:1]
+            for x, y in zip(run[::2], run[1::2]):
+                outside[x], outside[y] = y, x
+
+        # After the swap, j's cycle crosses the ring edge to mate[j].
+        after = 0
+        seen = [False] * k
+        for j in range(k):
+            if not seen[j]:
+                after += 1
+                x = j
+                while not seen[x]:
+                    seen[x] = seen[mate[x]] = True
+                    x = outside[mate[x]]
+        if after >= before:
+            return False
+        self._block(ring, -1)
+        for j in range(k):
+            partner[ring[j]] = ring[other[j]]
+        self._block(ring, 1)
+        self._label(ring)
+        self.count -= before - after
+        return True
+
+    def crossing(self) -> tuple[int, int]:
+        """The least dual edge whose triangles lie on different cycles."""
+        cycle = self.cycle
+        for t, nbrs in enumerate(self.topo.adj):
+            across = [s for s in nbrs if s > t and cycle[s] != cycle[t]]
+            if across:
+                return t, min(across)
+        raise AssertionError("a cover of one cycle has no crossing edge")
+
+    def split(self, t1: int, t2: int) -> None:
+        """Bisect the matched pair (t1, t2) in place and match each half
+        with the new triangle across its new edge at the midpoint; the
+        cycle count is unchanged."""
+        t_count = len(self.partner)
+        self._block((t1, t2), -1)
+        self.topo.split(t1, t2)
+        self.partner += [t2, t1]
+        self.partner[t1], self.partner[t2] = t_count + 1, t_count
+        self.cycle += [-1, -1]
+        self.pos += [0, 0]
+        self.blocked.append(0)
+        self._block((t1, t2, t_count, t_count + 1), 1)
+        self._label((t1, t2))
 
 
 def vertex_ring(mesh: TriMesh, v: int) -> tuple[int, ...]:
     """Triangles incident to v in cyclic rotation order, least first."""
     if not 0 <= v < len(mesh.vertices):
         raise InputError(f"vertex {v} out of range")
-    owner = _edge_owner(mesh)
     incident = [t for t, tri in enumerate(mesh.triangles) if v in tri]
-    start = min(incident)
-    ring = [start]
-    cur = start
-    while True:
-        tri = mesh.triangles[cur]
-        after = tri[(tri.index(v) + 1) % 3]
-        cur = owner[(after, v)]
-        if cur == start:
-            break
-        ring.append(cur)
-    assert len(ring) == len(incident), f"pinched vertex {v}"
+    ring = _ring(mesh.triangles, _edge_owner(mesh), min(incident), v)
+    if len(ring) != len(incident):
+        raise AssertionError(f"pinched vertex {v}")
     return tuple(ring)
 
 
@@ -285,34 +517,14 @@ def merge_move(mesh: TriMesh, cover: CycleCover, v: int) -> CycleCover | None:
     yields another perfect matching).  Returns the new cover when it has
     strictly fewer cycles, otherwise None.
     """
-    ring = vertex_ring(mesh, v)
-    k = len(ring)
-    partner = {}
-    for a, b in cover.matching.pairs:
-        partner[a] = b
-        partner[b] = a
-    position = {t: i for i, t in enumerate(ring)}
-    for t in ring:
-        mate = partner[t]
-        if mate not in position:
-            return None
-        if (position[mate] - position[t]) % k not in (1, k - 1):
-            return None
-
-    ring_edges = [
-        (min(ring[i], ring[(i + 1) % k]), max(ring[i], ring[(i + 1) % k]))
-        for i in range(k)
-    ]
-    matched_slots = [
-        i for i, e in enumerate(ring_edges) if e in cover.matching.pairs
-    ]
-    assert len(matched_slots) * 2 == k
-    swapped = {ring_edges[(i + 1) % k] for i in matched_slots}
-    pairs = (cover.matching.pairs - set(ring_edges)) | swapped
-    new_cover = cycle_cover_from_matching(mesh, Matching(pairs))
-    if new_cover.cycle_count < cover.cycle_count:
-        return new_cover
-    return None
+    if not 0 <= v < len(mesh.vertices):
+        raise InputError(f"vertex {v} out of range")
+    state = _Cover(
+        _Topology(mesh), _partner(len(mesh.triangles), cover.matching.pairs)
+    )
+    if not state.merge(v):
+        return None
+    return cycle_cover_from_matching(mesh, state.matching())
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +541,9 @@ def bisect_pair(mesh: TriMesh, t1: int, t2: int) -> TriMesh:
     appended in that order.  The new vertex has exactly four incident
     triangles, and the Euler characteristic is unchanged.
     """
-    t_count = len(mesh.triangles)
-    if t1 == t2:
-        raise InputError("cannot bisect a triangle with itself")
-    for t in (t1, t2):
-        if not 0 <= t < t_count:
-            raise InputError(f"triangle {t} out of range")
-    owner = _edge_owner(mesh)
-    shared = [
-        (u, v) for u, v in _tri_edges(mesh.triangles[t1])
-        if owner[(v, u)] == t2
-    ]
-    if not shared:
-        raise InputError(f"triangles {t1} and {t2} are not adjacent")
-    assert len(shared) == 1
-    (a, b) = shared[0]
-    tri1, tri2 = mesh.triangles[t1], mesh.triangles[t2]
-    c = next(x for x in tri1 if x not in (a, b))
-    d = next(x for x in tri2 if x not in (a, b))
-
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    midpoint = tuple((pa[i] + pb[i]) / 2 for i in range(3))
-    w = len(mesh.vertices)
-
-    triangles = list(mesh.triangles)
-    triangles[t1] = (a, w, c)
-    triangles[t2] = (b, w, d)
-    triangles.append((w, b, c))
-    triangles.append((w, a, d))
-    return TriMesh(mesh.vertices + (midpoint,), tuple(triangles))
+    topo = _Topology(mesh)
+    topo.split(t1, t2)
+    return topo.mesh()
 
 
 # ---------------------------------------------------------------------------
@@ -383,77 +569,66 @@ class StripResult:
         return Fraction(len(self.strip), self.source_triangles)
 
 
-def _exhaust_merges(mesh: TriMesh, cover: CycleCover) -> tuple[CycleCover, int]:
+def _exhaust_merges(cover: _Cover) -> int:
+    """Try a merge at every vertex in index order, again while a pass made
+    one; returns the number made."""
     moves = 0
     progress = True
-    while progress and cover.cycle_count > 1:
+    while progress and cover.count > 1:
         progress = False
-        for v in range(len(mesh.vertices)):
-            moved = merge_move(mesh, cover, v)
-            if moved is not None:
-                cover = moved
+        for v in range(len(cover.topo.vertices)):
+            if cover.merge(v):
                 moves += 1
                 progress = True
-                if cover.cycle_count == 1:
-                    return cover, moves
-    return cover, moves
+                if cover.count == 1:
+                    return moves
+    return moves
 
 
 def single_strip(mesh: TriMesh) -> StripResult:
-    """Drive matching, merge moves, and bisections to one cyclic strip."""
+    """Drive matching, merge moves, and bisections to one cyclic strip.
+
+    The topology and the cover are built once and updated in place; the
+    result's mesh is built and validated once at the end, and the strip is
+    the cycle walked from triangle 0 toward its smaller neighbour.
+    """
     source = len(mesh.triangles)
     pm = perfect_matching_general(dual_graph(mesh))
-    assert pm is not None, "cubic bridgeless dual must have a perfect matching"
-    cover = cycle_cover_from_matching(mesh, pm)
+    if pm is None:
+        raise AssertionError("cubic bridgeless dual must have a perfect matching")
+    cover = _Cover(_Topology(mesh), _partner(source, pm.pairs))
 
     merges = 0
     bisections = 0
     while True:
-        cover, moves = _exhaust_merges(mesh, cover)
-        merges += moves
-        if cover.cycle_count == 1:
+        merges += _exhaust_merges(cover)
+        if cover.count == 1:
             break
-
-        cycle_of = {}
-        for i, cycle in enumerate(cover.cycles):
-            for t in cycle:
-                cycle_of[t] = i
-        crossing = min(
-            e for e in dual_graph(mesh).edges
-            if cycle_of[e[0]] != cycle_of[e[1]]
-        )
+        t1, t2 = cover.crossing()
         # Adjacent triangles in different cycles are always matched: an
         # unmatched dual edge lies on a cycle of the cover.
-        assert crossing in cover.matching.pairs
-        t1, t2 = crossing
-        t_count = len(mesh.triangles)
-        mesh = bisect_pair(mesh, t1, t2)
+        if cover.partner[t1] != t2:
+            raise AssertionError(f"crossing dual edge ({t1},{t2}) is unmatched")
+        cover.split(t1, t2)
         bisections += 1
-        pairs = (
-            (cover.matching.pairs - {crossing})
-            | {(t1, t_count + 1), (t2, t_count)}
-        )
-        cover = cycle_cover_from_matching(mesh, Matching(pairs))
-        before = cover.cycle_count
-        moved = merge_move(mesh, cover, len(mesh.vertices) - 1)
-        assert moved is not None, "bisection must enable a merge"
-        assert moved.cycle_count == before - 1
-        cover = moved
+        before = cover.count
+        if not cover.merge(len(cover.topo.vertices) - 1) or cover.count != before - 1:
+            raise AssertionError("bisection must enable a merge")
         merges += 1
 
-    strip = cover.cycles[0]
-    assert sorted(strip) == list(range(len(mesh.triangles)))
-    owner = _edge_owner(mesh)
-    neighbors = [
-        {owner[(v, u)] for u, v in _tri_edges(tri)}
-        for tri in mesh.triangles
-    ]
+    topo = cover.topo
+    strip = _canonical_cycle(topo.adj, cover.partner, 0)
+    t_count = len(topo.triangles)
+    if sorted(strip) != list(range(t_count)):
+        raise AssertionError("strip does not visit every triangle once")
     for i, t in enumerate(strip):
-        assert strip[(i + 1) % len(strip)] in neighbors[t]
-
-    added = len(mesh.triangles) - source
-    assert Fraction(len(mesh.triangles), source) <= Fraction(3, 2)
-    return StripResult(mesh, strip, source, added, merges, bisections)
+        if strip[i - 1] not in topo.adj[t]:
+            raise AssertionError(f"strip steps {strip[i - 1]} -> {t} without a shared edge")
+    if Fraction(t_count, source) > Fraction(3, 2):
+        raise AssertionError("growth exceeds 3/2")
+    if bisections:
+        mesh = topo.mesh()
+    return StripResult(mesh, strip, source, t_count - source, merges, bisections)
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +673,23 @@ def icosahedron() -> TriMesh:
 
 def sphere_like_mesh(seed: int, triangles: int = 100) -> TriMesh:
     """Grow the octahedron by seeded random bisections (+2 each) until at
-    least `triangles` triangles."""
+    least `triangles` triangles.  Each step draws from the sorted list of
+    dual edges, which is kept sorted as the mesh is split in place; the
+    result is validated once."""
     import random
 
     rng = random.Random(seed)
-    mesh = octahedron()
-    while len(mesh.triangles) < triangles:
-        t1, t2 = rng.choice(sorted(dual_graph(mesh).edges))
-        mesh = bisect_pair(mesh, t1, t2)
-    return mesh
+    topo = _Topology(octahedron())
+    edges = sorted(topo.dual_edges(range(len(topo.triangles))))
+    while len(topo.triangles) < triangles:
+        t1, t2 = rng.choice(edges)
+        for e in topo.dual_edges((t1, t2)):
+            del edges[bisect_left(edges, e)]
+        t_count = len(topo.triangles)
+        topo.split(t1, t2)
+        for e in topo.dual_edges((t1, t2, t_count, t_count + 1)):
+            insort(edges, e)
+    return topo.mesh()
 
 
 # ---------------------------------------------------------------------------

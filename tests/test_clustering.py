@@ -139,3 +139,24 @@ def test_random_point_set_is_reproducible_and_distinct():
     a = random_point_set(12, 4)
     assert a == random_point_set(12, 4)
     assert len(set(a)) == 12
+
+
+def test_min_diameter_k_cluster_probes_only_in_the_binary_search(monkeypatch):
+    import geomgraph.clustering as clustering
+
+    probes = []
+    real = clustering.max_cluster_given_d2
+
+    def counted(points, d2):
+        probes.append(d2)
+        return real(points, d2)
+
+    monkeypatch.setattr(clustering, "max_cluster_given_d2", counted)
+    pts = random_point_set(10, 4, span=25)
+    res = min_diameter_k_cluster(pts, 4)
+    values = len({dist2(a, b) for a in pts for b in pts})  # with 0
+    assert len(probes) <= values.bit_length()
+    assert res.diameter2 in probes
+    # With k = 1 no probe fails, and the last one is the answer.
+    probes.clear()
+    assert min_diameter_k_cluster(pts, 1).diameter2 == probes[-1] == 0

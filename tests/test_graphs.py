@@ -258,3 +258,15 @@ def test_circulation_random_instances_verify_and_are_optimal():
         assert negative_cycle_anywhere(
             residual_digraph(FlowNetwork(n, arcs), res.flow)
         ) is None
+
+
+def test_bipartite_matching_follows_one_long_augmenting_path():
+    # Greedy first matches left i to right i for i < n-1; left n-1 then
+    # reaches the free right n-1 only along one path through all 2n
+    # vertices, deeper than Python's recursion limit.
+    n = 3000
+    edges = [(i, i) for i in range(n - 1)]
+    edges += [(i, i + 1) for i in range(n - 1)]
+    edges.append((n - 1, 0))
+    m = max_bipartite_matching(BipartiteGraph(n, n, edges))
+    assert m.pairs == {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0)}

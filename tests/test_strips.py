@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from geomgraph.strips import (
     dual_graph,
     icosahedron,
     load_mesh,
+    merge_move,
     mesh_from_off,
     mesh_to_off,
     octahedron,
@@ -20,6 +25,8 @@ from geomgraph.strips import (
     vertex_ring,
 )
 from geomgraph.verify import check_strip
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # mesh validation
@@ -155,6 +162,134 @@ def test_sphere_like_meshes_strip_within_bounds():
         assert res.added_triangles == 2 * res.bisection_count
         status, detail = check_strip(res)
         assert status == "passed", detail
+
+
+def _reference_strip(mesh):
+    """The strip driver spelled out with the public, whole-mesh operations:
+    each merge attempt rebuilds the cover, each bisection rebuilds the mesh.
+    Returns (mesh, strip, merges, bisections)."""
+    cover = cycle_cover_from_matching(
+        mesh, perfect_matching_general(dual_graph(mesh))
+    )
+    merges = bisections = 0
+    while True:
+        progress = True
+        while progress and cover.cycle_count > 1:
+            progress = False
+            for v in range(len(mesh.vertices)):
+                moved = merge_move(mesh, cover, v)
+                if moved is not None:
+                    cover = moved
+                    merges += 1
+                    progress = True
+                    if cover.cycle_count == 1:
+                        break
+        if cover.cycle_count == 1:
+            return mesh, cover.cycles[0], merges, bisections
+        cycle_of = {t: i for i, cycle in enumerate(cover.cycles) for t in cycle}
+        t1, t2 = min(
+            e for e in dual_graph(mesh).edges if cycle_of[e[0]] != cycle_of[e[1]]
+        )
+        assert (t1, t2) in cover.matching.pairs
+        t_count = len(mesh.triangles)
+        mesh = bisect_pair(mesh, t1, t2)
+        bisections += 1
+        pairs = (cover.matching.pairs - {(t1, t2)}) | {
+            (t1, t_count + 1), (t2, t_count),
+        }
+        before = cycle_cover_from_matching(mesh, Matching(pairs))
+        cover = merge_move(mesh, before, len(mesh.vertices) - 1)
+        assert cover.cycle_count == before.cycle_count - 1
+        merges += 1
+
+
+@pytest.mark.parametrize("size", (24, 48, 96, 144))
+def test_single_strip_matches_the_reference_driver(size):
+    for seed in range(30):
+        mesh = sphere_like_mesh(seed, size)
+        res = single_strip(mesh)
+        ref_mesh, ref_strip, ref_merges, ref_bisections = _reference_strip(mesh)
+        assert res.strip == ref_strip
+        assert res.merge_count == ref_merges
+        assert res.bisection_count == ref_bisections
+        assert mesh_to_off(res.mesh) == mesh_to_off(ref_mesh)
+
+
+def test_merge_move_reports_only_merges():
+    mesh = sphere_like_mesh(7, 48)
+    cover = cycle_cover_from_matching(
+        mesh, perfect_matching_general(dual_graph(mesh))
+    )
+    merging = 0
+    for v in range(len(mesh.vertices)):
+        ring = vertex_ring(mesh, v)
+        moved = merge_move(mesh, cover, v)
+        if moved is None:
+            continue
+        merging += 1
+        assert moved.cycle_count < cover.cycle_count
+        # Only the ring's dual edges change hands.
+        ring_edges = {
+            (min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])
+        }
+        changed = moved.matching.pairs ^ cover.matching.pairs
+        assert changed and changed <= ring_edges
+    assert merging == 2
+    with pytest.raises(InputError, match="out of range"):
+        merge_move(mesh, cover, len(mesh.vertices))
+
+
+def test_large_mesh_strips():
+    mesh = sphere_like_mesh(11, 2000)
+    res = single_strip(mesh)
+    status, detail = check_strip(res)
+    assert status == "passed", detail
+
+
+def test_strip_report_is_the_same_under_python_O():
+    argv = [
+        "-m", "geomgraph", "strip", "--in",
+        str(ROOT / "instances" / "sphere120.off"), "--json", "--verify",
+    ]
+    reports = []
+    for flags in ([], ["-O"]):
+        run = subprocess.run(
+            [sys.executable, *flags, *argv],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        reports.append(run.stdout)
+    assert reports[0] == reports[1]
+    assert '"verification": "passed"' in reports[0]
+
+
+def test_broken_strip_fails_loudly_under_python_O(tmp_path):
+    # A cycle walk that drops a triangle from the one cycle left at the end
+    # must not yield a strip, even under -O, which strips assert statements.
+    instance = tmp_path / "octahedron.off"
+    instance.write_text(mesh_to_off(octahedron()), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from geomgraph import cli, strips\n"
+        "real = strips._canonical_cycle\n"
+        "def short(adj, partner, start):\n"
+        "    cycle = real(adj, partner, start)\n"
+        "    return cycle[:-1] if len(cycle) == len(partner) else cycle\n"
+        "strips._canonical_cycle = short\n"
+        f"sys.exit(cli.main(['strip', '--in', {str(instance)!r}]))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 3, run.stderr
+    assert "internal error: AssertionError" in run.stderr
 
 
 def test_single_strip_is_deterministic():
