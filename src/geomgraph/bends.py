@@ -232,13 +232,15 @@ def min_bend_assignment(pmap: PlaneMap) -> BendAssignment:
         raise InputError(f"malformed map: circulation infeasible "
                          f"({result.infeasibility})")
     ok, msg = verify_circulation(net, result.flow)
-    assert ok, msg
+    if not ok:
+        raise AssertionError(f"circulation check: {msg}")
 
     junction_units = {}
     for j, r, arc in legend.slot_arcs:
         junction_units[(j, r)] = result.flow[arc]
     for j, rot in enumerate(pmap.junctions):
-        assert sum(junction_units[(j, r)] for r in rot) == 4
+        if sum(junction_units[(j, r)] for r in rot) != 4:
+            raise AssertionError(f"junction {j}: angle units do not sum to 4")
 
     border_bends = {}
     charged = 0
@@ -246,14 +248,16 @@ def min_bend_assignment(pmap: PlaneMap) -> BendAssignment:
         border_bends[(a, b)] = result.flow[arc]
         if pmap.exterior not in (a, b):
             charged += result.flow[arc]
-    assert charged == result.total_cost
+    if charged != result.total_cost:
+        raise AssertionError("charged bends differ from the circulation cost")
     # Free exterior arcs may carry cancelable opposite units; net them out so
     # the decode reports the minimal corner layout.  (A charged border never
     # carries both directions: cancelling would beat the optimum.)
     for a, b in pmap.adjacency:
         slack = min(border_bends[(a, b)], border_bends[(b, a)])
         if slack:
-            assert pmap.exterior in (a, b)
+            if pmap.exterior not in (a, b):
+                raise AssertionError(f"charged border {a}|{b} bends both ways")
             border_bends[(a, b)] -= slack
             border_bends[(b, a)] -= slack
 
@@ -265,7 +269,11 @@ def min_bend_assignment(pmap: PlaneMap) -> BendAssignment:
         convex += sum(f for (a, b), f in border_bends.items() if a == r)
         concave += sum(f for (a, b), f in border_bends.items() if b == r)
         want = -4 if r == pmap.exterior else 4
-        assert convex - concave == want, (r, convex, concave)
+        if convex - concave != want:
+            raise AssertionError(
+                f"region {r}: {convex} convex - {concave} concave corners, "
+                f"expected {want}"
+            )
 
     return BendAssignment(
         result.total_cost, border_bends, junction_units, net, result.flow
@@ -353,6 +361,20 @@ def map_from_json(text: str) -> PlaneMap:
     for key in ("regions", "exterior", "junctions", "adjacency"):
         if key not in doc:
             raise InputError(f'line 1: missing "{key}"')
+
+    def names(v) -> bool:
+        return isinstance(v, list) and all(isinstance(r, str) for r in v)
+
+    if not names(doc["regions"]):
+        raise InputError('line 1: "regions" must be a list of names')
+    if not isinstance(doc["junctions"], list) or not all(
+        map(names, doc["junctions"])
+    ):
+        raise InputError('line 1: "junctions" must be lists of region names')
+    if not isinstance(doc["adjacency"], list) or not all(
+        names(pair) and len(pair) == 2 for pair in doc["adjacency"]
+    ):
+        raise InputError('line 1: "adjacency" must be pairs of region names')
     return PlaneMap(
         doc["regions"], doc["exterior"], doc["junctions"], doc["adjacency"]
     )

@@ -27,7 +27,7 @@ from .clustering import (
     points_to_text,
     random_point_set,
 )
-from .errors import InputError
+from .errors import InputError, rational
 from .gallery import fisk_guards, load_quads, orthogonal_guards
 from .geometry import load_polygon, polygon_to_json
 from .rectpart import build_partition, random_orthogonal_polygon
@@ -55,13 +55,6 @@ def _digest(paths) -> str:
         with open(p, "rb") as fh:
             h.update(fh.read())
     return f"sha256:{h.hexdigest()}"
-
-
-def _fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"{what}: {text!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +102,7 @@ def _run_rectpart(args) -> _Outcome:
 
 def _run_cluster(args) -> _Outcome:
     points = load_points(args.infile)
-    d2 = _fraction(args.d2, "--d2")
+    d2 = rational(args.d2, "--d2")
     members = max_cluster_given_d2(points, d2)
     diam2 = max(
         (dist2(points[p], points[q]) for i, p in enumerate(members)
@@ -225,7 +218,8 @@ def _solve(args) -> int:
     if args.verify:
         status, detail = out.check()
     if getattr(args, "svg_path", None):
-        assert out.drawing is not None
+        if out.drawing is None:
+            raise AssertionError(f"{args.cmd} has no drawing")
         with open(args.svg_path, "w", encoding="utf-8") as fh:
             fh.write(out.drawing())
     if args.json_mode:

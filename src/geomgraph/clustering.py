@@ -46,9 +46,9 @@ def points_from_text(text: str) -> tuple[Point, ...]:
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'x y', got {raw!r}")
         try:
-            pts.append(Point(Fraction(parts[0]), Fraction(parts[1])))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"line {lineno}: bad rational ({exc})") from exc
+            pts.append(Point(parts[0], parts[1]))
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     return validate_points(pts)
 
 
@@ -120,8 +120,8 @@ def cluster_for_pair(points, p_idx: int, q_idx: int) -> tuple[int, ...]:
             crossing = (a in side_a and b in side_b) or (
                 a in side_b and b in side_a
             )
-            if not crossing:
-                assert dist2(points[a], points[b]) <= s2, (
+            if not crossing and dist2(points[a], points[b]) > s2:
+                raise AssertionError(
                     "same-side lune points farther apart than the diametral pair"
                 )
 
@@ -136,11 +136,12 @@ def cluster_for_pair(points, p_idx: int, q_idx: int) -> tuple[int, ...]:
     members = set(axis)
     members.update(side_a[i] for side, i in independent if side == "L")
     members.update(side_b[j] for side, j in independent if side == "R")
-    assert p_idx in members and q_idx in members
+    if p_idx not in members or q_idx not in members:
+        raise AssertionError("the diametral pair left the cluster")
     for a in sorted(members):
         for b in sorted(members):
-            if a < b:
-                assert dist2(points[a], points[b]) <= s2
+            if a < b and dist2(points[a], points[b]) > s2:
+                raise AssertionError(f"members {a} and {b} exceed the diameter")
     return tuple(sorted(members))
 
 

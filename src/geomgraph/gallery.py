@@ -22,9 +22,8 @@ from .geometry import (
     Polygon,
     Segment,
     _ring_signed_area2,
+    is_interior_chord,
     orientation,
-    point_in_polygon,
-    segments_intersect,
     triangulate,
 )
 
@@ -102,48 +101,72 @@ def _smallest_class(coloring: tuple[int, ...], colors: int) -> tuple[int, ...]:
     return classes[best]
 
 
+def _dual_tree_coloring(
+    faces: tuple[tuple[int, ...], ...],
+    adjacency: list[list[int]],
+    vertex_count: int,
+    colors: int,
+) -> tuple[int, ...]:
+    """Color the vertices so that no face repeats a color (Fisk's argument).
+
+    Walks the dual tree breadth-first from face 0, neighbours in index
+    order.  Each face keeps the colors of its already-colored vertices (the
+    endpoints of the diagonal it shares with its parent) and gives its other
+    vertices the least unused colors in face order; for a triangle that is
+    the one missing color.  Colored vertices of one face can clash only in
+    a user-supplied quadrilateralization, so that raises InputError.
+    """
+    coloring = [-1] * vertex_count
+    seen = [False] * len(faces)
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        used = [coloring[v] for v in faces[f] if coloring[v] != -1]
+        if len(set(used)) != len(used):
+            raise InputError(
+                f"quad {f}: already-colored vertices clash; the king graph "
+                "is not 4-colorable along this dual tree"
+            )
+        free = iter([c for c in range(colors) if c not in used])
+        for v in faces[f]:
+            if coloring[v] == -1:
+                coloring[v] = next(free)
+        for u in sorted(adjacency[f]):
+            if not seen[u]:
+                seen[u] = True
+                queue.append(u)
+    if -1 in coloring:
+        raise AssertionError("a vertex lies on no face of the decomposition")
+    return tuple(coloring)
+
+
+def _guard_certificate(
+    poly: Polygon, mode: str, faces, adjacency: list[list[int]]
+) -> GuardCertificate:
+    colors = 3 if mode == "triangulation" else 4
+    coloring = _dual_tree_coloring(faces, adjacency, poly.total_vertices, colors)
+    cert = GuardCertificate(
+        mode, faces, coloring, _smallest_class(coloring, colors)
+    )
+    ok, msg = verify_guard_certificate(poly, cert)
+    if not ok:
+        raise AssertionError(f"{mode} coloring is not a guard certificate: {msg}")
+    return cert
+
+
 def fisk_guards(poly: Polygon) -> GuardCertificate:
     """Guards for a simple polygon: at most floor(n/3), via triangulation
     3-coloring.  Deterministic for a given polygon."""
     tri = triangulate(poly)
-    n = len(poly.outer)
-    coloring = [-1] * n
-    adj = tri.dual_adjacency()
-    root = 0
-    for i, v in enumerate(tri.triangles[root]):
-        coloring[v] = i
-    seen = [False] * len(tri.triangles)
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        t = queue.popleft()
-        for u in sorted(adj[t]):
-            if seen[u]:
-                continue
-            seen[u] = True
-            colored = [v for v in tri.triangles[u] if coloring[v] != -1]
-            fresh = [v for v in tri.triangles[u] if coloring[v] == -1]
-            # The shared diagonal splits the polygon, so exactly the two
-            # diagonal endpoints are already colored.
-            assert len(fresh) == 1 and len(colored) == 2
-            forced = 3 - coloring[colored[0]] - coloring[colored[1]]
-            coloring[fresh[0]] = forced
-            queue.append(u)
-    assert all(c != -1 for c in coloring)
-    guards = _smallest_class(tuple(coloring), 3)
-    cert = GuardCertificate("triangulation", tri.triangles, tuple(coloring), guards)
-    ok, msg = verify_guard_certificate(poly, cert)
-    assert ok, msg
-    return cert
+    return _guard_certificate(
+        poly, "triangulation", tri.triangles, tri.dual_adjacency()
+    )
 
 
 # ---------------------------------------------------------------------------
 # orthogonal polygons: quadrilateralization 4-coloring
 # ---------------------------------------------------------------------------
-
-
-def _quad_ring_area2(pts: list[Point]) -> Fraction:
-    return _ring_signed_area2(tuple(pts))
 
 
 def _validate_quad_shape(pts: list[Point], label: str) -> None:
@@ -153,34 +176,8 @@ def _validate_quad_shape(pts: list[Point], label: str) -> None:
         crosses.append(orientation(a, b, c))
     if any(x < 0 for x in crosses):
         raise InputError(f"{label}: not convex (a corner turns clockwise)")
-    if _quad_ring_area2(pts) <= 0:
+    if _ring_signed_area2(pts) <= 0:
         raise InputError(f"{label}: not counterclockwise or degenerate")
-
-
-def _diagonal_ok(seg: Segment, poly: Polygon) -> bool:
-    """A chord between polygon vertices that stays strictly interior: it may
-    touch the boundary only at its endpoints, and its midpoint is inside."""
-    for ring in poly.rings:
-        m = len(ring)
-        for i in range(m):
-            edge = Segment(ring[i], ring[(i + 1) % m])
-            kind = segments_intersect(seg, edge).kind
-            if kind in ("crossing", "overlap"):
-                return False
-            if kind == "endpoint_touch":
-                # The touch must be at one of the chord's own endpoints.
-                for p in (edge.a, edge.b):
-                    on_chord = (
-                        orientation(seg.a, seg.b, p) == 0
-                        and min(seg.a.x, seg.b.x) <= p.x <= max(seg.a.x, seg.b.x)
-                        and min(seg.a.y, seg.b.y) <= p.y <= max(seg.a.y, seg.b.y)
-                    )
-                    if on_chord and p not in (seg.a, seg.b):
-                        return False
-    mid = Point(
-        (seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2
-    )
-    return point_in_polygon(mid, poly) == "inside"
 
 
 def validate_quadrilateralization(
@@ -216,13 +213,13 @@ def validate_quadrilateralization(
             raise InputError(f"{label}: vertex index out of range")
         pts = [verts[v] for v in quad]
         _validate_quad_shape(pts, label)
-        area_sum += _quad_ring_area2(pts) / 2
+        area_sum += _ring_signed_area2(pts) / 2
         for i in range(4):
             a, b = quad[i], quad[(i + 1) % 4]
             key = (min(a, b), max(a, b))
             side_faces.setdefault(key, []).append(qi)
             if key not in boundary_edges:
-                if not _diagonal_ok(Segment(verts[a], verts[b]), poly):
+                if not is_interior_chord(Segment(verts[a], verts[b]), poly):
                     raise InputError(
                         f"{label}: side {a}-{b} is not a polygon edge or an "
                         "interior diagonal"
@@ -279,37 +276,7 @@ def orthogonal_guards(
         raise InputError("orthogonal_guards expects an orthogonal polygon")
     quads = tuple(tuple(int(v) for v in q) for q in quads)
     adj = validate_quadrilateralization(poly, quads)
-    n = poly.total_vertices
-    coloring = [-1] * n
-    root = 0
-    for i, v in enumerate(quads[root]):
-        coloring[v] = i
-    seen = [False] * len(quads)
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        t = queue.popleft()
-        for u in sorted(adj[t]):
-            if seen[u]:
-                continue
-            seen[u] = True
-            used = [coloring[v] for v in quads[u] if coloring[v] != -1]
-            if len(set(used)) != len(used):
-                raise InputError(
-                    f"quad {u}: already-colored vertices clash; the king graph "
-                    "is not 4-colorable along this dual tree"
-                )
-            remaining = sorted(set(range(4)) - set(used))
-            for v in quads[u]:
-                if coloring[v] == -1:
-                    coloring[v] = remaining.pop(0)
-            queue.append(u)
-    assert all(c != -1 for c in coloring)
-    guards = _smallest_class(tuple(coloring), 4)
-    cert = GuardCertificate("quadrilateralization", quads, tuple(coloring), guards)
-    ok, msg = verify_guard_certificate(poly, cert)
-    assert ok, msg
-    return cert
+    return _guard_certificate(poly, "quadrilateralization", quads, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -11,27 +11,15 @@ from __future__ import annotations
 import collections
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, rational
 
 # ---------------------------------------------------------------------------
 # points and small vector helpers
 # ---------------------------------------------------------------------------
-
-
-def _q(value) -> Fraction:
-    """Coerce ints, strings like '3/2' or '0.25', and Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise InputError(
-        f"coordinates must be Fraction, int, or string, not {type(value).__name__}"
-    )
 
 
 _PointBase = collections.namedtuple("_PointBase", ["x", "y"])
@@ -43,7 +31,9 @@ class Point(_PointBase):
     __slots__ = ()
 
     def __new__(cls, x, y):
-        return super().__new__(cls, _q(x), _q(y))
+        return super().__new__(
+            cls, rational(x, "coordinate"), rational(y, "coordinate")
+        )
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
@@ -162,7 +152,8 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentIntersection:
             touches.add(p)
     if not touches:
         return SegmentIntersection("disjoint")
-    assert len(touches) == 1, "non-collinear segments share at most one point"
+    if len(touches) != 1:
+        raise AssertionError("non-collinear segments share at most one point")
     return SegmentIntersection("endpoint_touch", touches.pop())
 
 
@@ -171,7 +162,7 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentIntersection:
 # ---------------------------------------------------------------------------
 
 
-def _ring_signed_area2(ring: tuple[Point, ...]) -> Fraction:
+def _ring_signed_area2(ring: Sequence[Point]) -> Fraction:
     """Twice the signed area of a ring (positive when counterclockwise)."""
     total = Fraction(0)
     for i, p in enumerate(ring):
@@ -180,7 +171,7 @@ def _ring_signed_area2(ring: tuple[Point, ...]) -> Fraction:
     return total
 
 
-def _ring_edges(ring: tuple[Point, ...]) -> list[Segment]:
+def _ring_edges(ring: Sequence[Point]) -> list[Segment]:
     return [Segment(p, ring[(i + 1) % len(ring)]) for i, p in enumerate(ring)]
 
 
@@ -344,6 +335,24 @@ def point_in_polygon(p: Point, poly: Polygon) -> str:
     return "inside"
 
 
+def is_interior_chord(seg: Segment, poly: Polygon) -> bool:
+    """Does the chord between two polygon vertices stay strictly inside?
+
+    The open chord must avoid the boundary entirely: no crossing, no
+    overlap, no touch except at the chord's own endpoints (so no third
+    vertex on it), and its midpoint strictly inside.
+    """
+    for ring in poly.rings:
+        for edge in _ring_edges(ring):
+            hit = segments_intersect(seg, edge)
+            if hit.kind in ("crossing", "overlap"):
+                return False
+            if hit.kind == "endpoint_touch" and hit.point not in (seg.a, seg.b):
+                return False
+    mid = Point((seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2)
+    return point_in_polygon(mid, poly) == "inside"
+
+
 # ---------------------------------------------------------------------------
 # triangulation by ear clipping
 # ---------------------------------------------------------------------------
@@ -412,11 +421,13 @@ def triangulate(poly: Polygon) -> Triangulation:
             raise AssertionError("no ear found; polygon is not simple")
     triangles.append((ring[0], ring[1], ring[2]))
 
-    assert len(triangles) == len(poly.outer) - 2
+    if len(triangles) != len(poly.outer) - 2:
+        raise AssertionError("ear clipping must give n - 2 triangles")
     total = sum(
         orientation(pts[a], pts[b], pts[c]) for a, b, c in triangles
     )
-    assert total == _ring_signed_area2(poly.outer), "triangle areas must sum"
+    if total != _ring_signed_area2(poly.outer):
+        raise AssertionError("triangle areas must sum to the polygon's")
 
     # Weak dual: a diagonal is an edge shared by exactly two triangles.
     by_edge: dict[tuple[int, int], list[int]] = {}
@@ -426,7 +437,8 @@ def triangulate(poly: Polygon) -> Triangulation:
     dual = tuple(
         (ts[0], ts[1]) for ts in by_edge.values() if len(ts) == 2
     )
-    assert len(dual) == len(triangles) - 1, "dual of a triangulation is a tree"
+    if len(dual) != len(triangles) - 1:
+        raise AssertionError("dual of a triangulation is a tree")
     return Triangulation(tuple(triangles), dual)
 
 
@@ -478,8 +490,11 @@ def polygon_from_json(text: str) -> Polygon:
         if key not in ("kind", "outer", "holes"):
             raise InputError(f"line 1: unknown key {key!r}")
     kind = doc.get("kind", "simple")
+    holes = doc.get("holes", [])
+    if not isinstance(holes, list):
+        raise InputError("line 1: holes must be a list of rings")
     rings_raw = [("outer", doc.get("outer"))]
-    for h, hole in enumerate(doc.get("holes", [])):
+    for h, hole in enumerate(holes):
         rings_raw.append((f"holes[{h}]", hole))
     rings: list[list[tuple[int, int]]] = []
     for name, raw in rings_raw:

@@ -285,8 +285,10 @@ def konig_independent_set(g: BipartiteGraph, m: Matching) -> frozenset[tuple[str
         + [("R", r) for r in range(g.right_count) if not in_z_r[r]]
     )
     for l, r in g.edges:
-        assert not (("L", l) in independent and ("R", r) in independent)
-    assert len(independent) == g.left_count + g.right_count - len(m.pairs)
+        if ("L", l) in independent and ("R", r) in independent:
+            raise AssertionError(f"Koenig set contains both ends of edge {l}-{r}")
+    if len(independent) != g.left_count + g.right_count - len(m.pairs):
+        raise AssertionError("Koenig set size differs from n - |matching|")
     return independent
 
 
@@ -368,7 +370,8 @@ def maximum_matching_general(g: Graph) -> Matching:
 
     pairs = {(min(v, match[v]), max(v, match[v])) for v in range(n) if match[v] != -1}
     for u, v in pairs:
-        assert (u, v) in g.edges
+        if (u, v) not in g.edges:
+            raise AssertionError(f"blossom matching uses non-edge {u}-{v}")
     return Matching(pairs)
 
 
@@ -450,17 +453,6 @@ def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordRes
                     return BellmanFordResult(None, tuple(cycle_arcs))
         raise AssertionError("relaxation in final round but no negative cycle found")
     return BellmanFordResult(tuple(dist), None)
-
-
-def bellman_ford(g: WeightedDigraph, source: int) -> BellmanFordResult:
-    """Single-source shortest paths with exact rational weights.
-
-    Returns exact distances, or a negative cycle reachable from the source
-    as an arc-index list (verified by summation before returning).
-    """
-    if not (0 <= source < g.vertex_count):
-        raise InputError(f"source {source} out of range")
-    return bellman_ford_multi(g.vertex_count, g.arcs, [source], Fraction(0))
 
 
 def negative_cycle_anywhere(g: WeightedDigraph) -> tuple[int, ...] | None:

@@ -22,6 +22,9 @@ from .geometry import (
     Point,
     Polygon,
     Segment,
+    _ring_edges,
+    _ring_signed_area2,
+    is_interior_chord,
     orientation,
     point_in_polygon,
     segments_intersect,
@@ -49,29 +52,14 @@ def concave_vertices(poly: Polygon) -> tuple[int, ...]:
             if orientation(ring[i - 1], ring[i], ring[(i + 1) % m]) < 0:
                 out.append(offset + i)
         offset += m
-    assert len(out) == poly.total_vertices // 2 + 2 * len(poly.holes) - 2
+    if len(out) != poly.total_vertices // 2 + 2 * len(poly.holes) - 2:
+        raise AssertionError("concave corners must number n/2 + 2h - 2")
     return tuple(out)
 
 
 def _canonical(seg: Segment) -> Segment:
     a, b = sorted((seg.a, seg.b))
     return Segment(a, b)
-
-
-def _chord_is_interior(seg: Segment, poly: Polygon) -> bool:
-    """The open chord must avoid the boundary entirely: no crossings, no
-    overlaps, no third vertex on it, and its midpoint strictly inside."""
-    for ring in poly.rings:
-        m = len(ring)
-        for i in range(m):
-            edge = Segment(ring[i], ring[(i + 1) % m])
-            hit = segments_intersect(seg, edge)
-            if hit.kind in ("crossing", "overlap"):
-                return False
-            if hit.kind == "endpoint_touch" and hit.point not in (seg.a, seg.b):
-                return False
-    mid = Point((seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2)
-    return point_in_polygon(mid, poly) == "inside"
 
 
 def good_diagonals(poly: Polygon) -> tuple[Segment, ...]:
@@ -86,7 +74,7 @@ def good_diagonals(poly: Polygon) -> tuple[Segment, ...]:
             if a.x != b.x and a.y != b.y:
                 continue
             seg = _canonical(Segment(a, b))
-            if _chord_is_interior(seg, poly):
+            if is_interior_chord(seg, poly):
                 found.append(seg)
     found.sort(key=lambda s: (s.a, s.b))
     return tuple(found)
@@ -153,7 +141,8 @@ def _first_hit(origin: Point, direction: tuple[int, int], segments) -> Point:
             elif a.x == origin.x:
                 for p in (a, b):
                     consider((p.y - origin.y) * dy, p)
-    assert best is not None, "cut ray escaped the polygon"
+    if best is None:
+        raise AssertionError("cut ray escaped the polygon")
     return best[1]
 
 
@@ -165,10 +154,7 @@ def _emit_cuts(
     ties) until it reaches an existing segment."""
     verts = poly.all_vertices
     resolved = {s.a for s in chosen} | {s.b for s in chosen}
-    segments: list[Segment] = []
-    for ring in poly.rings:
-        m = len(ring)
-        segments.extend(Segment(ring[i], ring[(i + 1) % m]) for i in range(m))
+    segments = [e for ring in poly.rings for e in _ring_edges(ring)]
     segments.extend(chosen)
 
     ring_of: list[tuple[tuple[Point, ...], int]] = []
@@ -262,7 +248,8 @@ def _trace_faces(segments: list[Segment]) -> list[list[Point]]:
             if cand in options:
                 nxt[idx] = options[cand]
                 break
-        assert nxt[idx] != -1
+        if nxt[idx] == -1:
+            raise AssertionError("a face walk reached a dead end")
 
     faces: list[list[Point]] = []
     visited = [False] * len(micro)
@@ -275,12 +262,9 @@ def _trace_faces(segments: list[Segment]) -> list[list[Point]]:
             visited[e] = True
             cycle.append(micro[e][0])
             e = nxt[e]
-        assert e == start, "face walk did not close"
-        area2 = Fraction(0)
-        for k in range(len(cycle)):
-            a, b = cycle[k], cycle[(k + 1) % len(cycle)]
-            area2 += a.x * b.y - b.x * a.y
-        if area2 > 0:
+        if e != start:
+            raise AssertionError("face walk did not close")
+        if _ring_signed_area2(cycle) > 0:
             faces.append(cycle)
     return faces
 
@@ -319,10 +303,7 @@ def build_partition(poly: Polygon) -> RectPartition:
     chosen, _ = independent_diagonals(poly)
     cuts = _emit_cuts(poly, chosen)
 
-    segments: list[Segment] = []
-    for ring in poly.rings:
-        m = len(ring)
-        segments.extend(Segment(ring[i], ring[(i + 1) % m]) for i in range(m))
+    segments = [e for ring in poly.rings for e in _ring_edges(ring)]
     segments.extend(chosen)
     segments.extend(cuts)
 
@@ -330,19 +311,23 @@ def build_partition(poly: Polygon) -> RectPartition:
     total_area = Fraction(0)
     for cycle in _trace_faces(segments):
         corners = _collapse_collinear(cycle)
-        assert len(corners) == 4, f"face with {len(corners)} corners"
+        if len(corners) != 4:
+            raise AssertionError(f"face with {len(corners)} corners")
         xs = sorted({p.x for p in corners})
         ys = sorted({p.y for p in corners})
-        assert len(xs) == 2 and len(ys) == 2, "face is not axis-parallel"
+        if len(xs) != 2 or len(ys) != 2:
+            raise AssertionError("face is not axis-parallel")
         center = Point((xs[0] + xs[1]) / 2, (ys[0] + ys[1]) / 2)
         if point_in_polygon(center, poly) != "inside":
             continue  # a hole interior traced as a face
         rects.append((Point(xs[0], ys[0]), Point(xs[1], ys[1])))
         total_area += (xs[1] - xs[0]) * (ys[1] - ys[0])
 
-    assert total_area == poly.area(), "rectangles do not tile the polygon"
+    if total_area != poly.area():
+        raise AssertionError("rectangles do not tile the polygon")
     expected = poly.total_vertices // 2 + len(poly.holes) - len(chosen) - 1
-    assert len(rects) == expected, (len(rects), expected)
+    if len(rects) != expected:
+        raise AssertionError(f"{len(rects)} rectangles, expected {expected}")
     rects.sort(key=lambda r: (r[0], r[1]))
     return RectPartition(tuple(rects), chosen, cuts)
 
@@ -370,7 +355,8 @@ def _trace_cell_boundary(cells: set[tuple[int, int]]) -> list[list[Point]]:
         if (x + 1, y) not in cells:
             add(Point(x + 1, y), Point(x + 1, y + 1))
 
-    assert all(len(nbrs) == 2 for nbrs in edges.values()), "pinched boundary"
+    if any(len(nbrs) != 2 for nbrs in edges.values()):
+        raise AssertionError("pinched boundary")
     loops: list[list[Point]] = []
     unused = {p: list(nbrs) for p, nbrs in edges.items()}
     while unused:
@@ -466,14 +452,14 @@ def random_orthogonal_polygon(
             hole_cells = {rng.choice(candidates)}
 
         loops = _trace_cell_boundary(filled - hole_cells)
-        outer_loop = max(loops, key=lambda lp: abs(_loop_area2(lp)))
-        if _loop_area2(outer_loop) < 0:
+        outer_loop = max(loops, key=lambda lp: abs(_ring_signed_area2(lp)))
+        if _ring_signed_area2(outer_loop) < 0:
             outer_loop = outer_loop[::-1]
         holes = []
         for lp in loops:
             if lp is outer_loop:
                 continue
-            if _loop_area2(lp) > 0:
+            if _ring_signed_area2(lp) > 0:
                 lp = lp[::-1]
             holes.append([(p.x, p.y) for p in lp])
         try:
@@ -484,14 +470,6 @@ def random_orthogonal_polygon(
             continue
         if len(concave_vertices(poly)) <= max_concave:
             return poly
-
-
-def _loop_area2(loop: list[Point]) -> Fraction:
-    total = Fraction(0)
-    for i in range(len(loop)):
-        a, b = loop[i], loop[(i + 1) % len(loop)]
-        total += a.x * b.y - b.x * a.y
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, rational
 from .graphs import bellman_ford_multi
 from .parametric import ParamDigraph, evaluate_arcs, parametric_feasible_interval
 
@@ -34,12 +34,6 @@ __all__ = [
 ]
 
 
-def _entry(value) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(f"float distance {value!r}; use a rational")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A finite metric: symmetric, zero diagonal, positive off-diagonal,
@@ -48,7 +42,9 @@ class DistanceMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, entries):
-        rows = tuple(tuple(_entry(v) for v in row) for row in entries)
+        rows = tuple(
+            tuple(rational(v, "distance") for v in row) for row in entries
+        )
         object.__setattr__(self, "entries", rows)
         n = len(rows)
         if n == 0:
@@ -279,9 +275,9 @@ def matrix_from_text(text: str) -> DistanceMatrix:
         if len(parts) != n:
             raise InputError(f"line {lineno}: expected {n} entries")
         try:
-            entries.append(tuple(Fraction(p) for p in parts))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"line {lineno}: bad rational") from exc
+            entries.append(tuple(rational(p, "distance") for p in parts))
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     return DistanceMatrix(tuple(entries))
 
 

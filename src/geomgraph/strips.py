@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .errors import InputError
+from .errors import InputError, rational
 from .graphs import Graph, Matching, perfect_matching_general
 
 __all__ = [
@@ -56,12 +56,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _coord(value) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(f"float coordinate {value!r}; use Fraction or int")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class TriMesh:
     """Closed, consistently oriented, connected triangulated sphere.
@@ -76,7 +70,12 @@ class TriMesh:
 
     def __init__(self, vertices, triangles):
         verts = tuple(
-            (_coord(x), _coord(y), _coord(z)) for x, y, z in vertices
+            (
+                rational(x, "coordinate"),
+                rational(y, "coordinate"),
+                rational(z, "coordinate"),
+            )
+            for x, y, z in vertices
         )
         tris = tuple(
             (int(a), int(b), int(c)) for a, b, c in triangles
@@ -728,9 +727,9 @@ def mesh_from_off(text: str) -> TriMesh:
         if len(parts) != 3:
             raise InputError(f"line {lineno}: expected 3 coordinates")
         try:
-            vertices.append(tuple(Fraction(p) for p in parts))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"line {lineno}: bad coordinate") from exc
+            vertices.append(tuple(rational(p, "coordinate") for p in parts))
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     faces = []
     for lineno, line in body[n_vertices:]:
         parts = line.split()

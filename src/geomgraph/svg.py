@@ -84,7 +84,8 @@ class _Drawing:
         )
 
     def render(self) -> str:
-        assert self.xs, "nothing drawn"
+        if not self.xs:
+            raise AssertionError("nothing drawn")
         lo_x, hi_x = min(self.xs), max(self.xs)
         lo_y, hi_y = min(self.ys), max(self.ys)
         pad = max(hi_x - lo_x, hi_y - lo_y, 1.0) * 0.06

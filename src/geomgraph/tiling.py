@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, rational
 from .graphs import bellman_ford_multi
 from .parametric import INF, ParamDigraph, evaluate_arcs, karp_orlin_threshold
 
@@ -37,12 +37,6 @@ __all__ = [
     "tiling_to_json",
     "load_tiling",
 ]
-
-
-def _degrees(value) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(f"float angle {value!r}; use a rational string")
-    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +59,7 @@ class Tiling:
     adjacencies: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def __init__(self, zone_directions, tiles, adjacencies=()):
-        dirs = tuple(_degrees(v) for v in zone_directions)
+        dirs = tuple(rational(v, "angle") for v in zone_directions)
         tils = tuple(tuple(int(z) for z in tile) for tile in tiles)
         adjs = tuple(
             ((int(a), int(i)), (int(b), int(j)))
@@ -315,8 +309,8 @@ def reconstruct_positions(
             x, y = verts[i]
             verts[(i + 1) % n] = (x + dx, y + dy)
         x, y = verts[anchor_side]
-        assert math.hypot(x - anchor[0], y - anchor[1]) < 1e-9, \
-            "centrally symmetric tile failed to close"
+        if math.hypot(x - anchor[0], y - anchor[1]) >= 1e-9:
+            raise AssertionError("centrally symmetric tile failed to close")
         return verts
 
     glued: dict[tuple[int, int], tuple[int, int]] = {}
@@ -402,7 +396,27 @@ def tiling_from_json(text: str) -> Tiling:
         tiles = data["tiles"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"tiling JSON missing field: {exc}") from exc
-    adjacencies = data.get("adjacencies", ())
+    adjacencies = data.get("adjacencies", [])
+
+    def is_int(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def is_slot(v) -> bool:
+        return isinstance(v, list) and len(v) == 2 and all(map(is_int, v))
+
+    if not isinstance(directions, list):
+        raise InputError("tiling JSON: directions must be a list")
+    if not isinstance(tiles, list) or not all(
+        isinstance(tile, list) and all(map(is_int, tile)) for tile in tiles
+    ):
+        raise InputError("tiling JSON: tiles must be lists of integer zone ids")
+    if not isinstance(adjacencies, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(map(is_slot, a))
+        for a in adjacencies
+    ):
+        raise InputError(
+            "tiling JSON: adjacencies must be [[tile, side], [tile, side]] pairs"
+        )
     return Tiling(directions, tiles, adjacencies)
 
 

@@ -19,7 +19,7 @@ from .geometry import Polygon, dist2, segments_intersect
 from .parametric import ParamDigraph, feasibility_witness
 from .rectpart import RectPartition, concave_vertices, good_diagonals
 from .stars import DistanceMatrix, StarEmbedding, build_parametric_graph, dilation
-from .strips import StripResult, _edge_owner, _tri_edges
+from .strips import StripResult
 from .tiling import Tiling, angle_graph
 
 __all__ = [
@@ -115,7 +115,8 @@ def max_cycle_bound(g: ParamDigraph) -> Fraction | None:
     best = None
     for isum, ssum in _simple_cycles(g.vertex_count, g.arcs):
         if ssum == 0:
-            assert isum >= 0, "constant negative cycle"
+            if isum < 0:
+                raise AssertionError("constant negative cycle")
             continue
         bound = -isum / ssum
         if best is None or bound > best:
@@ -194,7 +195,8 @@ def _transport_cost(balance: dict[str, int], dist: dict[tuple[str, str], int]) -
         if best is not None and cost >= best:
             return
         if i == len(sources):
-            assert all(v == 0 for v in remaining.values())
+            if any(remaining.values()):
+                raise AssertionError("transport left a deficit unmet")
             best = cost
             return
         src = sources[i]
@@ -217,7 +219,8 @@ def _transport_cost(balance: dict[str, int], dist: dict[tuple[str, str], int]) -
         split(0, units, 0)
 
     assign(0, dict(need), 0)
-    assert best is not None
+    if best is None:
+        raise AssertionError("no transport plan cancels the balance")
     return best
 
 
@@ -246,7 +249,8 @@ def _border_distances(pmap: PlaneMap) -> dict[tuple[str, str], int]:
                 through = left + right
                 if dist[(a, b)] is None or through < dist[(a, b)]:
                     dist[(a, b)] = through
-    assert all(v is not None for v in dist.values()), "map not connected"
+    if None in dist.values():
+        raise AssertionError("map not connected")
     return dist
 
 
@@ -270,7 +274,8 @@ def check_bends(pmap: PlaneMap, sol: BendAssignment) -> tuple[str, str]:
             k = pmap.junction_count(r)
             owed = 2 * k + 4 if r == pmap.exterior else 2 * k - 4
             balance[r] -= owed
-        assert sum(balance.values()) == 0
+        if sum(balance.values()) != 0:
+            raise AssertionError("angle units and owed corners do not balance")
         key = tuple(balance[r] for r in names)
         if key not in memo:
             memo[key] = _transport_cost(balance, dist)
@@ -286,15 +291,11 @@ def check_strip(result: StripResult) -> tuple[str, str]:
     mesh, strip = result.mesh, result.strip
     if sorted(strip) != list(range(len(mesh.triangles))):
         return "failed", "strip does not visit every triangle exactly once"
-    owner = _edge_owner(mesh)
+    # A TriMesh puts every edge on exactly two triangles, so two triangles
+    # with two common vertex indices are the two triangles of that edge.
     for i, t in enumerate(strip):
         nxt = strip[(i + 1) % len(strip)]
-        shared = [
-            (u, v)
-            for u, v in _tri_edges(mesh.triangles[t])
-            if owner[(v, u)] == nxt
-        ]
-        if not shared:
+        if len(set(mesh.triangles[t]) & set(mesh.triangles[nxt])) < 2:
             return "failed", f"strip steps {t} -> {nxt} without a shared edge"
     if Fraction(len(strip), result.source_triangles) > Fraction(3, 2):
         return "failed", "growth exceeds 3/2"
@@ -308,7 +309,8 @@ def check_tiling(tiling: Tiling, lam: Fraction) -> tuple[str, str]:
             f"{len(tiling.zone_directions)} zones exceed oracle bound 6",
         )
     want = min_cycle_ratio(angle_graph(tiling))
-    assert want is not None
+    if want is None:
+        raise AssertionError("angle graph has no sloped cycle")
     if lam == want:
         return "passed", f"threshold matches exhaustive cycle ratio {want}"
     return "failed", f"threshold {lam}, exhaustive cycle ratio {want}"

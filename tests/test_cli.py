@@ -90,6 +90,36 @@ def test_missing_and_malformed_inputs_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+TILING = {"directions": ["0", "30"], "tiles": [[1, 2, -1, -2]]}
+POLY = {"kind": "simple", "outer": [[0, 0], [4, 0], [0, 4]]}
+MAP = {"regions": ["A", "ext"], "exterior": "ext", "junctions": [],
+       "adjacency": [["A", "ext"]]}
+MALFORMED = {
+    "tiling-direction-text": ("tiling", {**TILING, "directions": ["abc", "30"]}),
+    "tiling-direction-1/0": ("tiling", {**TILING, "directions": ["1/0", "30"]}),
+    "tiling-direction-bool": ("tiling", {**TILING, "directions": [True, "30"]}),
+    "tiling-zone-text": ("tiling", {**TILING, "tiles": [[1, "b", -1, -2]]}),
+    "tiling-zone-float": ("tiling", {**TILING, "tiles": [[1, 2.5, -1, -2]]}),
+    "tiling-tiles-int": ("tiling", {**TILING, "tiles": 5}),
+    "tiling-adjacency-short": ("tiling", {**TILING, "adjacencies": [[[0, 0]]]}),
+    "poly-holes-int": ("gallery", {**POLY, "holes": 5}),
+    "map-regions-int": ("bends", {**MAP, "regions": 5}),
+    "map-adjacency-short": ("bends", {**MAP, "adjacency": [["A"]]}),
+    "map-junction-int": ("bends", {**MAP, "junctions": [5]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exits_two_with_one_error_line(case, tmp_path, capsys):
+    cmd, doc = MALFORMED[case]
+    bad = tmp_path / f"bad.{case.split('-')[0]}"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([cmd, "--in", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    messages = [line for line in err if not line.startswith("elapsed:")]
+    assert len(messages) == 1 and messages[0].startswith("error: ")
+
+
 def test_unsupported_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bends", "--in", path("grid.map"), "--svg", "x.svg"])

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from geomgraph.errors import InputError
+from geomgraph.errors import InputError, rational
 from geomgraph.geometry import (
     Point,
     Polygon,
     Segment,
     dist2,
+    is_interior_chord,
     lune_contains,
     orientation,
     point_in_polygon,
@@ -29,6 +30,22 @@ def test_point_is_exact_and_rejects_floats():
         Point(0.5, 1)
     with pytest.raises(InputError):
         Point(1, float("nan"))
+
+
+def test_rational_keeps_fractions_and_names_the_role():
+    half = Fraction(1, 2)
+    assert rational(half, "angle") is half
+    assert rational(7, "angle") == 7
+    assert rational("0.25", "angle") == Fraction(1, 4)
+    for bad, message in (
+        (1.5, "float angle"),
+        (True, "bool angle"),
+        (None, "NoneType angle"),
+        ("abc", "bad rational angle"),
+        ("1/0", "bad rational angle"),
+    ):
+        with pytest.raises(InputError, match=message):
+            rational(bad, "angle")
 
 
 def test_orientation_and_dist2():
@@ -136,6 +153,26 @@ def test_point_in_polygon_all_three_answers():
     assert point_in_polygon(Point(7, 3), poly) == "outside"
     assert point_in_polygon(Point(0, 3), poly) == "boundary"
     assert point_in_polygon(Point(2, 3), poly) == "boundary"  # hole wall
+
+
+def test_interior_chord_hand_cases():
+    # A square with a notch cut down to the reflex vertex (2, 2).
+    notch = Polygon([(0, 0), (4, 0), (4, 4), (2, 2), (0, 4)])
+
+    def chord(poly, a, b):
+        return is_interior_chord(Segment(Point(*a), Point(*b)), poly)
+
+    assert chord(notch, (0, 0), (2, 2))  # interior
+    assert not chord(notch, (0, 0), (4, 0))  # along a boundary edge
+    assert not chord(notch, (0, 0), (4, 4))  # touches (2, 2) inside the chord
+    assert not chord(notch, (0, 4), (4, 4))  # outside, across the notch
+    ring = Polygon(
+        [(0, 0), (6, 0), (6, 6), (0, 6)],
+        holes=[[(2, 2), (2, 4), (4, 4), (4, 2)]],
+    )
+    assert chord(ring, (0, 0), (2, 2))  # outer corner to hole corner
+    assert not chord(ring, (0, 0), (6, 6))  # touches both hole corners
+    assert not chord(ring, (2, 2), (4, 4))  # through the hole
 
 
 # ---------------------------------------------------------------------------

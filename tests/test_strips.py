@@ -9,6 +9,7 @@ import pytest
 from geomgraph.errors import InputError
 from geomgraph.graphs import Matching, perfect_matching_general
 from geomgraph.strips import (
+    StripResult,
     TriMesh,
     bisect_pair,
     cycle_cover_from_matching,
@@ -162,6 +163,20 @@ def test_sphere_like_meshes_strip_within_bounds():
         assert res.added_triangles == 2 * res.bisection_count
         status, detail = check_strip(res)
         assert status == "passed", detail
+
+
+def test_oracle_rejects_a_step_across_a_single_vertex():
+    mesh = octahedron()
+
+    def result(strip):
+        return StripResult(mesh, strip, len(strip), 0, 0, 0)
+
+    assert check_strip(result((0, 1, 2, 3, 7, 6, 5, 4)))[0] == "passed"
+    # Triangles 0 = (0, 2, 4) and 2 = (1, 3, 4) meet only at vertex 4.
+    assert check_strip(result((0, 2, 1, 3, 7, 6, 5, 4))) == (
+        "failed",
+        "strip steps 0 -> 2 without a shared edge",
+    )
 
 
 def _reference_strip(mesh):
