@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, rational
 from .geometry import Point, dist2, lune_contains
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
@@ -149,7 +149,7 @@ def max_cluster_given_d2(points, d2) -> tuple[int, ...]:
     """Largest cluster with squared diameter at most d2; ties broken by the
     lexicographically least sorted index tuple."""
     points = validate_points(points)
-    d2 = Fraction(d2)
+    d2 = rational(d2, "squared diameter bound")
     if d2 < 0:
         raise InputError("squared diameter bound must be nonnegative")
     best = (0,)  # the singleton of the lowest index is always a cluster

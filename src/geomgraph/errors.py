@@ -1,4 +1,4 @@
-"""Shared exception types and the one value-to-`Fraction` coercer."""
+"""Shared exception types and the exact-input coercers."""
 
 from __future__ import annotations
 
@@ -35,3 +35,14 @@ def rational(value, role: str) -> Fraction:
         f"{type(value).__name__} {role} {value!r}; use an int or a "
         "rational string"
     )
+
+
+def integer(value, role: str) -> int:
+    """Return an int input value (a vertex or zone id, a slot index) as is.
+
+    Bools, floats and every other type raise InputError naming the value's
+    role; nothing is truncated.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{type(value).__name__} {role} {value!r}; use an int")

@@ -14,6 +14,13 @@ so no endpoint lies before that root.  Jumping to it is a Newton
 shortest paths; the walk stops at the first feasible probe, and its last
 cycle is tight there.
 
+Every probe runs on ints.  A ParamDigraph scales its arcs once, by the lcm
+D of all intercept and slope denominators, and a probe at lam = p/q weighs
+each arc D*I*q + D*S*p, which is D*q times its exact weight.  A positive
+scale keeps every sum and comparison, so the probe relaxes the same arcs
+and returns the same negative cycle as one on Fractions would;
+:func:`distances_at` divides its distances back by D*q.
+
 - :func:`parametric_feasible_interval` walks up to the lower endpoint from
   below every cycle root, and down to the upper endpoint from above them.
 - :func:`karp_orlin_threshold` (for the restricted slope set {0, -1}) is the
@@ -23,10 +30,10 @@ cycle is tight there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, integer, rational
 from .graphs import bellman_ford_multi
 
 INF = float("inf")
@@ -40,20 +47,42 @@ INF = float("inf")
 class ParamDigraph:
     """Directed graph whose arcs are (tail, head, intercept, slope):
     the weight of the arc at parameter lam is intercept + slope * lam.
-    Parallel arcs and self-loops are allowed."""
+    Parallel arcs and self-loops are allowed.  Vertex ids must be ints and
+    intercepts and slopes exact (see `errors.rational`).
+
+    scale is the lcm D of every intercept and slope denominator, and
+    scaled_arcs holds each arc as (tail, head, D*intercept, D*slope) in
+    ints; the probes run on those."""
 
     vertex_count: int
     arcs: tuple[tuple[int, int, Fraction, Fraction], ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled_arcs: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, vertex_count: int, arcs):
+        vertex_count = integer(vertex_count, "vertex count")
         norm = []
         for t, h, intercept, slope in arcs:
-            t, h = int(t), int(h)
+            t, h = integer(t, "vertex id"), integer(h, "vertex id")
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise InputError(f"arc ({t},{h}) out of range")
-            norm.append((t, h, Fraction(intercept), Fraction(slope)))
+            norm.append(
+                (t, h, rational(intercept, "intercept"), rational(slope, "slope"))
+            )
+        scale = math.lcm(
+            1, *(x.denominator for (_t, _h, i, s) in norm for x in (i, s))
+        )
+        scaled = tuple(
+            (t, h, i.numerator * (scale // i.denominator),
+             s.numerator * (scale // s.denominator))
+            for (t, h, i, s) in norm
+        )
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", tuple(norm))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_arcs", scaled)
 
     def arc_weight(self, arc_id: int, lam: Fraction) -> Fraction:
         t, h, intercept, slope = self.arcs[arc_id]
@@ -61,19 +90,38 @@ class ParamDigraph:
 
 
 def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fraction]]:
+    """The arcs' exact weights at lam, as (tail, head, weight)."""
     return [(t, h, i + s * lam) for (t, h, i, s) in g.arcs]
+
+
+def _scaled_weights(g: ParamDigraph, lam) -> tuple[list[tuple[int, int, int]], int]:
+    """The arcs at lam = p/q as (tail, head, D*q*weight) in ints, and D*q."""
+    lam = rational(lam, "parameter")
+    p, q = lam.numerator, lam.denominator
+    arcs = [(t, h, i * q + s * p) for (t, h, i, s) in g.scaled_arcs]
+    return arcs, g.scale * q
 
 
 def feasibility_witness(g: ParamDigraph, lam: Fraction) -> tuple[int, ...] | None:
     """None when lam is feasible, else a negative cycle (arc indices)."""
-    res = bellman_ford_multi(
-        g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count), Fraction(0)
-    )
-    return res.negative_cycle
+    arcs, _unit = _scaled_weights(g, lam)
+    return bellman_ford_multi(
+        g.vertex_count, arcs, range(g.vertex_count), 0
+    ).negative_cycle
 
 
 def is_feasible(g: ParamDigraph, lam: Fraction) -> bool:
     return feasibility_witness(g, lam) is None
+
+
+def distances_at(g: ParamDigraph, lam: Fraction) -> tuple[Fraction | None, ...] | None:
+    """Exact shortest-path distances from vertex 0 at lam (None for a vertex
+    it cannot reach), or None when a negative cycle is reachable from 0."""
+    arcs, unit = _scaled_weights(g, lam)
+    dist = bellman_ford_multi(g.vertex_count, arcs, (0,), 0).distances
+    if dist is None:
+        return None
+    return tuple(None if d is None else Fraction(d, unit) for d in dist)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +163,10 @@ class FeasibleInterval:
         )
 
 
-def _cycle_sums(g: ParamDigraph, cycle) -> tuple[Fraction, Fraction]:
-    intercept = sum((g.arcs[a][2] for a in cycle), Fraction(0))
-    slope = sum((g.arcs[a][3] for a in cycle), Fraction(0))
-    return intercept, slope
+def _cycle_sums(g: ParamDigraph, cycle) -> tuple[int, int]:
+    """D times a cycle's intercept sum and slope sum, as ints."""
+    arcs = g.scaled_arcs
+    return sum(arcs[a][2] for a in cycle), sum(arcs[a][3] for a in cycle)
 
 
 def _root_bound(g: ParamDigraph) -> Fraction:
@@ -155,7 +203,7 @@ def _newton_walk(g: ParamDigraph, lam: Fraction, rising: bool):
             return None, None, (cycle,)
         if (slope > 0) != rising and tight is not None:
             return None, None, (tight, cycle)
-        root = -intercept / slope
+        root = Fraction(-intercept, slope)
         if not (root > lam if rising else root < lam):
             raise AssertionError("Newton step made no progress")
         lam, tight = root, cycle

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, rational
-from .graphs import bellman_ford_multi
-from .parametric import ParamDigraph, evaluate_arcs, parametric_feasible_interval
+from .parametric import ParamDigraph, distances_at, parametric_feasible_interval
 
 __all__ = [
     "DistanceMatrix",
@@ -140,10 +139,7 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
     if delta < 1:
         raise AssertionError(f"dilation {delta} is below 1")
 
-    res = bellman_ford_multi(
-        g.vertex_count, evaluate_arcs(g, delta), (0,), Fraction(0)
-    )
-    dist = res.distances
+    dist = distances_at(g, delta)
     if dist is None or any(v is None for v in dist):
         raise AssertionError("every auxiliary vertex must be reachable at delta")
 
@@ -180,7 +176,7 @@ def _embedding_valid(d: DistanceMatrix, hub, delta: Fraction) -> bool:
 
 def dilation(d: DistanceMatrix, hub) -> Fraction:
     """Exact dilation of given hub distances: max (H[p]+H[q]) / D[p][q]."""
-    hub = tuple(Fraction(h) for h in hub)
+    hub = tuple(rational(h, "hub distance") for h in hub)
     if len(hub) != d.n:
         raise InputError(f"expected {d.n} hub distances, got {len(hub)}")
     if d.n < 2:
@@ -206,7 +202,7 @@ def dilation(d: DistanceMatrix, hub) -> Fraction:
 
 
 def uniform_metric(n: int, value=2) -> DistanceMatrix:
-    v = Fraction(value)
+    v = rational(value, "distance")
     return DistanceMatrix(
         tuple(
             tuple(v if p != q else Fraction(0) for q in range(n))

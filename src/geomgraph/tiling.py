@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, rational
-from .graphs import bellman_ford_multi
-from .parametric import INF, ParamDigraph, evaluate_arcs, karp_orlin_threshold
+from .errors import InputError, integer, rational
+from .parametric import INF, ParamDigraph, distances_at, karp_orlin_threshold
 
 __all__ = [
     "Tiling",
@@ -60,11 +59,14 @@ class Tiling:
 
     def __init__(self, zone_directions, tiles, adjacencies=()):
         dirs = tuple(rational(v, "angle") for v in zone_directions)
-        tils = tuple(tuple(int(z) for z in tile) for tile in tiles)
-        adjs = tuple(
-            ((int(a), int(i)), (int(b), int(j)))
-            for (a, i), (b, j) in adjacencies
+        tils = tuple(
+            tuple(integer(z, "zone id") for z in tile) for tile in tiles
         )
+
+        def slot(t, i) -> tuple[int, int]:
+            return integer(t, "adjacency tile"), integer(i, "adjacency side")
+
+        adjs = tuple((slot(*sa), slot(*sb)) for sa, sb in adjacencies)
         object.__setattr__(self, "zone_directions", dirs)
         object.__setattr__(self, "tiles", tils)
         object.__setattr__(self, "adjacencies", adjs)
@@ -249,10 +251,7 @@ def optimize_angles(tiling: Tiling) -> AngleSolution:
     if lam is INF:
         raise AssertionError("every tile induces a cycle of min-angle arcs")
 
-    res = bellman_ford_multi(
-        g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
-    )
-    d = res.distances
+    d = distances_at(g, lam)
     if d is None:
         raise AssertionError(f"threshold {lam} admits a negative cycle")
     adjustments = tuple(d[z] for z in range(1, g.vertex_count))
@@ -291,7 +290,7 @@ def reconstruct_positions(
     Every tile must close and every glued side must coincide (to 1e-9);
     a tiling failing that is combinatorially valid but not geometric.
     """
-    dirs = [Fraction(v) for v in directions]
+    dirs = [rational(v, "angle") for v in directions]
 
     def unit(t: int, i: int) -> tuple[float, float]:
         z = tiling.tiles[t][i]
@@ -398,18 +397,15 @@ def tiling_from_json(text: str) -> Tiling:
         raise InputError(f"tiling JSON missing field: {exc}") from exc
     adjacencies = data.get("adjacencies", [])
 
-    def is_int(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
-
     def is_slot(v) -> bool:
-        return isinstance(v, list) and len(v) == 2 and all(map(is_int, v))
+        return isinstance(v, list) and len(v) == 2
 
     if not isinstance(directions, list):
         raise InputError("tiling JSON: directions must be a list")
     if not isinstance(tiles, list) or not all(
-        isinstance(tile, list) and all(map(is_int, tile)) for tile in tiles
+        isinstance(tile, list) for tile in tiles
     ):
-        raise InputError("tiling JSON: tiles must be lists of integer zone ids")
+        raise InputError("tiling JSON: tiles must be lists of zone ids")
     if not isinstance(adjacencies, list) or not all(
         isinstance(a, list) and len(a) == 2 and all(map(is_slot, a))
         for a in adjacencies

@@ -9,11 +9,12 @@ points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
 from .bends import BendAssignment, PlaneMap
-from .errors import InputError
+from .errors import InputError, rational
 from .gallery import GuardCertificate, verify_guard_certificate
 from .geometry import Polygon, dist2, segments_intersect
 from .parametric import ParamDigraph, feasibility_witness
@@ -65,45 +66,66 @@ def max_independent_set_size(n: int, edges) -> int:
     return best
 
 
-def _simple_cycles(vertex_count: int, arcs):
-    """Yield (intercept_sum, slope_sum) over all simple cycles.
+def _scaled_arcs(arcs) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(D, arcs as (tail, head, D*intercept, D*slope) in ints), where D is
+    the lcm of every intercept and slope denominator."""
+    scale = math.lcm(
+        1, *(x.denominator for _t, _h, i, s in arcs for x in (i, s))
+    )
+    return scale, [
+        (t, h, i.numerator * (scale // i.denominator),
+         s.numerator * (scale // s.denominator))
+        for t, h, i, s in arcs
+    ]
+
+
+def _integer_cycle_sums(vertex_count: int, arcs):
+    """Yield (intercept_sum, slope_sum) over all simple cycles of a graph
+    whose arcs carry int intercepts and slopes.
 
     Parallel arcs are collapsed to the least intercept per (tail, head,
     slope), which preserves every extreme cycle ratio.  Cycles are
     enumerated once each by requiring the least vertex first.
     """
-    collapsed: dict[tuple[int, int, Fraction], Fraction] = {}
+    collapsed: dict[tuple[int, int, int], int] = {}
     for t, h, intercept, slope in arcs:
         key = (t, h, slope)
         if key not in collapsed or intercept < collapsed[key]:
             collapsed[key] = intercept
-    out: list[list[tuple[int, Fraction, Fraction]]] = [
-        [] for _ in range(vertex_count)
-    ]
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
     for (t, h, slope), intercept in collapsed.items():
         out[t].append((h, intercept, slope))
 
     for root in range(vertex_count):
-        stack = [(root, Fraction(0), Fraction(0), frozenset([root]))]
+        stack = [(root, 0, 0, 1 << root)]
         while stack:
             v, isum, ssum, onpath = stack.pop()
             for h, intercept, slope in out[v]:
                 if h == root:
                     yield isum + intercept, ssum + slope
-                elif h > root and h not in onpath:
+                elif h > root and not onpath >> h & 1:
                     stack.append(
-                        (h, isum + intercept, ssum + slope, onpath | {h})
+                        (h, isum + intercept, ssum + slope, onpath | 1 << h)
                     )
+
+
+def _simple_cycles(vertex_count: int, arcs):
+    """Yield (intercept_sum, slope_sum) as Fractions over all simple cycles
+    of a graph with rational arcs, in :func:`_integer_cycle_sums` order."""
+    scale, scaled = _scaled_arcs(arcs)
+    for isum, ssum in _integer_cycle_sums(vertex_count, scaled):
+        yield Fraction(isum, scale), Fraction(ssum, scale)
 
 
 def min_cycle_ratio(g: ParamDigraph) -> Fraction | None:
     """min over simple cycles with sloped arcs of intercept-sum / count of
     sloped arcs, for slopes in {0, -1}; None when no cycle has one."""
     best = None
-    for isum, ssum in _simple_cycles(g.vertex_count, g.arcs):
+    _scale, arcs = _scaled_arcs(g.arcs)  # the scale cancels in each ratio
+    for isum, ssum in _integer_cycle_sums(g.vertex_count, arcs):
         if ssum == 0:
             continue
-        ratio = isum / -ssum
+        ratio = Fraction(isum, -ssum)
         if best is None or ratio < best:
             best = ratio
     return best
@@ -113,12 +135,13 @@ def max_cycle_bound(g: ParamDigraph) -> Fraction | None:
     """max over simple cycles with positive slope sum of
     -intercept-sum / slope-sum; constant cycles must be nonnegative."""
     best = None
-    for isum, ssum in _simple_cycles(g.vertex_count, g.arcs):
+    _scale, arcs = _scaled_arcs(g.arcs)  # the scale cancels in each ratio
+    for isum, ssum in _integer_cycle_sums(g.vertex_count, arcs):
         if ssum == 0:
             if isum < 0:
                 raise AssertionError("constant negative cycle")
             continue
-        bound = -isum / ssum
+        bound = Fraction(-isum, ssum)
         if best is None or bound > best:
             best = bound
     return best
@@ -156,7 +179,7 @@ def check_cluster(points, d2, members: tuple[int, ...]) -> tuple[str, str]:
     n = len(points)
     if n > 12:
         return "not-run", f"{n} points exceed oracle bound 12"
-    d2 = Fraction(d2)
+    d2 = rational(d2, "squared diameter bound")
     best = 0
     for mask in range(1 << n):
         chosen = [i for i in range(n) if mask >> i & 1]

@@ -62,6 +62,15 @@ def test_max_cluster_hand_case():
         max_cluster_given_d2(pts, -1)
 
 
+def test_cluster_bounds_are_exact_values_only():
+    pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert max_cluster_given_d2(pts, "2") == (0, 1, 2, 3)
+    with pytest.raises(InputError, match="float squared diameter bound"):
+        max_cluster_given_d2(pts, 2.0)
+    with pytest.raises(InputError, match="float squared diameter bound"):
+        check_cluster(pts, 2.0, (0, 1, 2, 3))
+
+
 def test_max_cluster_prefers_size_then_lexicographic():
     pts = [(0, 0), (1, 0), (10, 0), (11, 0)]
     # Two ties of size 2; the lexicographically least index tuple wins.

@@ -1,20 +1,32 @@
+import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from geomgraph import parametric, verify
 from geomgraph.errors import InputError
-from geomgraph.graphs import WeightedDigraph, negative_cycle_anywhere
+from geomgraph.graphs import (
+    WeightedDigraph,
+    bellman_ford_multi,
+    negative_cycle_anywhere,
+)
 from geomgraph.parametric import (
     INF,
     ParamDigraph,
+    distances_at,
     evaluate_arcs,
     feasibility_witness,
     is_feasible,
     karp_orlin_threshold,
     parametric_feasible_interval,
 )
+from geomgraph.stars import load_matrix, optimal_star_embedding
+from geomgraph.tiling import load_tiling, optimize_angles
 from geomgraph.verify import _simple_cycles, min_cycle_ratio
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_evaluate_arcs_is_exact():
@@ -228,3 +240,122 @@ def test_threshold_matches_cycle_enumeration_on_random_graphs():
         # Exactly feasible at the threshold, negative just beyond.
         assert feasibility_witness(g, lam) is None
         assert feasibility_witness(g, lam + Fraction(1, 1024)) is not None
+
+
+# ---------------------------------------------------------------------------
+# integer probes against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_witness(g, lam):
+    return bellman_ford_multi(
+        g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count), Fraction(0)
+    ).negative_cycle
+
+
+def _reference_distances(g, lam):
+    return bellman_ford_multi(
+        g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
+    ).distances
+
+
+def test_param_digraph_scales_its_arcs_once():
+    g = ParamDigraph(2, [(0, 1, "1/2", Fraction(-2, 3)), (1, 0, 3, "5/7")])
+    assert g.scale == 42
+    assert g.scaled_arcs == ((0, 1, 21, -28), (1, 0, 126, 30))
+    assert g == ParamDigraph(2, list(g.arcs))
+    assert "scaled_arcs" not in repr(g)
+    assert dataclasses.replace(g, vertex_count=3).scaled_arcs == g.scaled_arcs
+
+
+def test_integer_probes_match_the_fraction_reference():
+    rng = random.Random(40)
+    dens = (1, 2, 3, 7)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        arcs = [
+            (
+                rng.randrange(n),
+                rng.randrange(n),
+                Fraction(rng.randint(-20, 30), rng.choice(dens)),
+                Fraction(rng.randint(-6, 6), rng.choice(dens)),
+            )
+            for _ in range(rng.randint(1, 14))
+        ]
+        g = ParamDigraph(n, arcs)
+        for _ in range(4):
+            # Steps as fine as check_star's bisection, and small ratios.
+            lam = rng.choice((
+                Fraction(rng.randint(-2**44, 2**44), 2**40),
+                Fraction(rng.randint(-5 * 10**12, 5 * 10**12), 7 * 10**12 + 3),
+                Fraction(rng.randint(-9, 9), rng.choice(dens)),
+            ))
+            cycle = feasibility_witness(g, lam)
+            assert cycle == _reference_witness(g, lam)
+            seen.add("feasible" if cycle is None else "negative cycle")
+            got, want = distances_at(g, lam), _reference_distances(g, lam)
+            assert got == want
+            if want is None:
+                seen.add("negative cycle from 0")
+            else:
+                assert [type(d) for d in got] == [type(d) for d in want]
+                seen.add("unreached vertex" if None in want else "all reached")
+    assert seen == {
+        "feasible", "negative cycle", "negative cycle from 0",
+        "unreached vertex", "all reached",
+    }
+
+
+def _record_probes(monkeypatch, witness):
+    """Route the Newton walk's and the star oracle's probes through witness,
+    and return the list the probed parameters are appended to."""
+    probes = []
+
+    def recording(g, lam):
+        probes.append(lam)
+        return witness(g, lam)
+
+    monkeypatch.setattr(parametric, "feasibility_witness", recording)
+    monkeypatch.setattr(verify, "feasibility_witness", recording)
+    return probes
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in INSTANCES.iterdir() if p.suffix in (".tiling", ".dist")),
+)
+def test_shipped_instances_probe_the_same_parameters(name, monkeypatch):
+    if name.endswith(".tiling"):
+        instance = load_tiling(str(INSTANCES / name))
+
+        def solve():
+            return optimize_angles(instance)
+    else:
+        instance = load_matrix(str(INSTANCES / name))
+
+        def solve():
+            emb = optimal_star_embedding(instance)
+            return emb, verify.check_star(instance, emb)
+
+    results = {}
+    for side, witness in (
+        ("ints", feasibility_witness), ("fractions", _reference_witness)
+    ):
+        probes = _record_probes(monkeypatch, witness)
+        results[side] = (solve(), probes)
+    assert results["ints"] == results["fractions"]
+    assert all(type(lam) is Fraction for lam in results["ints"][1])
+
+
+def test_param_digraph_takes_exact_values_and_int_vertex_ids():
+    with pytest.raises(InputError, match="float intercept"):
+        ParamDigraph(2, [(0, 1, 0.1, 0)])
+    with pytest.raises(InputError, match="bool slope"):
+        ParamDigraph(2, [(0, 1, 0, True)])
+    with pytest.raises(InputError, match="float vertex id"):
+        ParamDigraph(2, [(1.7, 0, 0, 0)])
+    with pytest.raises(InputError, match="bool vertex id"):
+        ParamDigraph(2, [(0, True, 0, 0)])
+    g = ParamDigraph(2, [(0, 1, "0.1", "-1/3")])
+    assert g.arcs == ((0, 1, Fraction(1, 10), Fraction(-1, 3)),)

@@ -148,6 +148,14 @@ def test_dilation_rejects_bad_hub_vectors():
         dilation(TRI, (0, 0, 0))
 
 
+def test_hub_distances_and_uniform_metrics_take_exact_values_only():
+    with pytest.raises(InputError, match="float hub distance"):
+        dilation(TRI, (0.5, 1, 1))
+    assert uniform_metric(3, "5/2")[0, 1] == Fraction(5, 2)
+    with pytest.raises(InputError, match="float distance"):
+        uniform_metric(3, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # random agreement with the bisection oracle
 # ---------------------------------------------------------------------------

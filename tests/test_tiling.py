@@ -38,6 +38,22 @@ def test_tiling_rejects_malformed_tiles():
         Tiling((0.5, "30"), ((1, 2, -1, -2),))
 
 
+def test_tiling_rejects_non_integer_ids_instead_of_truncating():
+    with pytest.raises(InputError, match="float zone id 2.5"):
+        Tiling(["0", "30"], [[1, 2.5, -1, -2]])
+    with pytest.raises(InputError, match="str zone id"):
+        Tiling(["0", "30"], [["1", 2, -1, -2]])
+    with pytest.raises(InputError, match="bool zone id"):
+        Tiling(["0", "30"], [[True, 2, -1, -2]])
+    tiles = ((1, 2, -1, -2), (1, 2, -1, -2))
+    with pytest.raises(InputError, match="float adjacency side"):
+        Tiling(("0", "30"), tiles, (((0, 0.0), (1, 2)),))
+    with pytest.raises(InputError, match="bool adjacency tile"):
+        Tiling(("0", "30"), tiles, (((0, 0), (True, 2)),))
+    with pytest.raises(InputError, match="float angle"):
+        reconstruct_positions(rhombus_tiling(), (0.0, 30))
+
+
 def test_tiling_rejects_bad_gluings():
     tiles = ((1, 2, -1, -2), (1, 2, -1, -2))
     with pytest.raises(InputError, match="out of range"):
