@@ -21,7 +21,6 @@ from typing import Callable
 from . import svg, verify
 from .bends import load_map, min_bend_assignment
 from .clustering import (
-    dist2,
     load_points,
     max_cluster_given_d2,
     points_to_text,
@@ -29,7 +28,7 @@ from .clustering import (
 )
 from .errors import InputError, rational
 from .gallery import fisk_guards, load_quads, orthogonal_guards
-from .geometry import load_polygon, polygon_to_json
+from .geometry import dist2, load_polygon, polygon_to_json
 from .rectpart import build_partition, random_orthogonal_polygon
 from .stars import load_matrix, matrix_to_text, optimal_star_embedding, random_metric
 from .strips import load_mesh, mesh_to_off, single_strip, sphere_like_mesh

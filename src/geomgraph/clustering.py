@@ -7,17 +7,21 @@ within |pq| of each other, so pairs farther than |pq| apart only ever
 straddle the line: the conflict graph is bipartite, and the largest
 conflict-free member set is a maximum independent set obtained from a
 maximum matching via Koenig's theorem.  All comparisons use squared
-distances, exactly.
+distances, exactly, on ints: the coordinates are scaled once by the lcm D
+of their denominators, and one n x n table holds D^2 times every squared
+distance.  A pair whose closed lune has fewer points than the best cluster
+so far cannot beat it and is skipped.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, rational
-from .geometry import Point, dist2, lune_contains
+from .geometry import Point
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
 # ---------------------------------------------------------------------------
@@ -87,48 +91,70 @@ class ClusterResult:
     diameter2: Fraction
 
 
-def cluster_for_pair(points, p_idx: int, q_idx: int) -> tuple[int, ...]:
-    """Largest cluster whose diametral pair is (points[p_idx], points[q_idx]):
-    sorted indices, always containing p_idx and q_idx."""
-    points = validate_points(points)
-    p, q = points[p_idx], points[q_idx]
-    s2 = dist2(p, q)
-    if s2 == 0:
-        raise InputError("diametral pair must be two distinct points")
+def _distance_table(points) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
+    """(D, the coordinates times D as ints, the n x n table of their squared
+    distances), where D is the lcm of every coordinate denominator.  The
+    table is D^2 times the exact squared distances."""
+    scale = math.lcm(1, *(c.denominator for p in points for c in p))
+    xy = [
+        (p.x.numerator * (scale // p.x.denominator),
+         p.y.numerator * (scale // p.y.denominator))
+        for p in points
+    ]
+    table = [
+        [(ax - bx) ** 2 + (ay - by) ** 2 for bx, by in xy] for ax, ay in xy
+    ]
+    return scale, xy, table
 
+
+def _closed_lune(table: list[list[int]], p_idx: int, q_idx: int) -> list[int]:
+    """Sorted indices within |pq| of both p and q, read off their two rows."""
+    s2 = table[p_idx][q_idx]
+    return [
+        i
+        for i, (dp, dq) in enumerate(zip(table[p_idx], table[q_idx]))
+        if dp <= s2 and dq <= s2
+    ]
+
+
+def _pair_cluster(xy, table, p_idx: int, q_idx: int, lune) -> tuple[int, ...]:
+    """Largest cluster whose diametral pair is (p_idx, q_idx), given the
+    scaled coordinates, their distance table and the pair's closed lune."""
+    s2 = table[p_idx][q_idx]
+    (px, py), (qx, qy) = xy[p_idx], xy[q_idx]
+    dx, dy = qx - px, qy - py
     axis: list[int] = []
     side_a: list[int] = []
     side_b: list[int] = []
-    for i, x in enumerate(points):
-        where = lune_contains(p, q, x)
-        if where == "outside":
-            continue
-        if where == "on_axis":
-            axis.append(i)
-        elif where == "in_open_side_A":
+    for i in lune:
+        x, y = xy[i]
+        side = dx * (y - py) - dy * (x - px)  # orientation(p, q, x) * D^2
+        if side > 0:
             side_a.append(i)
-        else:
+        elif side < 0:
             side_b.append(i)
+        else:
+            axis.append(i)
 
     # Same-side and axis members can never conflict; only cross-side pairs
     # can exceed the lune width.  These are internal guarantees of the lune
     # geometry, checked here outright.
+    in_a, in_b = set(side_a), set(side_b)
     member_pool = axis + side_a + side_b
-    for ii in range(len(member_pool)):
-        for jj in range(ii + 1, len(member_pool)):
-            a, b = member_pool[ii], member_pool[jj]
-            crossing = (a in side_a and b in side_b) or (
-                a in side_b and b in side_a
-            )
-            if not crossing and dist2(points[a], points[b]) > s2:
+    for ii, a in enumerate(member_pool):
+        row = table[a]
+        for b in member_pool[ii + 1:]:
+            crossing = (a in in_a and b in in_b) or (a in in_b and b in in_a)
+            if not crossing and row[b] > s2:
                 raise AssertionError(
                     "same-side lune points farther apart than the diametral pair"
                 )
 
     edges = []
     for ai, a in enumerate(side_a):
+        row = table[a]
         for bi, b in enumerate(side_b):
-            if dist2(points[a], points[b]) > s2:
+            if row[b] > s2:
                 edges.append((ai, bi))
     graph = BipartiteGraph(len(side_a), len(side_b), edges)
     matching = max_bipartite_matching(graph)
@@ -138,11 +164,23 @@ def cluster_for_pair(points, p_idx: int, q_idx: int) -> tuple[int, ...]:
     members.update(side_b[j] for side, j in independent if side == "R")
     if p_idx not in members or q_idx not in members:
         raise AssertionError("the diametral pair left the cluster")
-    for a in sorted(members):
-        for b in sorted(members):
-            if a < b and dist2(points[a], points[b]) > s2:
+    ordered = sorted(members)
+    for ai, a in enumerate(ordered):
+        row = table[a]
+        for b in ordered[ai + 1:]:
+            if row[b] > s2:
                 raise AssertionError(f"members {a} and {b} exceed the diameter")
-    return tuple(sorted(members))
+    return tuple(ordered)
+
+
+def cluster_for_pair(points, p_idx: int, q_idx: int) -> tuple[int, ...]:
+    """Largest cluster whose diametral pair is (points[p_idx], points[q_idx]):
+    sorted indices, always containing p_idx and q_idx."""
+    points = validate_points(points)
+    _scale, xy, table = _distance_table(points)
+    if table[p_idx][q_idx] == 0:
+        raise InputError("diametral pair must be two distinct points")
+    return _pair_cluster(xy, table, p_idx, q_idx, _closed_lune(table, p_idx, q_idx))
 
 
 def max_cluster_given_d2(points, d2) -> tuple[int, ...]:
@@ -152,12 +190,20 @@ def max_cluster_given_d2(points, d2) -> tuple[int, ...]:
     d2 = rational(d2, "squared diameter bound")
     if d2 < 0:
         raise InputError("squared diameter bound must be nonnegative")
+    scale, xy, table = _distance_table(points)
+    # The table holds ints, so `entry <= d2 * D^2` iff `entry <= floor(...)`.
+    limit = math.floor(d2 * scale * scale)
     best = (0,)  # the singleton of the lowest index is always a cluster
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if dist2(points[i], points[j]) > d2:
+            if table[i][j] > limit:
                 continue
-            cand = cluster_for_pair(points, i, j)
+            lune = _closed_lune(table, i, j)
+            # Every member lies in the lune; a smaller lune cannot win, and an
+            # equal one still can on the lexicographic tie-break.
+            if len(lune) < len(best):
+                continue
+            cand = _pair_cluster(xy, table, i, j, lune)
             if (-len(cand), cand) < (-len(best), best):
                 best = cand
     return best
@@ -170,14 +216,11 @@ def min_diameter_k_cluster(points, k: int) -> ClusterResult:
     points = validate_points(points)
     if not 1 <= k <= len(points):
         raise InputError(f"k must be between 1 and {len(points)}")
-    values = sorted(
-        {Fraction(0)}
-        | {
-            dist2(points[i], points[j])
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
-        }
-    )
+    scale, _xy, table = _distance_table(points)
+    scale2 = scale * scale
+    values = [
+        Fraction(v, scale2) for v in sorted({v for row in table for v in row})
+    ]
     # `cluster` is the probe at values[hi] once one has succeeded.
     lo, hi = 0, len(values) - 1
     cluster = None
@@ -194,14 +237,7 @@ def min_diameter_k_cluster(points, k: int) -> ClusterResult:
     if len(cluster) < k:
         raise AssertionError(f"no {k}-cluster at the largest squared distance")
     members = cluster[:k]
-    diam2 = max(
-        (
-            dist2(points[a], points[b])
-            for ai, a in enumerate(members)
-            for b in members[ai + 1 :]
-        ),
-        default=Fraction(0),
-    )
+    diam2 = Fraction(max(table[a][b] for a in members for b in members), scale2)
     # A smaller trimmed diameter would contradict the minimality of values[lo].
     if diam2 != values[lo]:
         raise AssertionError(

@@ -5,6 +5,8 @@ the solver's reduction, and returns (status, detail) where status is
 "passed", "failed", or "not-run" (instance too large for the oracle).
 Size guards: rectangle partition <= 14 concave corners, clustering <= 12
 points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
+`check_cluster` and `check_star` check the returned certificate itself at
+any size, before the guard.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 from .bends import BendAssignment, PlaneMap
 from .errors import InputError, rational
 from .gallery import GuardCertificate, verify_guard_certificate
-from .geometry import Polygon, dist2, segments_intersect
+from .geometry import Polygon, segments_intersect
 from .parametric import ParamDigraph, feasibility_witness
 from .rectpart import RectPartition, concave_vertices, good_diagonals
 from .stars import DistanceMatrix, StarEmbedding, build_parametric_graph, dilation
@@ -176,21 +178,47 @@ def check_rectpart(poly: Polygon, part: RectPartition) -> tuple[str, str]:
 
 
 def check_cluster(points, d2, members: tuple[int, ...]) -> tuple[str, str]:
-    n = len(points)
+    d2 = rational(d2, "squared diameter bound")
+    coords = [
+        (rational(x, "coordinate"), rational(y, "coordinate")) for x, y in points
+    ]
+    n = len(coords)
+    if any(type(m) is not int for m in members):
+        return "failed", f"members {list(members)} are not all ints"
+    if list(members) != sorted(set(members)):
+        return "failed", f"members {list(members)} are not sorted and distinct"
+    if members and not 0 <= members[0] <= members[-1] < n:
+        return "failed", f"members {list(members)} index past {n} points"
+    # The oracle's own exact table: coordinates times the lcm D of their
+    # denominators, squared distances compared with floor(d2 * D^2).
+    scale = math.lcm(1, *(c.denominator for xy in coords for c in xy))
+    ints = [(x.numerator * (scale // x.denominator),
+             y.numerator * (scale // y.denominator)) for x, y in coords]
+    limit = math.floor(d2 * scale * scale)
+    near = [  # bit j of near[i]: point j may share a cluster with point i
+        sum(1 << j for j, (bx, by) in enumerate(ints)
+            if j == i or (ax - bx) ** 2 + (ay - by) ** 2 <= limit)
+        for i, (ax, ay) in enumerate(ints)
+    ]
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if not near[a] >> b & 1:
+                return "failed", f"members {a} and {b} are farther apart than d2 {d2}"
     if n > 12:
         return "not-run", f"{n} points exceed oracle bound 12"
-    d2 = rational(d2, "squared diameter bound")
     best = 0
     for mask in range(1 << n):
-        chosen = [i for i in range(n) if mask >> i & 1]
-        if len(chosen) <= best:
+        size = mask.bit_count()
+        if size <= best:
             continue
-        if all(
-            dist2(points[p], points[q]) <= d2
-            for x, p in enumerate(chosen)
-            for q in chosen[x + 1:]
-        ):
-            best = len(chosen)
+        rest = mask
+        while rest:
+            i = rest.bit_length() - 1
+            if mask & ~near[i]:
+                break
+            rest ^= 1 << i
+        else:  # every chosen point is near every other
+            best = size
     if len(members) == best:
         return "passed", f"cluster size matches exhaustive maximum {best}"
     return "failed", f"size {len(members)}, exhaustive maximum {best}"
@@ -288,15 +316,15 @@ def check_bends(pmap: PlaneMap, sol: BendAssignment) -> tuple[str, str]:
     best = None
     memo: dict[tuple[int, ...], int] = {}
     names = sorted(pmap.regions)
+    owed = {}
+    for r in pmap.regions:
+        k = pmap.junction_count(r)
+        owed[r] = 2 * k + 4 if r == pmap.exterior else 2 * k - 4
     for combo in product(*choices):
-        balance = {r: 0 for r in pmap.regions}
+        balance = {r: -owed[r] for r in pmap.regions}
         for rot, units in zip(pmap.junctions, combo):
             for r, u in zip(rot, units):
                 balance[r] += u
-        for r in pmap.regions:
-            k = pmap.junction_count(r)
-            owed = 2 * k + 4 if r == pmap.exterior else 2 * k - 4
-            balance[r] -= owed
         if sum(balance.values()) != 0:
             raise AssertionError("angle units and owed corners do not balance")
         key = tuple(balance[r] for r in names)

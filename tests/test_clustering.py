@@ -1,3 +1,5 @@
+import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from geomgraph.clustering import (
     validate_points,
 )
 from geomgraph.errors import InputError
-from geomgraph.geometry import Point, dist2
+from geomgraph.geometry import Point, dist2, lune_contains
 from geomgraph.verify import check_cluster
 
 
@@ -169,3 +171,141 @@ def test_min_diameter_k_cluster_probes_only_in_the_binary_search(monkeypatch):
     # With k = 1 no probe fails, and the last one is the answer.
     probes.clear()
     assert min_diameter_k_cluster(pts, 1).diameter2 == probes[-1] == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer-table solver against today's Fraction algorithm
+# ---------------------------------------------------------------------------
+
+
+def _reference_pair(points, p_idx, q_idx):
+    """The Fraction pair step: lune by `lune_contains`, conflicts by
+    `dist2`, then Koenig on the cross-side conflicts."""
+    from geomgraph.graphs import (
+        BipartiteGraph,
+        konig_independent_set,
+        max_bipartite_matching,
+    )
+    from geomgraph.geometry import lune_contains
+
+    p, q = points[p_idx], points[q_idx]
+    s2 = dist2(p, q)
+    axis, side_a, side_b = [], [], []
+    for i, x in enumerate(points):
+        where = lune_contains(p, q, x)
+        if where == "on_axis":
+            axis.append(i)
+        elif where == "in_open_side_A":
+            side_a.append(i)
+        elif where == "in_open_side_B":
+            side_b.append(i)
+    edges = [
+        (ai, bi)
+        for ai, a in enumerate(side_a)
+        for bi, b in enumerate(side_b)
+        if dist2(points[a], points[b]) > s2
+    ]
+    graph = BipartiteGraph(len(side_a), len(side_b), edges)
+    independent = konig_independent_set(graph, max_bipartite_matching(graph))
+    members = set(axis)
+    members.update(side_a[i] for side, i in independent if side == "L")
+    members.update(side_b[j] for side, j in independent if side == "R")
+    return tuple(sorted(members))
+
+
+def _reference_max_cluster(points, d2):
+    best = (0,)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if dist2(points[i], points[j]) <= d2:
+                cand = _reference_pair(points, i, j)
+                best = min(best, cand, key=lambda c: (-len(c), c))
+    return best
+
+
+def _reference_min_diameter(points, k):
+    values = sorted(
+        {Fraction(0)} | {dist2(a, b) for a in points for b in points}
+    )
+    at = bisect_left(
+        values, True, key=lambda v: len(_reference_max_cluster(points, v)) >= k
+    )
+    d2 = values[at]
+    return d2, _reference_max_cluster(points, d2)[:k]
+
+
+def _seeded_case(seed):
+    """A shuffled point set with denominators 1-6 and points on the axis of
+    one pair, and squared-diameter bounds: 0, an existing pair distance and
+    a value just below it, and the largest distance."""
+    rng = random.Random(seed)
+    n, pts = rng.randint(2, 6), set()
+    while len(pts) < n:
+        pts.add(Point(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+    a, b = rng.sample(sorted(pts), 2)
+    for t in (Fraction(1, 2), Fraction(rng.randint(1, 5), 6)):
+        pts.add(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    dists = sorted({dist2(p, q) for p in pts for q in pts} - {0})
+    near = rng.choice(dists)
+    return tuple(pts), [Fraction(0), near, near - Fraction(1, 10**6), dists[-1]]
+
+
+def test_max_cluster_matches_the_fraction_reference():
+    for seed in range(300):
+        pts, bounds = _seeded_case(seed)
+        for d2 in bounds:
+            want = _reference_max_cluster(pts, d2)
+            assert max_cluster_given_d2(pts, d2) == want, (seed, d2)
+        for p in range(len(pts)):
+            q = (p + 1 + seed) % len(pts)
+            if q != p:
+                assert cluster_for_pair(pts, p, q) == _reference_pair(pts, p, q)
+
+
+def test_min_diameter_matches_the_fraction_reference():
+    for seed in range(300):
+        pts, _bounds = _seeded_case(seed)
+        k = 1 + seed % len(pts)
+        res = min_diameter_k_cluster(pts, k)
+        assert (res.diameter2, res.members) == _reference_min_diameter(pts, k), seed
+
+
+def test_a_lune_as_large_as_the_best_cluster_is_still_tried():
+    # Pair (0, 4) gives {0, 4, 5} first.  The winner {0, 1, 2} has diametral
+    # pair (1, 2), whose closed lune holds exactly those three points: only a
+    # strict size prune keeps the lexicographically least answer.
+    pts = validate_points([(2, 1), (0, 0), (4, 0), (40, 40), (2, 5), (4, 4)])
+    lune = [
+        i for i, x in enumerate(pts)
+        if lune_contains(pts[1], pts[2], x) != "outside"
+    ]
+    assert lune == [0, 1, 2]
+    assert cluster_for_pair(pts, 0, 4) == (0, 4, 5)
+    assert max_cluster_given_d2(pts, 16) == (0, 1, 2)
+    assert _reference_max_cluster(pts, 16) == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the oracle checks the whole member set
+# ---------------------------------------------------------------------------
+
+
+def test_check_cluster_rejects_a_wrong_member_set_of_the_right_size():
+    pts = [(0, 0), (1, 0), (0, 1), (1, 1), (40, 40)]
+    assert check_cluster(pts, 2, (0, 1, 2, 3)) == (
+        "passed", "cluster size matches exhaustive maximum 4"
+    )
+    assert check_cluster(pts, 2, (0, 1, 2, 4)) == (
+        "failed", "members 0 and 4 are farther apart than d2 2"
+    )
+    # unsorted, repeated, past the end, negative, a bool
+    for bad in ((0, 2, 1, 3), (0, 1, 1, 3), (0, 1, 2, 5), (-1, 0, 1, 2),
+                (0, 1, 2, True)):
+        assert check_cluster(pts, 2, bad)[0] == "failed", bad
+    # Past the exhaustive bound the member set is still checked.
+    many = random_point_set(20, 3)
+    assert check_cluster(many, 0, (0, 1))[0] == "failed"
+    assert check_cluster(many, 0, (5,))[0] == "not-run"
