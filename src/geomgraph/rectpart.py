@@ -26,7 +26,6 @@ from .geometry import (
     _ring_signed_area2,
     is_interior_chord,
     orientation,
-    point_in_polygon,
     segments_intersect,
 )
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
@@ -191,90 +190,6 @@ def _emit_cuts(
     return tuple(cuts)
 
 
-# four axis directions in counterclockwise order: E, N, W, S
-_DIRS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-
-
-def _trace_faces(segments: list[Segment]) -> list[list[Point]]:
-    """Split segments at mutual intersections and walk the bounded faces of
-    the resulting subdivision counterclockwise."""
-    split_points: list[set[Point]] = [{s.a, s.b} for s in segments]
-    for i, s in enumerate(segments):
-        for j in range(i + 1, len(segments)):
-            t = segments[j]
-            s_h = s.a.y == s.b.y
-            t_h = t.a.y == t.b.y
-            if s_h != t_h:
-                h, v = (s, t) if s_h else (t, s)
-                if (
-                    min(h.a.x, h.b.x) <= v.a.x <= max(h.a.x, h.b.x)
-                    and min(v.a.y, v.b.y) <= h.a.y <= max(v.a.y, v.b.y)
-                ):
-                    p = Point(v.a.x, h.a.y)
-                    split_points[i].add(p)
-                    split_points[j].add(p)
-            else:
-                # Parallel: record any endpoint of one lying on the other.
-                for p in (t.a, t.b):
-                    if _point_on_axis_segment(p, s):
-                        split_points[i].add(p)
-                for p in (s.a, s.b):
-                    if _point_on_axis_segment(p, t):
-                        split_points[j].add(p)
-
-    out_edges: dict[Point, list[int]] = {}
-    micro: list[tuple[Point, Point]] = []
-    for i, s in enumerate(segments):
-        horizontal = s.a.y == s.b.y
-        pts = sorted(split_points[i], key=lambda p: p.x if horizontal else p.y)
-        for a, b in zip(pts, pts[1:]):
-            micro.append((a, b))
-            micro.append((b, a))
-
-    def dir_code(a: Point, b: Point) -> int:
-        dx = 0 if b.x == a.x else (1 if b.x > a.x else -1)
-        dy = 0 if b.y == a.y else (1 if b.y > a.y else -1)
-        return _DIRS[(dx, dy)]
-
-    for idx, (a, b) in enumerate(micro):
-        out_edges.setdefault(a, []).append(idx)
-
-    nxt: list[int] = [-1] * len(micro)
-    for idx, (a, b) in enumerate(micro):
-        rev_code = dir_code(b, a)
-        options = {dir_code(b, micro[e][1]): e for e in out_edges[b]}
-        for step in range(1, 5):
-            cand = (rev_code - step) % 4
-            if cand in options:
-                nxt[idx] = options[cand]
-                break
-        if nxt[idx] == -1:
-            raise AssertionError("a face walk reached a dead end")
-
-    faces: list[list[Point]] = []
-    visited = [False] * len(micro)
-    for start in range(len(micro)):
-        if visited[start]:
-            continue
-        cycle: list[Point] = []
-        e = start
-        while not visited[e]:
-            visited[e] = True
-            cycle.append(micro[e][0])
-            e = nxt[e]
-        if e != start:
-            raise AssertionError("face walk did not close")
-        if _ring_signed_area2(cycle) > 0:
-            faces.append(cycle)
-    return faces
-
-
-def _point_on_axis_segment(p: Point, s: Segment) -> bool:
-    if s.a.y == s.b.y:
-        return p.y == s.a.y and min(s.a.x, s.b.x) <= p.x <= max(s.a.x, s.b.x)
-    return p.x == s.a.x and min(s.a.y, s.b.y) <= p.y <= max(s.a.y, s.b.y)
-
-
 def _collapse_collinear(cycle: list[Point]) -> list[Point]:
     kept = []
     m = len(cycle)
@@ -298,30 +213,78 @@ class RectPartition:
         return len(self.rectangles)
 
 
+def _walls(segments, xi, yi) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """Cell sides that axis-parallel segments cover, on the grid whose
+    lines have indices xi and yi: (i, j) in the first set is the vertical
+    side at x index i on row j, in the second the horizontal side at y
+    index j on column i."""
+    vertical: set[tuple[int, int]] = set()
+    horizontal: set[tuple[int, int]] = set()
+    for s in segments:
+        i0, i1 = sorted((xi[s.a.x], xi[s.b.x]))
+        j0, j1 = sorted((yi[s.a.y], yi[s.b.y]))
+        if i0 == i1:
+            vertical.update((i0, j) for j in range(j0, j1))
+        else:
+            horizontal.update((i, j0) for i in range(i0, i1))
+    return vertical, horizontal
+
+
 def build_partition(poly: Polygon) -> RectPartition:
-    """Cut the polygon into the minimum number of rectangles."""
+    """Cut the polygon into the minimum number of rectangles.
+
+    The distinct endpoint coordinates of the ring edges, chords and cuts
+    cut the bounding box into cells.  A cell is inside when an odd number
+    of ring edges lie to its left on its row, and each rectangle is a
+    flood fill of inside cells across the cell sides that no segment
+    covers."""
     chosen, _ = independent_diagonals(poly)
     cuts = _emit_cuts(poly, chosen)
 
-    segments = [e for ring in poly.rings for e in _ring_edges(ring)]
-    segments.extend(chosen)
-    segments.extend(cuts)
+    ring = [e for r in poly.rings for e in _ring_edges(r)]
+    ends = [p for s in (*ring, *chosen, *cuts) for p in (s.a, s.b)]
+    xs = sorted({p.x for p in ends})
+    ys = sorted({p.y for p in ends})
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: j for j, y in enumerate(ys)}
+    ring_v, ring_h = _walls(ring, xi, yi)
+    cut_v, cut_h = _walls((*chosen, *cuts), xi, yi)
+    wall_v, wall_h = ring_v | cut_v, ring_h | cut_h
+
+    inside: set[tuple[int, int]] = set()
+    for j in range(len(ys) - 1):
+        odd = False
+        for i in range(len(xs) - 1):
+            odd ^= (i, j) in ring_v
+            if odd:
+                inside.add((i, j))
 
     rects: list[tuple[Point, Point]] = []
     total_area = Fraction(0)
-    for cycle in _trace_faces(segments):
-        corners = _collapse_collinear(cycle)
-        if len(corners) != 4:
-            raise AssertionError(f"face with {len(corners)} corners")
-        xs = sorted({p.x for p in corners})
-        ys = sorted({p.y for p in corners})
-        if len(xs) != 2 or len(ys) != 2:
-            raise AssertionError("face is not axis-parallel")
-        center = Point((xs[0] + xs[1]) / 2, (ys[0] + ys[1]) / 2)
-        if point_in_polygon(center, poly) != "inside":
-            continue  # a hole interior traced as a face
-        rects.append((Point(xs[0], ys[0]), Point(xs[1], ys[1])))
-        total_area += (xs[1] - xs[0]) * (ys[1] - ys[0])
+    seen: set[tuple[int, int]] = set()
+    for start in inside:
+        if start in seen:
+            continue
+        seen.add(start)
+        face, stack = [], [start]
+        while stack:
+            i, j = cell = stack.pop()
+            face.append(cell)
+            for nbr, wall in (
+                ((i + 1, j), (i + 1, j) in wall_v),
+                ((i - 1, j), (i, j) in wall_v),
+                ((i, j + 1), (i, j + 1) in wall_h),
+                ((i, j - 1), (i, j) in wall_h),
+            ):
+                if not wall and nbr in inside and nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        i0, i1 = min(i for i, _ in face), max(i for i, _ in face) + 1
+        j0, j1 = min(j for _, j in face), max(j for _, j in face) + 1
+        if (i1 - i0) * (j1 - j0) != len(face):
+            raise AssertionError("a face does not fill its bounding rectangle")
+        rects.append((Point(xs[i0], ys[j0]), Point(xs[i1], ys[j1])))
+        total_area += (xs[i1] - xs[i0]) * (ys[j1] - ys[j0])
 
     if total_area != poly.area():
         raise AssertionError("rectangles do not tile the polygon")

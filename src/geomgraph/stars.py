@@ -123,8 +123,7 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
     The feasible set of the auxiliary graph is a ray [delta*, inf) because
     every cycle weight is nondecreasing in lambda; hub distances are half
     the difference of the start distances to each point's two vertices at
-    lambda = delta*.  Both operand orders of that difference are tried and
-    the one satisfying the embedding invariants is kept.
+    lambda = delta*: H[p] = (dist[p-down] - dist[p-up]) / 2.
     """
     n = d.n
     if n < 2:
@@ -143,22 +142,12 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
     if dist is None or any(v is None for v in dist):
         raise AssertionError("every auxiliary vertex must be reachable at delta")
 
-    candidates = []
-    for sign in (1, -1):
-        hub = tuple(
-            sign * (dist[1 + n + p] - dist[1 + p]) / 2 for p in range(n)
-        )
-        if _embedding_valid(d, hub, delta):
-            candidates.append(hub)
-    if not candidates:
-        raise AssertionError(
-            "no sign convention yields a valid star embedding"
-        )
-    if len(candidates) == 2 and candidates[0] != candidates[1]:
-        raise AssertionError(
-            "both sign conventions validate with different hub vectors"
-        )
-    return StarEmbedding(candidates[0], delta)
+    # The zero arc down(p) -> up(p) makes every hub distance nonnegative;
+    # the -D and lambda*D arcs give non-contraction and dilation <= delta.
+    hub = tuple((dist[1 + n + p] - dist[1 + p]) / 2 for p in range(n))
+    if not _embedding_valid(d, hub, delta):
+        raise AssertionError("the hub vector does not embed with dilation delta")
+    return StarEmbedding(hub, delta)
 
 
 def _embedding_valid(d: DistanceMatrix, hub, delta: Fraction) -> bool:

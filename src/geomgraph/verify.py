@@ -5,8 +5,8 @@ the solver's reduction, and returns (status, detail) where status is
 "passed", "failed", or "not-run" (instance too large for the oracle).
 Size guards: rectangle partition <= 14 concave corners, clustering <= 12
 points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
-`check_cluster` and `check_star` check the returned certificate itself at
-any size, before the guard.
+`check_rectpart`, `check_cluster` and `check_star` check the returned
+certificate itself at any size, before the guard.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import product
 from .bends import BendAssignment, PlaneMap
 from .errors import InputError, rational
 from .gallery import GuardCertificate, verify_guard_certificate
-from .geometry import Polygon, segments_intersect
+from .geometry import Point, Polygon, _ring_edges, point_in_polygon, segments_intersect
 from .parametric import ParamDigraph, feasibility_witness
 from .rectpart import RectPartition, concave_vertices, good_diagonals
 from .stars import DistanceMatrix, StarEmbedding, build_parametric_graph, dilation
@@ -161,6 +161,26 @@ def check_gallery(poly: Polygon, cert: GuardCertificate) -> tuple[str, str]:
 
 def check_rectpart(poly: Polygon, part: RectPartition) -> tuple[str, str]:
     concave = concave_vertices(poly)
+    edges = [e for ring in poly.rings for e in _ring_edges(ring)]
+    area = Fraction(0)
+    for k, (ll, ur) in enumerate(part.rectangles):
+        name = f"rectangle {k} ({ll.x}, {ll.y})-({ur.x}, {ur.y})"
+        if not (ll.x < ur.x and ll.y < ur.y):
+            return "failed", f"{name} has no interior"
+        for e in edges:
+            (x0, x1), (y0, y1) = sorted((e.a.x, e.b.x)), sorted((e.a.y, e.b.y))
+            if x0 < ur.x and ll.x < x1 and y0 < ur.y and ll.y < y1:
+                return "failed", f"{name} is crossed by the polygon boundary"
+        center = Point((ll.x + ur.x) / 2, (ll.y + ur.y) / 2)
+        if point_in_polygon(center, poly) != "inside":
+            return "failed", f"{name} lies outside the polygon"
+        for j, (ll2, ur2) in enumerate(part.rectangles[:k]):
+            if (max(ll.x, ll2.x) < min(ur.x, ur2.x)
+                    and max(ll.y, ll2.y) < min(ur.y, ur2.y)):
+                return "failed", f"{name} overlaps rectangle {j}"
+        area += (ur.x - ll.x) * (ur.y - ll.y)
+    if area != poly.area():
+        return "failed", f"rectangles cover area {area}, the polygon {poly.area()}"
     if len(concave) > 14:
         return "not-run", f"{len(concave)} concave corners exceed oracle bound 14"
     diagonals = good_diagonals(poly)

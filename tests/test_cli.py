@@ -220,6 +220,7 @@ CORPUS = (
     ["rectpart", "--in", path("plus.poly")],
     ["rectpart", "--in", path("lshape.poly")],
     ["rectpart", "--in", path("annulus.poly")],
+    ["rectpart", "--in", path("lhole.poly")],
     ["rectpart", "--in", path("blob14.poly")],
     ["cluster", "--in", path("points12.pts"), "--d2", "200"],
     ["bends", "--in", path("single_region.map")],

@@ -1,10 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from geomgraph.errors import InputError
-from geomgraph.geometry import Polygon
+from geomgraph.geometry import (
+    Point,
+    Polygon,
+    _ring_edges,
+    _ring_signed_area2,
+    orientation,
+    point_in_polygon,
+)
 from geomgraph.rectpart import (
+    RectPartition,
+    _trace_cell_boundary,
     annulus_polygon,
     build_partition,
     concave_vertices,
@@ -107,3 +117,217 @@ def test_hole_requests_need_enough_cells():
     # can never satisfy the request.
     with pytest.raises(InputError, match="at least 9"):
         random_orthogonal_polygon(0, cells=5, with_hole=True)
+
+
+# ---------------------------------------------------------------------------
+# holes of any shape
+# ---------------------------------------------------------------------------
+
+SQUARE = [(0, 0), (10, 0), (10, 10), (0, 10)]
+L_HOLE = [(2, 2), (2, 6), (4, 6), (4, 4), (6, 4), (6, 2)]
+U_HOLE = [(2, 8), (4, 8), (4, 4), (6, 4), (6, 8), (8, 8), (8, 2), (2, 2)]
+T_HOLE = [(4, 6), (2, 6), (2, 8), (8, 8), (8, 6), (6, 6), (6, 2), (4, 2)]
+
+
+def _assert_minimum_partition(poly: Polygon):
+    part = build_partition(poly)
+    assert part.count == min_rectangle_count(poly)
+    status, detail = check_rectpart(poly, part)
+    assert status == "passed", detail
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        Polygon(SQUARE, holes=[L_HOLE], kind="orthogonal"),
+        Polygon(SQUARE, holes=[U_HOLE], kind="orthogonal"),
+        Polygon(SQUARE, holes=[T_HOLE], kind="orthogonal"),
+        Polygon(
+            [(0, 0), (20, 0), (20, 10), (0, 10)],
+            holes=[L_HOLE, [(x + 10, y) for x, y in T_HOLE]],
+            kind="orthogonal",
+        ),
+    ],
+    ids=["L", "U", "T", "L+T"],
+)
+def test_partition_around_non_rectangular_holes(poly):
+    _assert_minimum_partition(poly)
+
+
+def _carved_polygon(seed: int) -> Polygon | None:
+    """A box of cells with one or two random polyominoes carved out of its
+    interior; None when the carving pinches or nests."""
+    rng = random.Random(seed)
+    width, height = rng.randint(5, 12), rng.randint(5, 12)
+    cells = {(x, y) for x in range(width) for y in range(height)}
+    carved: set[tuple[int, int]] = set()
+    for _ in range(rng.randint(1, 2)):
+        hole = {(rng.randint(1, width - 2), rng.randint(1, height - 2))}
+        for _ in range(rng.randint(1, 7)):
+            x, y = rng.choice(sorted(hole))
+            dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+            if 1 <= x + dx <= width - 2 and 1 <= y + dy <= height - 2:
+                hole.add((x + dx, y + dy))
+        carved |= hole
+    try:
+        loops = _trace_cell_boundary(cells - carved)
+    except AssertionError:  # two carved cells touch only at a corner
+        return None
+    outer = max(loops, key=lambda lp: abs(_ring_signed_area2(lp)))
+    holes = [lp for lp in loops if lp is not outer]
+    if _ring_signed_area2(outer) < 0:
+        outer = outer[::-1]
+    holes = [lp[::-1] if _ring_signed_area2(lp) > 0 else lp for lp in holes]
+    try:
+        return Polygon(outer, holes=holes, kind="orthogonal")
+    except InputError:
+        return None
+
+
+def test_partition_around_carved_polyomino_holes():
+    polys = [p for p in map(_carved_polygon, range(150)) if p is not None]
+    shaped = [p for p in polys if any(len(h) > 4 for h in p.holes)]
+    assert len(polys) >= 100 and len(shaped) >= 50
+    for poly in polys:
+        _assert_minimum_partition(poly)
+
+
+# ---------------------------------------------------------------------------
+# the certificate, not only its size
+# ---------------------------------------------------------------------------
+
+
+def _partition(*rects) -> RectPartition:
+    return RectPartition(
+        tuple((Point(*ll), Point(*ur)) for ll, ur in rects), (), ()
+    )
+
+
+@pytest.mark.parametrize(
+    "poly, part, why",
+    [
+        (
+            plus_polygon(),
+            _partition(((0, 1), (3, 2)), ((1, 0), (2, 3)), ((2, 1), (3, 2))),
+            "rectangle 1 (1, 0)-(2, 3) overlaps rectangle 0",
+        ),
+        (
+            plus_polygon(),
+            _partition(((1, 0), (2, 2)), ((0, 1), (1, 2)), ((2, 1), (3, 2))),
+            "rectangles cover area 4, the polygon 5",
+        ),
+        (
+            annulus_polygon(),
+            _partition(
+                ((0, 0), (3, 1)), ((0, 1), (3, 2)), ((0, 2), (3, 3)),
+                ((1, 1), (2, 2)),
+            ),
+            "rectangle 1 (0, 1)-(3, 2) is crossed by the polygon boundary",
+        ),
+        (
+            annulus_polygon(),
+            _partition(
+                ((0, 0), (3, 1)), ((0, 1), (1, 2)), ((2, 1), (3, 2)),
+                ((1, 1), (2, 2)),
+            ),
+            "rectangle 3 (1, 1)-(2, 2) lies outside the polygon",
+        ),
+        (
+            lshape_polygon(),
+            _partition(((0, 0), (2, 1)), ((1, 2), (0, 1))),
+            "rectangle 1 (1, 2)-(0, 1) has no interior",
+        ),
+    ],
+    ids=["overlap", "missing-area", "across-hole", "in-hole", "inverted"],
+)
+def test_check_rectpart_rejects_a_wrong_certificate_of_the_right_size(
+    poly, part, why
+):
+    assert part.count == min_rectangle_count(poly)
+    assert check_rectpart(poly, part) == ("failed", why)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the planar face walk
+# ---------------------------------------------------------------------------
+
+_DIRS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def _on_axis_segment(p, s) -> bool:
+    if s.a.y == s.b.y:
+        return p.y == s.a.y and min(s.a.x, s.b.x) <= p.x <= max(s.a.x, s.b.x)
+    return p.x == s.a.x and min(s.a.y, s.b.y) <= p.y <= max(s.a.y, s.b.y)
+
+
+def _face_walk_rectangles(poly, diagonals, cuts):
+    """Reference: split every segment at every other segment, walk the
+    bounded faces of the subdivision counterclockwise, and keep the faces
+    whose centre lies inside the polygon."""
+    segments = [e for ring in poly.rings for e in _ring_edges(ring)]
+    segments += [*diagonals, *cuts]
+    split = [{s.a, s.b} for s in segments]
+    for i, s in enumerate(segments):
+        for j in range(i + 1, len(segments)):
+            t = segments[j]
+            if (s.a.y == s.b.y) != (t.a.y == t.b.y):
+                h, v = (s, t) if s.a.y == s.b.y else (t, s)
+                if (
+                    min(h.a.x, h.b.x) <= v.a.x <= max(h.a.x, h.b.x)
+                    and min(v.a.y, v.b.y) <= h.a.y <= max(v.a.y, v.b.y)
+                ):
+                    split[i].add(Point(v.a.x, h.a.y))
+                    split[j].add(Point(v.a.x, h.a.y))
+            else:
+                split[i].update(p for p in (t.a, t.b) if _on_axis_segment(p, s))
+                split[j].update(p for p in (s.a, s.b) if _on_axis_segment(p, t))
+    micro = []
+    for i, s in enumerate(segments):
+        pts = sorted(split[i], key=lambda p: p.x if s.a.y == s.b.y else p.y)
+        for a, b in zip(pts, pts[1:]):
+            micro += [(a, b), (b, a)]
+
+    def code(a, b):
+        return _DIRS[((b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y))]
+
+    out = {}
+    for idx, (a, _) in enumerate(micro):
+        out.setdefault(a, []).append(idx)
+    nxt = []
+    for a, b in micro:
+        options = {code(b, micro[e][1]): e for e in out[b]}
+        back = code(b, a)
+        nxt.append(next(options[(back - k) % 4] for k in range(1, 5)
+                        if (back - k) % 4 in options))
+    rects, seen = [], [False] * len(micro)
+    for start in range(len(micro)):
+        cycle, e = [], start
+        while not seen[e]:
+            seen[e] = True
+            cycle.append(micro[e][0])
+            e = nxt[e]
+        if not cycle or _ring_signed_area2(cycle) <= 0:
+            continue
+        m = len(cycle)
+        corners = [cycle[i] for i in range(m)
+                   if orientation(cycle[i - 1], cycle[i], cycle[(i + 1) % m])]
+        assert len(corners) == 4
+        xs, ys = sorted({p.x for p in corners}), sorted({p.y for p in corners})
+        center = Point((xs[0] + xs[1]) / 2, (ys[0] + ys[1]) / 2)
+        if point_in_polygon(center, poly) == "inside":
+            rects.append((Point(xs[0], ys[0]), Point(xs[1], ys[1])))
+    return tuple(sorted(rects))
+
+
+def test_grid_faces_match_the_face_walk():
+    for seed in range(200):
+        poly = random_orthogonal_polygon(
+            seed,
+            cells=(12, 24, 48, 96)[seed % 4],
+            with_hole=seed // 4 % 2 == 1,
+            max_concave=10**9,
+        )
+        part = build_partition(poly)
+        assert part.rectangles == _face_walk_rectangles(
+            poly, part.diagonals, part.cuts
+        ), seed
