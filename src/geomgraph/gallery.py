@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, integer
 from .geometry import (
     Point,
     Polygon,
@@ -274,7 +274,7 @@ def orthogonal_guards(
     diagonals) along the dual tree."""
     if poly.kind != "orthogonal":
         raise InputError("orthogonal_guards expects an orthogonal polygon")
-    quads = tuple(tuple(int(v) for v in q) for q in quads)
+    quads = tuple(tuple(integer(v, "vertex index") for v in q) for q in quads)
     adj = validate_quadrilateralization(poly, quads)
     return _guard_certificate(poly, "quadrilateralization", quads, adj)
 

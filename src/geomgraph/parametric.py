@@ -84,10 +84,6 @@ class ParamDigraph:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "scaled_arcs", scaled)
 
-    def arc_weight(self, arc_id: int, lam: Fraction) -> Fraction:
-        t, h, intercept, slope = self.arcs[arc_id]
-        return intercept + slope * lam
-
 
 def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fraction]]:
     """The arcs' exact weights at lam, as (tail, head, weight)."""

@@ -9,6 +9,12 @@ falls out of Koenig's theorem.  Cutting along those chords and then
 extending one cut from every remaining concave corner yields exactly
 n/2 + h - g - 1 rectangles, where g is the independent-chord count, and no
 partition does better.
+
+Every chord and cut lies on the lines through the polygon's vertex
+coordinates, so all three stages read the cell grid those lines draw: a
+chord is good when the cells on both sides of it are inside, a cut ends at
+the first grid point on a wall, and each rectangle is a flood fill of
+inside cells.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError
 from .geometry import (
@@ -24,14 +31,13 @@ from .geometry import (
     Segment,
     _ring_edges,
     _ring_signed_area2,
-    is_interior_chord,
     orientation,
     segments_intersect,
 )
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
 # ---------------------------------------------------------------------------
-# concave corners and good diagonals
+# concave corners and the cell grid
 # ---------------------------------------------------------------------------
 
 
@@ -56,25 +62,72 @@ def concave_vertices(poly: Polygon) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonical(seg: Segment) -> Segment:
-    a, b = sorted((seg.a, seg.b))
-    return Segment(a, b)
+class _CellGrid:
+    """The cells that the lines through the polygon's vertex coordinates cut
+    its bounding box into.  Grid point (i, j) is (xs[i], ys[j]) and is the
+    lower-left corner of cell (i, j).  `walls` holds each unit side that a
+    ring edge, chord or cut covers, as its two grid points in order, and
+    `touched` every grid point on a wall.  A cell is inside when an odd
+    number of ring walls lie to its left on its row."""
+
+    def __init__(self, poly: Polygon):
+        self.xs = sorted({p.x for p in poly.all_vertices})
+        self.ys = sorted({p.y for p in poly.all_vertices})
+        self._xi = {x: i for i, x in enumerate(self.xs)}
+        self._yi = {y: j for j, y in enumerate(self.ys)}
+        self.walls: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+        self.touched: set[tuple[int, int]] = set()
+        for ring in poly.rings:
+            for e in _ring_edges(ring):
+                self.add_wall(e.a, e.b)
+        self.inside: set[tuple[int, int]] = set()
+        for j in range(len(self.ys) - 1):
+            odd = False
+            for i in range(len(self.xs) - 1):
+                odd ^= ((i, j), (i, j + 1)) in self.walls
+                if odd:
+                    self.inside.add((i, j))
+
+    def node(self, p: Point) -> tuple[int, int]:
+        return self._xi[p.x], self._yi[p.y]
+
+    def add_wall(self, a: Point, b: Point) -> None:
+        """Cover the unit sides of the axis-parallel segment ab."""
+        (i0, j0), (i1, j1) = sorted((self.node(a), self.node(b)))
+        if j0 == j1:
+            nodes = [(i, j0) for i in range(i0, i1 + 1)]
+        else:
+            nodes = [(i0, j) for j in range(j0, j1 + 1)]
+        self.walls.update(zip(nodes, nodes[1:]))
+        self.touched.update(nodes)
+
+    def interior(self, a: Point, b: Point) -> bool:
+        """Do the cells on both sides of the axis-parallel segment a < b lie
+        inside?  Exactly then no ring edge runs along, crosses or touches
+        it between its endpoints."""
+        (i0, j0), (i1, j1) = self.node(a), self.node(b)
+        if j0 == j1:
+            cells = [(i, j) for i in range(i0, i1) for j in (j0 - 1, j0)]
+        else:
+            cells = [(i, j) for j in range(j0, j1) for i in (i0 - 1, i0)]
+        return self.inside.issuperset(cells)
+
+
+# ---------------------------------------------------------------------------
+# good diagonals
+# ---------------------------------------------------------------------------
 
 
 def good_diagonals(poly: Polygon) -> tuple[Segment, ...]:
     """Axis-parallel interior chords joining two concave corners, in
     canonical (sorted-endpoint) order."""
+    grid = _CellGrid(poly)
     verts = poly.all_vertices
-    concave = concave_vertices(poly)
     found: list[Segment] = []
-    for ai in range(len(concave)):
-        for bi in range(ai + 1, len(concave)):
-            a, b = verts[concave[ai]], verts[concave[bi]]
-            if a.x != b.x and a.y != b.y:
-                continue
-            seg = _canonical(Segment(a, b))
-            if is_interior_chord(seg, poly):
-                found.append(seg)
+    for ai, bi in combinations(concave_vertices(poly), 2):
+        a, b = sorted((verts[ai], verts[bi]))
+        if (a.x == b.x or a.y == b.y) and grid.interior(a, b):
+            found.append(Segment(a, b))
     found.sort(key=lambda s: (s.a, s.b))
     return tuple(found)
 
@@ -113,80 +166,47 @@ def min_rectangle_count(poly: Polygon) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _first_hit(origin: Point, direction: tuple[int, int], segments) -> Point:
-    """First point, strictly ahead of origin along an axis direction, where
-    the ray meets any existing segment."""
-    dx, dy = direction
-    best: tuple[Fraction, Point] | None = None
-
-    def consider(t: Fraction, p: Point) -> None:
-        nonlocal best
-        if t > 0 and (best is None or t < best[0]):
-            best = (t, p)
-
-    for seg in segments:
-        a, b = seg.a, seg.b
-        if dy == 0:  # horizontal ray
-            if a.x == b.x:  # vertical segment
-                if min(a.y, b.y) <= origin.y <= max(a.y, b.y):
-                    consider((a.x - origin.x) * dx, Point(a.x, origin.y))
-            elif a.y == origin.y:  # collinear horizontal segment
-                for p in (a, b):
-                    consider((p.x - origin.x) * dx, p)
-        else:  # vertical ray
-            if a.y == b.y:
-                if min(a.x, b.x) <= origin.x <= max(a.x, b.x):
-                    consider((a.y - origin.y) * dy, Point(origin.x, a.y))
-            elif a.x == origin.x:
-                for p in (a, b):
-                    consider((p.y - origin.y) * dy, p)
-    if best is None:
-        raise AssertionError("cut ray escaped the polygon")
-    return best[1]
-
-
 def _emit_cuts(
-    poly: Polygon, chosen: tuple[Segment, ...]
+    grid: _CellGrid, poly: Polygon, chosen: tuple[Segment, ...]
 ) -> tuple[Segment, ...]:
-    """One axis-parallel cut from every concave corner not already resolved
-    by a chosen diagonal, extending the shorter incident edge (horizontal on
-    ties) until it reaches an existing segment."""
-    verts = poly.all_vertices
-    resolved = {s.a for s in chosen} | {s.b for s in chosen}
-    segments = [e for ring in poly.rings for e in _ring_edges(ring)]
-    segments.extend(chosen)
-
-    ring_of: list[tuple[tuple[Point, ...], int]] = []
-    for ring in poly.rings:
-        for i in range(len(ring)):
-            ring_of.append((ring, i))
+    """Make the chosen diagonals walls, then one axis-parallel cut from
+    every concave corner they do not resolve: it extends the shorter
+    incident edge (horizontal on ties) along its grid line to the first
+    grid point on a wall, and becomes a wall itself."""
+    resolved = set()
+    for s in chosen:
+        grid.add_wall(s.a, s.b)
+        resolved.update((grid.node(s.a), grid.node(s.b)))
+    ring_of = [(ring, i) for ring in poly.rings for i in range(len(ring))]
 
     cuts: list[Segment] = []
     for gidx in concave_vertices(poly):
         ring, i = ring_of[gidx]
         v = ring[i]
-        if v in resolved:
+        start = grid.node(v)
+        if start in resolved:
             continue  # an earlier cut already ends at this corner
-        u, w = ring[i - 1], ring[(i + 1) % len(ring)]
-        # Exactly one incident edge is horizontal.
-        if u.y == v.y:
-            h_len, h_dir = abs(v.x - u.x), (1 if v.x > u.x else -1, 0)
+        # The incident edges: exactly one is horizontal, v-h_end.
+        h_end, v_end = ring[i - 1], ring[(i + 1) % len(ring)]
+        if h_end.y != v.y:
+            h_end, v_end = v_end, h_end
+        if abs(v.x - h_end.x) <= abs(v.y - v_end.y):
+            di, dj = (1 if v.x > h_end.x else -1), 0
         else:
-            h_len, h_dir = abs(v.x - w.x), (1 if v.x > w.x else -1, 0)
-        if u.x == v.x:
-            v_len, v_dir = abs(v.y - u.y), (0, 1 if v.y > u.y else -1)
+            di, dj = 0, (1 if v.y > v_end.y else -1)
+        for k in range(1, max(len(grid.xs), len(grid.ys))):
+            hit = (start[0] + k * di, start[1] + k * dj)
+            if hit in grid.touched:
+                break
         else:
-            v_len, v_dir = abs(v.y - w.y), (0, 1 if v.y > w.y else -1)
-        direction = h_dir if h_len <= v_len else v_dir
-        hit = _first_hit(v, direction, segments)
-        cut = Segment(v, hit)
+            raise AssertionError("cut ray escaped the polygon")
+        cut = Segment(v, Point(grid.xs[hit[0]], grid.ys[hit[1]]))
         cuts.append(cut)
-        segments.append(cut)
-        resolved.add(v)
+        grid.add_wall(cut.a, cut.b)
         # A cut ending on another concave corner resolves that corner too
         # (an axis-parallel segment into a 270-degree corner splits it into
         # a straight angle and a right angle).
-        resolved.add(hit)
+        resolved.update((start, hit))
     return tuple(cuts)
 
 
@@ -213,51 +233,16 @@ class RectPartition:
         return len(self.rectangles)
 
 
-def _walls(segments, xi, yi) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    """Cell sides that axis-parallel segments cover, on the grid whose
-    lines have indices xi and yi: (i, j) in the first set is the vertical
-    side at x index i on row j, in the second the horizontal side at y
-    index j on column i."""
-    vertical: set[tuple[int, int]] = set()
-    horizontal: set[tuple[int, int]] = set()
-    for s in segments:
-        i0, i1 = sorted((xi[s.a.x], xi[s.b.x]))
-        j0, j1 = sorted((yi[s.a.y], yi[s.b.y]))
-        if i0 == i1:
-            vertical.update((i0, j) for j in range(j0, j1))
-        else:
-            horizontal.update((i, j0) for i in range(i0, i1))
-    return vertical, horizontal
-
-
 def build_partition(poly: Polygon) -> RectPartition:
     """Cut the polygon into the minimum number of rectangles.
 
-    The distinct endpoint coordinates of the ring edges, chords and cuts
-    cut the bounding box into cells.  A cell is inside when an odd number
-    of ring edges lie to its left on its row, and each rectangle is a
-    flood fill of inside cells across the cell sides that no segment
-    covers."""
+    The chosen chords and the cuts become walls of the polygon's cell grid,
+    and each rectangle is a flood fill of inside cells across the cell
+    sides that no wall covers."""
     chosen, _ = independent_diagonals(poly)
-    cuts = _emit_cuts(poly, chosen)
-
-    ring = [e for r in poly.rings for e in _ring_edges(r)]
-    ends = [p for s in (*ring, *chosen, *cuts) for p in (s.a, s.b)]
-    xs = sorted({p.x for p in ends})
-    ys = sorted({p.y for p in ends})
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: j for j, y in enumerate(ys)}
-    ring_v, ring_h = _walls(ring, xi, yi)
-    cut_v, cut_h = _walls((*chosen, *cuts), xi, yi)
-    wall_v, wall_h = ring_v | cut_v, ring_h | cut_h
-
-    inside: set[tuple[int, int]] = set()
-    for j in range(len(ys) - 1):
-        odd = False
-        for i in range(len(xs) - 1):
-            odd ^= (i, j) in ring_v
-            if odd:
-                inside.add((i, j))
+    grid = _CellGrid(poly)
+    cuts = _emit_cuts(grid, poly, chosen)
+    xs, ys, walls, inside = grid.xs, grid.ys, grid.walls, grid.inside
 
     rects: list[tuple[Point, Point]] = []
     total_area = Fraction(0)
@@ -270,13 +255,13 @@ def build_partition(poly: Polygon) -> RectPartition:
         while stack:
             i, j = cell = stack.pop()
             face.append(cell)
-            for nbr, wall in (
-                ((i + 1, j), (i + 1, j) in wall_v),
-                ((i - 1, j), (i, j) in wall_v),
-                ((i, j + 1), (i, j + 1) in wall_h),
-                ((i, j - 1), (i, j) in wall_h),
+            for nbr, side in (
+                ((i + 1, j), ((i + 1, j), (i + 1, j + 1))),
+                ((i - 1, j), ((i, j), (i, j + 1))),
+                ((i, j + 1), ((i, j + 1), (i + 1, j + 1))),
+                ((i, j - 1), ((i, j), (i + 1, j))),
             ):
-                if not wall and nbr in inside and nbr not in seen:
+                if side not in walls and nbr in inside and nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)
         i0, i1 = min(i for i, _ in face), max(i for i, _ in face) + 1

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .errors import InputError, rational
+from .errors import InputError, integer, rational
 from .graphs import Graph, Matching, perfect_matching_general
 
 __all__ = [
@@ -78,7 +78,8 @@ class TriMesh:
             for x, y, z in vertices
         )
         tris = tuple(
-            (int(a), int(b), int(c)) for a, b, c in triangles
+            tuple(integer(v, "vertex index") for v in (a, b, c))
+            for a, b, c in triangles
         )
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)

@@ -256,10 +256,8 @@ def optimize_angles(tiling: Tiling) -> AngleSolution:
         raise AssertionError(f"threshold {lam} admits a negative cycle")
     adjustments = tuple(d[z] for z in range(1, g.vertex_count))
 
-    new_angles = [
-        interior + adjustments[a - 1] - adjustments[b - 1]
-        for _t, _j, a, b, interior in tiling.corners()
-    ]
+    # The sloped arcs are (a, b, interior, -1), one per corner.
+    new_angles = [interior + d[a] - d[b] for a, b, interior, s in g.arcs if s]
     if min(new_angles) != lam:
         raise AssertionError(
             f"smallest adjusted angle {min(new_angles)} is not the threshold {lam}"

@@ -13,14 +13,22 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .bends import BendAssignment, PlaneMap
 from .errors import InputError, rational
 from .gallery import GuardCertificate, verify_guard_certificate
-from .geometry import Point, Polygon, _ring_edges, point_in_polygon, segments_intersect
+from .geometry import (
+    Point,
+    Polygon,
+    Segment,
+    _ring_edges,
+    is_interior_chord,
+    point_in_polygon,
+    segments_intersect,
+)
 from .parametric import ParamDigraph, feasibility_witness
-from .rectpart import RectPartition, concave_vertices, good_diagonals
+from .rectpart import RectPartition, concave_vertices
 from .stars import DistanceMatrix, StarEmbedding, build_parametric_graph, dilation
 from .strips import StripResult
 from .tiling import Tiling, angle_graph
@@ -183,7 +191,12 @@ def check_rectpart(poly: Polygon, part: RectPartition) -> tuple[str, str]:
         return "failed", f"rectangles cover area {area}, the polygon {poly.area()}"
     if len(concave) > 14:
         return "not-run", f"{len(concave)} concave corners exceed oracle bound 14"
-    diagonals = good_diagonals(poly)
+    verts = poly.all_vertices
+    chords = (Segment(verts[a], verts[b]) for a, b in combinations(concave, 2))
+    diagonals = [
+        s for s in chords
+        if (s.a.x == s.b.x or s.a.y == s.b.y) and is_interior_chord(s, poly)
+    ]
     conflicts = [
         (i, j)
         for i in range(len(diagonals))

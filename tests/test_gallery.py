@@ -171,6 +171,14 @@ def test_orthogonal_guards_validates_the_quadrilateralization():
         orthogonal_guards(comb_polygon(3), ((0, 1, 2, 3),))  # not orthogonal
 
 
+def test_orthogonal_guards_rejects_vertex_indices_that_are_not_ints():
+    poly, quads = staircase_with_quads()
+    assert quads[0] == (0, 1, 6, 7)
+    bad = ((0, 1, 6, 7.9),) + quads[1:]  # int() would truncate 7.9 to 7
+    with pytest.raises(InputError, match="float vertex index 7.9"):
+        orthogonal_guards(poly, bad)
+
+
 def test_verify_rejects_tampered_certificates():
     poly = comb_polygon(3)
     cert = fisk_guards(poly)

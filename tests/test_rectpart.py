@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,8 +9,10 @@ from geomgraph.errors import InputError
 from geomgraph.geometry import (
     Point,
     Polygon,
+    Segment,
     _ring_edges,
     _ring_signed_area2,
+    is_interior_chord,
     orientation,
     point_in_polygon,
 )
@@ -311,12 +315,75 @@ def _face_walk_rectangles(poly, diagonals, cuts):
         m = len(cycle)
         corners = [cycle[i] for i in range(m)
                    if orientation(cycle[i - 1], cycle[i], cycle[(i + 1) % m])]
-        assert len(corners) == 4
+        if len(corners) != 4:  # a hole of another shape, which no segment enters
+            assert any(set(corners) == set(hole) for hole in poly.holes)
+            continue
         xs, ys = sorted({p.x for p in corners}), sorted({p.y for p in corners})
         center = Point((xs[0] + xs[1]) / 2, (ys[0] + ys[1]) / 2)
         if point_in_polygon(center, poly) == "inside":
             rects.append((Point(xs[0], ys[0]), Point(xs[1], ys[1])))
     return tuple(sorted(rects))
+
+
+def _chord_test_diagonals(poly):
+    """Reference: every axis-parallel pair of concave corners whose chord
+    passes the general interior-chord test."""
+    verts = poly.all_vertices
+    found = []
+    for ai, bi in combinations(concave_vertices(poly), 2):
+        a, b = sorted((verts[ai], verts[bi]))
+        if (a.x == b.x or a.y == b.y) and is_interior_chord(Segment(a, b), poly):
+            found.append(Segment(a, b))
+    return tuple(sorted(found, key=lambda s: (s.a, s.b)))
+
+
+def _ray_cast_cuts(poly, chosen):
+    """Reference: the cut from each unresolved concave corner ends at the
+    nearest point where its ray meets a ring edge, a chosen chord or an
+    earlier cut, found by casting the ray against every segment."""
+    segments = [e for ring in poly.rings for e in _ring_edges(ring)]
+    segments += chosen
+    resolved = {p for s in chosen for p in (s.a, s.b)}
+    ring_of = [(ring, i) for ring in poly.rings for i in range(len(ring))]
+    cuts = []
+    for gidx in concave_vertices(poly):
+        ring, i = ring_of[gidx]
+        v, u, w = ring[i], ring[i - 1], ring[(i + 1) % len(ring)]
+        if v in resolved:
+            continue
+        h = u if u.y == v.y else w
+        vv = u if u.x == v.x else w
+        if abs(v.x - h.x) <= abs(v.y - vv.y):
+            dx, dy = (1 if v.x > h.x else -1), 0
+        else:
+            dx, dy = 0, (1 if v.y > vv.y else -1)
+        hits = []
+        for s in segments:
+            a, b = s.a, s.b
+            if dy == 0 and a.x == b.x:
+                if min(a.y, b.y) <= v.y <= max(a.y, b.y):
+                    hits.append(((a.x - v.x) * dx, Point(a.x, v.y)))
+            elif dy == 0 and a.y == v.y:
+                hits += [((p.x - v.x) * dx, p) for p in (a, b)]
+            elif dx == 0 and a.y == b.y:
+                if min(a.x, b.x) <= v.x <= max(a.x, b.x):
+                    hits.append(((a.y - v.y) * dy, Point(v.x, a.y)))
+            elif dx == 0 and a.x == v.x:
+                hits += [((p.y - v.y) * dy, p) for p in (a, b)]
+        hit = min((t, p) for t, p in hits if t > 0)[1]
+        cuts.append(Segment(v, hit))
+        segments.append(cuts[-1])
+        resolved.update((v, hit))
+    return tuple(cuts)
+
+
+def _assert_grid_matches_the_references(poly, label):
+    part = build_partition(poly)
+    assert good_diagonals(poly) == _chord_test_diagonals(poly), label
+    assert part.cuts == _ray_cast_cuts(poly, part.diagonals), label
+    assert part.rectangles == _face_walk_rectangles(
+        poly, part.diagonals, part.cuts
+    ), label
 
 
 def test_grid_faces_match_the_face_walk():
@@ -327,7 +394,55 @@ def test_grid_faces_match_the_face_walk():
             with_hole=seed // 4 % 2 == 1,
             max_concave=10**9,
         )
-        part = build_partition(poly)
-        assert part.rectangles == _face_walk_rectangles(
-            poly, part.diagonals, part.cuts
-        ), seed
+        _assert_grid_matches_the_references(poly, seed)
+    for seed in range(150):
+        poly = _carved_polygon(seed)
+        if poly is not None:
+            _assert_grid_matches_the_references(poly, f"carved {seed}")
+
+
+# A 12x10 box with notches at y 4..6 in both sides, so its concave corners
+# (2, 4), (2, 6), (10, 4) and (10, 6) pair up along y = 4 and y = 6, plus a
+# hole whose corners (5, 6) and (7, 6) lie on the line y = 6.  An
+# orthogonal hole cannot touch a chord at a corner alone: the corner's
+# horizontal edge then runs along the chord too.
+NOTCHED = [
+    (0, 0), (12, 0), (12, 4), (10, 4), (10, 6), (12, 6),
+    (12, 10), (0, 10), (0, 6), (2, 6), (2, 4), (0, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "hole",
+    [[(5, 6), (5, 8), (7, 8), (7, 6)], [(5, 5), (5, 6), (7, 6), (7, 5)]],
+    ids=["hole-above", "hole-below"],
+)
+def test_chords_touching_a_hole_are_not_good(hole):
+    poly = Polygon(NOTCHED, holes=[hole], kind="orthogonal")
+
+    def chord(a, b):
+        return Segment(Point(*a), Point(*b))
+
+    diags = good_diagonals(poly)
+    # (2, 6)-(10, 6) passes through both hole corners, and (2, 6)-(7, 6)
+    # runs along the hole's edge into its far corner.
+    assert chord((2, 6), (10, 6)) not in diags
+    assert chord((2, 6), (7, 6)) not in diags
+    assert diags == (
+        chord((2, 4), (10, 4)), chord((2, 6), (5, 6)), chord((7, 6), (10, 6))
+    )
+    assert diags == _chord_test_diagonals(poly)
+    _assert_minimum_partition(poly)
+
+
+def test_check_rectpart_does_not_reuse_the_solvers_diagonals(monkeypatch):
+    poly = plus_polygon()
+    part = build_partition(poly)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("geomgraph") and (
+            getattr(module, "good_diagonals", None) is good_diagonals
+        ):
+            monkeypatch.setattr(module, "good_diagonals", lambda poly: ())
+    assert check_rectpart(poly, part) == (
+        "passed", "rectangle count matches exhaustive bound 3"
+    )

@@ -72,6 +72,16 @@ def test_mesh_needs_four_triangles_and_single_edge_sharing():
         )
 
 
+def test_mesh_rejects_vertex_indices_that_are_not_ints():
+    # Truncating with int() would read 2.9 as 2 and True as 1, and both
+    # meshes would validate as the tetrahedron.
+    verts = tetrahedron().vertices
+    with pytest.raises(InputError, match="float vertex index 2.9"):
+        TriMesh(verts, [(0, 2.9, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
+    with pytest.raises(InputError, match="bool vertex index True"):
+        TriMesh(verts, [(0, 2, 1), (0, 1, 3), (0, 3, 2), (True, 2, 3)])
+
+
 def test_mesh_euler_count_must_match_a_sphere():
     # Two disjoint tetrahedra: V - E + F = 4.
     tet = tetrahedron()
