@@ -2,8 +2,9 @@
 
 The files under tests/golden/ hold the stdout of `--json` and of
 `--json --verify` for each corpus invocation of test_cli.py, and for
-`cluster` on points12.pts at several squared-diameter bounds.  A change
-that alters any report fails here.  Regenerate them only for an intended
+`cluster` on points12.pts at several squared-diameter bounds, and the
+`--svg` drawing of each corpus invocation whose subcommand draws.  A
+change that alters any report or drawing fails here.  Regenerate them only for an intended
 report change, and say why in CHANGES.md:
 
     PYTHONPATH=src python3 tests/record_golden.py
@@ -12,6 +13,7 @@ report change, and say why in CHANGES.md:
 from __future__ import annotations
 
 import io
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -48,6 +50,11 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
+# Subcommands that take --svg.
+DRAWN = ("gallery", "rectpart", "cluster", "strip", "tiling")
+
+SVG_CASES = {_name(argv): list(argv) for argv in CORPUS if argv[0] in DRAWN}
+
 
 def report(argv) -> tuple[int, str]:
     """(exit code, stdout) of one `--json` run."""
@@ -57,8 +64,18 @@ def report(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def drawing(argv) -> tuple[int, str]:
+    """(exit code, SVG text) of one `--svg` run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out.svg"
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(list(argv) + ["--svg", str(target)])
+        return code, target.read_text(encoding="utf-8") if code == 0 else ""
+
+
 def test_every_case_has_a_golden_file_and_no_file_is_stale():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.svg")) == sorted(SVG_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -66,3 +83,10 @@ def test_report_matches_golden(name):
     code, out = report(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(SVG_CASES))
+def test_drawing_matches_golden(name):
+    code, out = drawing(SVG_CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.svg").read_text(encoding="utf-8")
