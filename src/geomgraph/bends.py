@@ -139,10 +139,8 @@ class PlaneMap:
 class NetworkLegend:
     """Where each map element landed in the flow network's arc list."""
 
-    junction_supply: tuple[int, ...]  # arc index of circulation->junction i
     slot_arcs: tuple[tuple[int, str, int], ...]  # (junction, region, arc index)
     border_arcs: tuple[tuple[str, str, int], ...]  # (from, to, arc index)
-    forced_arcs: tuple[tuple[str, int, int], ...]  # (region, arc index, sign)
 
 
 def build_flow_network(pmap: PlaneMap) -> tuple[FlowNetwork, NetworkLegend]:
@@ -150,12 +148,9 @@ def build_flow_network(pmap: PlaneMap) -> tuple[FlowNetwork, NetworkLegend]:
     vertex per junction, then one per region."""
     jn = len(pmap.junctions)
     region_vertex = {r: 1 + jn + i for i, r in enumerate(pmap.regions)}
-    arcs: list[tuple[int, int, int, int, int]] = []
-
-    junction_supply = []
-    for i in range(jn):
-        junction_supply.append(len(arcs))
-        arcs.append((0, 1 + i, 4, 4, 0))
+    arcs: list[tuple[int, int, int, int, int]] = [
+        (0, 1 + i, 4, 4, 0) for i in range(jn)
+    ]
 
     slot_arcs = []
     for i, rot in enumerate(pmap.junctions):
@@ -163,7 +158,6 @@ def build_flow_network(pmap: PlaneMap) -> tuple[FlowNetwork, NetworkLegend]:
             slot_arcs.append((i, r, len(arcs)))
             arcs.append((1 + i, region_vertex[r], 1, 5 - len(rot), 0))
 
-    forced_arcs = []
     lower_sum = 4 * jn + sum(len(rot) for rot in pmap.junctions)
     forced_values = {}
     for r in pmap.regions:
@@ -189,18 +183,12 @@ def build_flow_network(pmap: PlaneMap) -> tuple[FlowNetwork, NetworkLegend]:
     for r in pmap.regions:
         value = forced_values[r]
         if value >= 0:
-            forced_arcs.append((r, len(arcs), 1))
             arcs.append((region_vertex[r], 0, value, value, 0))
         else:
-            forced_arcs.append((r, len(arcs), -1))
             arcs.append((0, region_vertex[r], -value, -value, 0))
 
     net = FlowNetwork(1 + jn + len(pmap.regions), arcs)
-    legend = NetworkLegend(
-        tuple(junction_supply), tuple(slot_arcs), tuple(border_arcs),
-        tuple(forced_arcs),
-    )
-    return net, legend
+    return net, NetworkLegend(tuple(slot_arcs), tuple(border_arcs))
 
 
 @dataclass(frozen=True)

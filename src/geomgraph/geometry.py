@@ -201,19 +201,12 @@ def _validate_ring(ring: tuple[Point, ...], name: str, orthogonal: bool) -> None
                     f"{name}: edges {i} and {(i + 1) % n} do not alternate "
                     "between horizontal and vertical"
                 )
-    # Simplicity: non-adjacent edges must be disjoint, adjacent ones may only
-    # share their common endpoint (the collinearity check above already rules
-    # out back-tracking overlaps).
+    # Simplicity: non-adjacent edges must be disjoint.  Adjacent edges meet
+    # only at their shared vertex, since consecutive edges turn (above).
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(i + 2, n - 1 if i == 0 else n):
             kind = segments_intersect(edges[i], edges[j]).kind
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if adjacent:
-                if kind != "endpoint_touch":
-                    raise InputError(
-                        f"{name}: adjacent edges {i} and {j} meet badly ({kind})"
-                    )
-            elif kind != "disjoint":
+            if kind != "disjoint":
                 raise InputError(f"{name}: edges {i} and {j} intersect ({kind})")
 
 

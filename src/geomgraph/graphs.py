@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, integer, rational
 
 # ---------------------------------------------------------------------------
 # graph types
@@ -30,7 +30,11 @@ class BipartiteGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, left_count: int, right_count: int, edges):
-        edges = tuple((int(l), int(r)) for l, r in edges)
+        left_count = integer(left_count, "vertex count")
+        right_count = integer(right_count, "vertex count")
+        edges = tuple(
+            (integer(l, "vertex id"), integer(r, "vertex id")) for l, r in edges
+        )
         if left_count < 0 or right_count < 0:
             raise InputError("vertex counts must be nonnegative")
         seen = set()
@@ -79,9 +83,10 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, vertex_count: int, edges):
+        vertex_count = integer(vertex_count, "vertex count")
         norm = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = integer(u, "vertex id"), integer(v, "vertex id")
             if u == v:
                 raise InputError(f"loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -109,12 +114,13 @@ class WeightedDigraph:
     arcs: tuple[tuple[int, int, Fraction], ...]
 
     def __init__(self, vertex_count: int, arcs):
+        vertex_count = integer(vertex_count, "vertex count")
         norm = []
         for t, h, w in arcs:
-            t, h = int(t), int(h)
+            t, h = integer(t, "vertex id"), integer(h, "vertex id")
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise InputError(f"arc ({t},{h}) out of range")
-            norm.append((t, h, Fraction(w)))
+            norm.append((t, h, rational(w, "arc weight")))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", tuple(norm))
 
@@ -128,9 +134,12 @@ class FlowNetwork:
     arcs: tuple[tuple[int, int, int, int, int], ...]
 
     def __init__(self, vertex_count: int, arcs):
+        vertex_count = integer(vertex_count, "vertex count")
         norm = []
         for t, h, lo, up, c in arcs:
-            t, h, lo, up, c = int(t), int(h), int(lo), int(up), int(c)
+            t, h = integer(t, "vertex id"), integer(h, "vertex id")
+            lo, up = integer(lo, "lower bound"), integer(up, "upper bound")
+            c = integer(c, "arc cost")
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise InputError(f"arc ({t},{h}) out of range")
             if lo < 0 or lo > up:
@@ -221,27 +230,6 @@ def max_bipartite_matching(g: BipartiteGraph) -> Matching:
     return Matching((u, match_l[u]) for u in range(g.left_count) if match_l[u] != -1)
 
 
-def _augmenting_path_exists(g: BipartiteGraph, match_l, match_r) -> bool:
-    """Is there an augmenting path for the given (partial) matching?"""
-    adj = _bipartite_adjacency(g)
-    level_reachable = [match_l[u] == -1 for u in range(g.left_count)]
-    q = deque(u for u in range(g.left_count) if match_l[u] == -1)
-    seen_r = [False] * g.right_count
-    while q:
-        u = q.popleft()
-        for r in adj[u]:
-            if seen_r[r]:
-                continue
-            seen_r[r] = True
-            nxt = match_r[r]
-            if nxt == -1:
-                return True
-            if not level_reachable[nxt]:
-                level_reachable[nxt] = True
-                q.append(nxt)
-    return False
-
-
 def konig_independent_set(g: BipartiteGraph, m: Matching) -> frozenset[tuple[str, int]]:
     """Maximum independent set from a maximum matching (König's theorem).
 
@@ -260,11 +248,10 @@ def konig_independent_set(g: BipartiteGraph, m: Matching) -> frozenset[tuple[str
             raise InputError("matching pairs are not vertex-disjoint")
         match_l[l] = r
         match_r[r] = l
-    if _augmenting_path_exists(g, match_l, match_r):
-        raise InputError("matching is not maximum: an augmenting path exists")
 
     # Alternating reachability from unmatched left vertices: unmatched edges
-    # left->right, matched edges right->left.
+    # left->right, matched edges right->left.  Reaching an unmatched right
+    # vertex completes an augmenting path.
     adj = _bipartite_adjacency(g)
     in_z_l = [match_l[u] == -1 for u in range(g.left_count)]
     in_z_r = [False] * g.right_count
@@ -276,7 +263,11 @@ def konig_independent_set(g: BipartiteGraph, m: Matching) -> frozenset[tuple[str
                 continue
             in_z_r[r] = True
             nxt = match_r[r]
-            if nxt != -1 and not in_z_l[nxt]:
+            if nxt == -1:
+                raise InputError(
+                    "matching is not maximum: an augmenting path exists"
+                )
+            if not in_z_l[nxt]:
                 in_z_l[nxt] = True
                 q.append(nxt)
 

@@ -145,22 +145,13 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
     # The zero arc down(p) -> up(p) makes every hub distance nonnegative;
     # the -D and lambda*D arcs give non-contraction and dilation <= delta.
     hub = tuple((dist[1 + n + p] - dist[1 + p]) / 2 for p in range(n))
-    if not _embedding_valid(d, hub, delta):
+    try:
+        achieved = dilation(d, hub)
+    except InputError as exc:
+        raise AssertionError(f"the hub vector does not embed: {exc}") from None
+    if achieved != delta:
         raise AssertionError("the hub vector does not embed with dilation delta")
     return StarEmbedding(hub, delta)
-
-
-def _embedding_valid(d: DistanceMatrix, hub, delta: Fraction) -> bool:
-    if any(h < 0 for h in hub):
-        return False
-    worst = None
-    for p in range(d.n):
-        for q in range(p + 1, d.n):
-            if hub[p] + hub[q] < d[p, q]:
-                return False
-            ratio = (hub[p] + hub[q]) / d[p, q]
-            worst = ratio if worst is None or ratio > worst else worst
-    return worst == delta
 
 
 def dilation(d: DistanceMatrix, hub) -> Fraction:

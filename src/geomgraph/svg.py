@@ -100,10 +100,12 @@ class _Drawing:
         )
 
 
-def _scale(drawing: _Drawing) -> float:
-    return max(
-        max(drawing.xs) - min(drawing.xs), max(drawing.ys) - min(drawing.ys), 1.0
-    )
+def _scale(points) -> float:
+    """The longer side of the points' bounding box (at least 1); stroke
+    widths and dot radii are fractions of it."""
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
+    return max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +114,10 @@ def _scale(drawing: _Drawing) -> float:
 
 
 def gallery_svg(poly: Polygon, cert: GuardCertificate) -> str:
-    d = _Drawing()
     rings = [[(v.x, v.y) for v in ring] for ring in poly.rings]
-    d.poly(rings, fill="#dce8f5", stroke="#2b4a6f", width=0.0, rule="evenodd")
+    unit = _scale([p for ring in rings for p in ring])
     verts = poly.all_vertices
-    for face in cert.faces:
-        pts = [(verts[i].x, verts[i].y) for i in face]
-        d.poly([pts], fill="none", stroke="#9fb8d1", width=0.0)
-    unit = _scale(d)
-    d.shapes = []
+    d = _Drawing()
     d.poly(rings, fill="#dce8f5", stroke="#2b4a6f", width=unit * 0.008,
            rule="evenodd")
     for face in cert.faces:
@@ -133,12 +130,12 @@ def gallery_svg(poly: Polygon, cert: GuardCertificate) -> str:
 
 
 def rectpart_svg(poly: Polygon, part: RectPartition) -> str:
+    unit = _scale([(p.x, p.y) for box in part.rectangles for p in box])
     d = _Drawing()
     for i, (ll, ur) in enumerate(part.rectangles):
         box = [(ll.x, ll.y), (ur.x, ll.y), (ur.x, ur.y), (ll.x, ur.y)]
         d.poly([box], fill=_PALETTE[i % len(_PALETTE)], stroke="none",
                width=0.0)
-    unit = _scale(d)
     rings = [[(v.x, v.y) for v in ring] for ring in poly.rings]
     d.poly(rings, fill="none", stroke="#1a1a1a", width=unit * 0.01)
     for seg in part.diagonals:
@@ -150,11 +147,8 @@ def rectpart_svg(poly: Polygon, part: RectPartition) -> str:
 def cluster_svg(points, members) -> str:
     points = validate_points(points)
     chosen = set(members)
+    unit = _scale([(p.x, p.y) for p in points])
     d = _Drawing()
-    for p in points:
-        d.dot((p.x, p.y), 0.0, "#b0b0b0")
-    unit = _scale(d)
-    d.shapes = []
     for i, p in enumerate(points):
         if i in chosen:
             d.dot((p.x, p.y), unit * 0.022, "#4e79a7", stroke="#27415f",
@@ -167,14 +161,9 @@ def cluster_svg(points, members) -> str:
 def strip_svg(result: StripResult) -> str:
     mesh, strip = result.mesh, result.strip
     flat = [(float(v[0]), float(v[1])) for v in mesh.vertices]
+    unit = _scale(flat)
     d = _Drawing()
     order = {t: i for i, t in enumerate(strip)}
-    for t, tri in enumerate(mesh.triangles):
-        pts = [flat[i] for i in tri]
-        d.poly([pts], fill=_PALETTE[order[t] % len(_PALETTE)],
-               stroke="none", width=0.0)
-    unit = _scale(d)
-    d.shapes = []
     for t, tri in enumerate(mesh.triangles):
         pts = [flat[i] for i in tri]
         d.poly([pts], fill=_PALETTE[order[t] % len(_PALETTE)],
@@ -201,17 +190,14 @@ def tiling_svg(tiling: Tiling, solution: AngleSolution) -> str:
     lo_before = min(x for tile in before for x, _ in tile)
     lo_after = min(x for tile in after for x, _ in tile)
     shift = hi_before - lo_after + max(hi_before - lo_before, 1.0) * 0.25
+    shifted = [
+        (i, [(x + dx, y) for x, y in tile])
+        for tiles, dx in ((before, 0.0), (after, shift))
+        for i, tile in enumerate(tiles)
+    ]
+    unit = _scale([p for _i, pts in shifted for p in pts])
     d = _Drawing()
-    for tiles, dx in ((before, 0.0), (after, shift)):
-        for i, tile in enumerate(tiles):
-            pts = [(x + dx, y) for x, y in tile]
-            d.poly([pts], fill=_PALETTE[i % len(_PALETTE)], stroke="none",
-                   width=0.0)
-    unit = _scale(d)
-    d.shapes = []
-    for tiles, dx in ((before, 0.0), (after, shift)):
-        for i, tile in enumerate(tiles):
-            pts = [(x + dx, y) for x, y in tile]
-            d.poly([pts], fill=_PALETTE[i % len(_PALETTE)],
-                   stroke="#1a1a1a", width=unit * 0.004)
+    for i, pts in shifted:
+        d.poly([pts], fill=_PALETTE[i % len(_PALETTE)],
+               stroke="#1a1a1a", width=unit * 0.004)
     return d.render()

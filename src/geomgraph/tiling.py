@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, integer, rational
@@ -56,6 +56,11 @@ class Tiling:
     zone_directions: tuple[Fraction, ...]
     tiles: tuple[tuple[int, ...], ...]
     adjacencies: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    # (tile, corner, zone_a, zone_b, interior angle) per corner, computed
+    # once by _validate; corners() yields these tuples.
+    _corners: tuple[tuple[int, int, int, int, Fraction], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, zone_directions, tiles, adjacencies=()):
         dirs = tuple(rational(v, "angle") for v in zone_directions)
@@ -77,6 +82,7 @@ class Tiling:
         if not self.tiles:
             raise InputError("tiling has no tiles")
         used = set()
+        corners = []
         for t, tile in enumerate(self.tiles):
             if len(tile) < 4 or len(tile) % 2:
                 raise InputError(
@@ -92,13 +98,19 @@ class Tiling:
                         f"is {tile[i + k]}, expected {-z}"
                     )
                 used.add(abs(z))
-            for j in range(len(tile)):
-                turn = self.corner_turn(t, j)
+            sides = [self.side_direction(t, i) for i in range(len(tile))]
+            for j, cur in enumerate(sides):
+                nxt = (j + 1) % len(tile)
+                turn = (sides[nxt] - cur) % 360
                 if turn >= 180:
                     raise InputError(
                         f"tile {t} corner {j}: interior angle "
                         f"{180 - turn} is not positive"
                     )
+                corners.append(
+                    (t, j, abs(tile[j]), abs(tile[nxt]), 180 - turn)
+                )
+        object.__setattr__(self, "_corners", tuple(corners))
         if used != set(range(1, m + 1)):
             missing = sorted(set(range(1, m + 1)) - used)
             raise InputError(f"zone {missing[0]} is never used")
@@ -126,19 +138,9 @@ class Tiling:
         base = self.zone_directions[abs(z) - 1]
         return (base + (180 if z < 0 else 0)) % 360
 
-    def corner_turn(self, t: int, j: int) -> Fraction:
-        """Turn angle at the corner between sides j and j+1 (cyclic)."""
-        cur = self.side_direction(t, j)
-        nxt = self.side_direction(t, (j + 1) % len(self.tiles[t]))
-        return (nxt - cur) % 360
-
     def corners(self):
         """Yield (tile, corner, zone_a, zone_b, interior_angle)."""
-        for t, tile in enumerate(self.tiles):
-            for j in range(len(tile)):
-                a = abs(tile[j])
-                b = abs(tile[(j + 1) % len(tile)])
-                yield t, j, a, b, 180 - self.corner_turn(t, j)
+        yield from self._corners
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,24 @@ def test_bipartite_matching_random_vs_bruteforce():
         assert m.size == bf_bipartite_size(nl, nr, edges)
 
 
+def test_konig_rejects_a_matching_that_is_not_maximum():
+    # The path L0 - R0 - L1 - R1 with only its middle edge matched: the
+    # whole path augments it.
+    g = BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
+    with pytest.raises(InputError, match="matching is not maximum"):
+        konig_independent_set(g, Matching([(1, 0)]))
+    assert len(konig_independent_set(g, Matching([(0, 0), (1, 1)]))) == 2
+    # An empty matching of a graph with an edge is not maximum either.
+    with pytest.raises(InputError, match="matching is not maximum"):
+        konig_independent_set(g, Matching([]))
+
+
+def test_konig_rejects_a_pair_that_is_not_an_edge():
+    g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(InputError, match=r"pair \(0,1\) is not a graph edge"):
+        konig_independent_set(g, Matching([(0, 1)]))
+
+
 def test_konig_set_is_independent_and_maximum():
     rng = random.Random(23)
     for _ in range(300):
@@ -158,6 +176,26 @@ def test_general_matching_random_vs_bruteforce():
 def test_graph_rejects_loops():
     with pytest.raises(InputError):
         Graph(3, [(1, 1)])
+
+
+def test_graph_constructors_take_ints_and_exact_weights_only():
+    # Each of these was truncated or rounded into a different graph.
+    for build in (
+        lambda: Graph(3, [(0, 1.9)]),
+        lambda: Graph(3, [(True, 2)]),
+        lambda: Graph(3.0, []),
+        lambda: BipartiteGraph(2.5, 2, []),
+        lambda: BipartiteGraph(2, 2, [(0, 1.0)]),
+        lambda: FlowNetwork(2, [(0, 1, 0, 2.7, 1)]),
+        lambda: FlowNetwork(2, [(0, 1, 0, 2, 1.2)]),
+        lambda: FlowNetwork(2, [(0, 1, False, 2, 1)]),
+        lambda: WeightedDigraph(2, [(0, 1.9, Fraction(1, 2))]),
+        lambda: WeightedDigraph(2, [(0, 1, 0.5)]),
+    ):
+        with pytest.raises(InputError, match="use an int"):
+            build()
+    assert WeightedDigraph(2, [(0, 1, "1/2")]).arcs == ((0, 1, Fraction(1, 2)),)
+    assert FlowNetwork(2, [(0, 1, 0, 2, 1)]).arcs == ((0, 1, 0, 2, 1),)
 
 
 # ---------------------------------------------------------------------------

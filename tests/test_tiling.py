@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from geomgraph.tiling import (
     zones,
 )
 from geomgraph.verify import check_tiling
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 # ---------------------------------------------------------------------------
 # validation
@@ -84,6 +88,49 @@ def test_side_directions_and_corner_angles():
     interiors = [phi for *_rest, phi in t.corners()]
     assert interiors == [150, 30, 150, 30]
     assert sum(interiors) == 360
+
+
+def _rhombic_tilings():
+    """The benchmark's seeded rhombic tilings of the 2n-gon, n = 3..12."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tilings.py"
+    spec = importlib.util.spec_from_file_location("_bench_tilings", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [
+        module.rhombic_tiling(n, seed) for n in range(3, 13) for seed in (0, 1)
+    ]
+
+
+def _reference_corners(t: Tiling):
+    """(tile, corner, zone_a, zone_b, interior) from the side directions."""
+    out = []
+    for i, tile in enumerate(t.tiles):
+        k = len(tile)
+        for j in range(k):
+            cur = t.side_direction(i, j)
+            nxt = t.side_direction(i, (j + 1) % k)
+            phi = 180 - (nxt - cur) % 360
+            out.append((i, j, abs(tile[j]), abs(tile[(j + 1) % k]), phi))
+    return out
+
+
+def test_corners_match_the_side_direction_reference():
+    tilings = [
+        load_tiling(str(p)) for p in sorted(INSTANCES.glob("*.tiling"))
+    ]
+    tilings += [
+        rhombus_tiling(("-20", "350")),
+        hexagon_tiling(("-90", "0", "400")),
+    ]
+    tilings += _rhombic_tilings()
+    for t in tilings:
+        got = list(t.corners())
+        assert got == _reference_corners(t)
+        assert all(type(phi) is Fraction for *_rest, phi in got)
+        # The kept corners take no part in equality, hashing or repr.
+        twin = Tiling(t.zone_directions, t.tiles, t.adjacencies)
+        assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+        assert "_corners" not in repr(t)
 
 
 # ---------------------------------------------------------------------------
