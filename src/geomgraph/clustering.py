@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, rational
-from .geometry import Point
+from .geometry import Point, _scaled
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
 # ---------------------------------------------------------------------------
@@ -95,12 +95,7 @@ def _distance_table(points) -> tuple[int, list[tuple[int, int]], list[list[int]]
     """(D, the coordinates times D as ints, the n x n table of their squared
     distances), where D is the lcm of every coordinate denominator.  The
     table is D^2 times the exact squared distances."""
-    scale = math.lcm(1, *(c.denominator for p in points for c in p))
-    xy = [
-        (p.x.numerator * (scale // p.x.denominator),
-         p.y.numerator * (scale // p.y.denominator))
-        for p in points
-    ]
+    scale, xy = _scaled(points)
     table = [
         [(ax - bx) ** 2 + (ay - by) ** 2 for bx, by in xy] for ax, ay in xy
     ]

@@ -18,12 +18,13 @@ from fractions import Fraction
 
 from .errors import InputError, integer
 from .geometry import (
+    IntPoint,
     Point,
     Polygon,
     Segment,
-    _ring_signed_area2,
+    _cross,
+    _twice_area,
     is_interior_chord,
-    orientation,
     triangulate,
 )
 
@@ -169,14 +170,10 @@ def fisk_guards(poly: Polygon) -> GuardCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _validate_quad_shape(pts: list[Point], label: str) -> None:
-    crosses = []
-    for i in range(4):
-        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % 4]
-        crosses.append(orientation(a, b, c))
-    if any(x < 0 for x in crosses):
+def _validate_quad_shape(pts: list[IntPoint], label: str) -> None:
+    if any(_cross(pts[i - 1], pts[i], pts[(i + 1) % 4]) < 0 for i in range(4)):
         raise InputError(f"{label}: not convex (a corner turns clockwise)")
-    if _ring_signed_area2(pts) <= 0:
+    if _twice_area(pts) <= 0:
         raise InputError(f"{label}: not counterclockwise or degenerate")
 
 
@@ -192,6 +189,7 @@ def validate_quadrilateralization(
     with containment, certifies a partition); and the dual must be a tree.
     """
     verts = poly.all_vertices
+    xy = [p for ring in poly._xy for p in ring]
     n = len(verts)
     boundary_edges = set()
     offset = 0
@@ -203,7 +201,7 @@ def validate_quadrilateralization(
         offset += m
     if not quads:
         raise InputError("empty quadrilateralization")
-    area_sum = Fraction(0)
+    area2 = 0  # twice the quads' area, at the polygon's int scale
     side_faces: dict[tuple[int, int], list[int]] = {}
     for qi, quad in enumerate(quads):
         label = f"quad {qi}"
@@ -211,9 +209,9 @@ def validate_quadrilateralization(
             raise InputError(f"{label}: needs 4 distinct vertex indices")
         if any(not (0 <= v < n) for v in quad):
             raise InputError(f"{label}: vertex index out of range")
-        pts = [verts[v] for v in quad]
+        pts = [xy[v] for v in quad]
         _validate_quad_shape(pts, label)
-        area_sum += _ring_signed_area2(pts) / 2
+        area2 += _twice_area(pts)
         for i in range(4):
             a, b = quad[i], quad[(i + 1) % 4]
             key = (min(a, b), max(a, b))
@@ -224,13 +222,11 @@ def validate_quadrilateralization(
                         f"{label}: side {a}-{b} is not a polygon edge or an "
                         "interior diagonal"
                     )
-        for ring in poly.holes:
+        for ring in poly._xy[1:]:
             for p in ring:
-                inside = all(
-                    orientation(pts[i], pts[(i + 1) % 4], p) > 0 for i in range(4)
-                )
-                if inside:
+                if all(_cross(pts[i], pts[(i + 1) % 4], p) > 0 for i in range(4)):
                     raise InputError(f"{label}: contains a hole vertex")
+    area_sum = Fraction(area2, 2 * poly._scale * poly._scale)
     if area_sum != poly.area():
         raise InputError(
             f"quad areas sum to {area_sum}, polygon area is {poly.area()}: "

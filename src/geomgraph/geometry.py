@@ -1,15 +1,21 @@
 """Exact planar primitives: points, segments, polygons, triangulations.
 
-All coordinates are `fractions.Fraction`; every predicate is decided by exact
-sign computations, so there are no tolerance knobs anywhere in this module.
-Floats are deliberately rejected at construction time — convert them to
-Fractions explicitly if you really mean the binary value.
+Coordinates are `fractions.Fraction`s and every predicate is decided by an
+exact sign, so there are no tolerance knobs anywhere in this module.  The
+public `orientation` and `segments_intersect` answer on Fractions.  The
+polygon kernel (validation, ring area, ear clipping, chord and point
+location) instead scales a polygon's coordinates once by the lcm of their
+denominators and decides every turn with one int cross product, `_cross`.
+Validation sweeps the edges' bounding boxes, so only edges whose boxes meet
+get the exact test.  Floats are deliberately rejected at construction time
+— convert them to Fractions explicitly if you really mean the binary value.
 """
 
 from __future__ import annotations
 
 import collections
 import json
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -158,78 +164,163 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentIntersection:
 
 
 # ---------------------------------------------------------------------------
+# the int kernel: points scaled to int pairs, one cross product
+# ---------------------------------------------------------------------------
+
+IntPoint = tuple[int, int]
+
+
+def _scaled(points, base: int = 1) -> tuple[int, list[IntPoint]]:
+    """(D, the points times D as int pairs), where D is the lcm of base and
+    every coordinate denominator.  A positive scale keeps the sign of every
+    cross product and the order of every coordinate."""
+    scale = math.lcm(base, *(c.denominator for p in points for c in p))
+    return scale, [
+        (x.numerator * (scale // x.denominator),
+         y.numerator * (scale // y.denominator))
+        for x, y in points
+    ]
+
+
+def _cross(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
+    """`orientation(a, b, c)` on int pairs."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _sides(ring: list[IntPoint]) -> list[tuple[IntPoint, IntPoint]]:
+    """The ring's edges as (start, end) pairs; edge i leaves vertex i."""
+    return list(zip(ring, [*ring[1:], ring[0]]))
+
+
+def _twice_area(ring: list[IntPoint]) -> int:
+    """Twice the signed area of an int ring (positive when counterclockwise)."""
+    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in _sides(ring))
+
+
+def _in_box(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
+    """Is p in the closed bounding box of a and b?"""
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _on(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
+    """Does p lie on the closed segment ab?"""
+    return _cross(a, b, p) == 0 and _in_box(p, a, b)
+
+
+def _meet(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint) -> str:
+    """`segments_intersect(ab, cd).kind` on int pairs."""
+    o1, o2 = _cross(a, b, c), _cross(a, b, d)
+    if o1 == 0 and o2 == 0:
+        # Collinear: compare 1-D intervals along the dominant axis.
+        k = 1 if a[0] == b[0] else 0
+        lo = max(min(a[k], b[k]), min(c[k], d[k]))
+        hi = min(max(a[k], b[k]), max(c[k], d[k]))
+        if lo > hi:
+            return "disjoint"
+        return "endpoint_touch" if lo == hi else "overlap"
+    o3, o4 = _cross(c, d, a), _cross(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return "crossing"
+    if (
+        (o1 == 0 and _in_box(c, a, b)) or (o2 == 0 and _in_box(d, a, b))
+        or (o3 == 0 and _in_box(a, c, d)) or (o4 == 0 and _in_box(b, c, d))
+    ):
+        return "endpoint_touch"
+    return "disjoint"
+
+
+def _box_pairs(edges: list[tuple[IntPoint, IntPoint]]) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of the edges whose closed bounding
+    boxes meet; every other pair is disjoint.  A sweep in order of the
+    boxes' least x keeps the boxes still open at that x (Shamos & Hoey,
+    "Geometric intersection problems", FOCS 1976, with boxes for segments)."""
+    boxes = [
+        (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+        for (ax, ay), (bx, by) in edges
+    ]
+    pairs: list[tuple[int, int]] = []
+    active: list[int] = []
+    for i in sorted(range(len(boxes)), key=lambda e: boxes[e][0]):
+        x0, _, y0, y1 = boxes[i]
+        active = [j for j in active if boxes[j][1] >= x0]
+        for j in active:
+            if boxes[j][2] <= y1 and y0 <= boxes[j][3]:
+                pairs.append((j, i) if j < i else (i, j))
+        active.append(i)
+    pairs.sort()
+    return pairs
+
+
+def _locate(p: IntPoint, ring: list[IntPoint]) -> str:
+    """Locate p relative to a simple int ring: 'inside', 'boundary' or
+    'outside'.
+
+    Crossing-number walk; the half-open comparison on the y-range makes
+    vertices on the scan ray count once.  p is left of where edge ab meets
+    its height exactly when the turn a, b, p has the sign of b.y - a.y.
+    """
+    sides = _sides(ring)
+    if any(_on(p, a, b) for a, b in sides):
+        return "boundary"
+    inside = False
+    for a, b in sides:
+        if (a[1] > p[1]) != (b[1] > p[1]):
+            if (_cross(a, b, p) > 0) == (b[1] > a[1]):
+                inside = not inside
+    return "inside" if inside else "outside"
+
+
+# ---------------------------------------------------------------------------
 # polygons
 # ---------------------------------------------------------------------------
 
 
 def _ring_signed_area2(ring: Sequence[Point]) -> Fraction:
     """Twice the signed area of a ring (positive when counterclockwise)."""
-    total = Fraction(0)
-    for i, p in enumerate(ring):
-        q = ring[(i + 1) % len(ring)]
-        total += p.x * q.y - q.x * p.y
-    return total
+    scale, xy = _scaled(ring)
+    return Fraction(_twice_area(xy), scale * scale)
 
 
 def _ring_edges(ring: Sequence[Point]) -> list[Segment]:
     return [Segment(p, ring[(i + 1) % len(ring)]) for i, p in enumerate(ring)]
 
 
-def _validate_ring(ring: tuple[Point, ...], name: str, orthogonal: bool) -> None:
+def _validate_ring(ring: list[IntPoint], name: str, orthogonal: bool) -> None:
     n = len(ring)
     if n < 3:
         raise InputError(f"{name}: a ring needs at least 3 vertices, got {n}")
     if len(set(ring)) != n:
         raise InputError(f"{name}: repeated vertex in ring")
     for i in range(n):
-        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % n]
-        if orientation(a, b, c) == 0:
+        if _cross(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
             raise InputError(
                 f"{name}: vertices {i - 1 if i else n - 1},{i},{(i + 1) % n} "
                 "are collinear (consecutive edges must turn)"
             )
-    edges = _ring_edges(ring)
+    edges = _sides(ring)
     if orthogonal:
-        for i, e in enumerate(edges):
-            horizontal = e.a.y == e.b.y
-            vertical = e.a.x == e.b.x
-            if not (horizontal or vertical):
+        for i, (a, b) in enumerate(edges):
+            horizontal = a[1] == b[1]
+            if not (horizontal or a[0] == b[0]):
                 raise InputError(f"{name}: edge {i} is not axis-parallel")
-            nxt = edges[(i + 1) % n]
-            if horizontal == (nxt.a.y == nxt.b.y):
+            c, d = edges[(i + 1) % n]
+            if horizontal == (c[1] == d[1]):
                 raise InputError(
                     f"{name}: edges {i} and {(i + 1) % n} do not alternate "
                     "between horizontal and vertical"
                 )
     # Simplicity: non-adjacent edges must be disjoint.  Adjacent edges meet
     # only at their shared vertex, since consecutive edges turn (above).
-    for i in range(n):
-        for j in range(i + 2, n - 1 if i == 0 else n):
-            kind = segments_intersect(edges[i], edges[j]).kind
-            if kind != "disjoint":
-                raise InputError(f"{name}: edges {i} and {j} intersect ({kind})")
-
-
-def _point_in_ring(p: Point, ring: tuple[Point, ...]) -> str:
-    """Locate p relative to a simple ring: 'inside', 'boundary', 'outside'.
-
-    Crossing-number walk with exact arithmetic; the half-open comparison on
-    the y-range makes vertices on the scan ray count once.
-    """
-    for e in _ring_edges(ring):
-        if _on_segment(p, e):
-            return "boundary"
-    inside = False
-    n = len(ring)
-    for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            # x-coordinate of the edge at height p.y, compared exactly.
-            t = (p.y - a.y) / (b.y - a.y)
-            x_cross = a.x + t * (b.x - a.x)
-            if p.x < x_cross:
-                inside = not inside
-    return "inside" if inside else "outside"
+    # The pairs come in (i, j) order, so the least offending pair is named.
+    for i, j in _box_pairs(edges):
+        if j - i in (1, n - 1):
+            continue
+        kind = _meet(*edges[i], *edges[j])
+        if kind != "disjoint":
+            raise InputError(f"{name}: edges {i} and {j} intersect ({kind})")
 
 
 @dataclass(frozen=True)
@@ -255,35 +346,48 @@ class Polygon:
             self, "holes", tuple(tuple(Point(x, y) for x, y in h) for h in holes)
         )
         object.__setattr__(self, "kind", kind)
+        # The int kernel's copy of the rings, scaled once (not a field, so
+        # equality, hashing and repr see only the Points).
+        scale, xy = _scaled(self.all_vertices)
+        rings, start = [], 0
+        for ring in self.rings:
+            rings.append(xy[start:start + len(ring)])
+            start += len(ring)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_xy", tuple(rings))
         self._validate()
 
     def _validate(self) -> None:
         if self.kind not in ("simple", "orthogonal"):
             raise InputError(f"unknown polygon kind {self.kind!r}")
         ortho = self.kind == "orthogonal"
-        _validate_ring(self.outer, "outer ring", ortho)
-        if _ring_signed_area2(self.outer) <= 0:
+        outer, *holes = self._xy
+        _validate_ring(outer, "outer ring", ortho)
+        if _twice_area(outer) <= 0:
             raise InputError("outer ring must be counterclockwise")
-        for h, ring in enumerate(self.holes):
+        for h, ring in enumerate(holes):
             _validate_ring(ring, f"hole {h}", ortho)
-            if _ring_signed_area2(ring) >= 0:
+            if _twice_area(ring) >= 0:
                 raise InputError(f"hole {h} must be clockwise")
         # Rings pairwise disjoint (no edge contact at all between rings).
-        rings = [self.outer, *self.holes]
-        names = ["outer ring"] + [f"hole {h}" for h in range(len(self.holes))]
-        ring_edges = [_ring_edges(r) for r in rings]
-        for i in range(len(rings)):
-            for j in range(i + 1, len(rings)):
-                for ei in ring_edges[i]:
-                    for ej in ring_edges[j]:
-                        if segments_intersect(ei, ej).kind != "disjoint":
-                            raise InputError(f"{names[i]} and {names[j]} touch")
+        # Candidates go by ring pair first, so the least touching pair of
+        # rings is named.
+        names = ["outer ring"] + [f"hole {h}" for h in range(len(holes))]
+        ring_of = [r for r, ring in enumerate(self._xy) for _ in ring]
+        edges = [e for ring in self._xy for e in _sides(ring)]
+        between = sorted(
+            (ring_of[i], ring_of[j], i, j)
+            for i, j in _box_pairs(edges) if ring_of[i] != ring_of[j]
+        )
+        for r, s, i, j in between:
+            if _meet(*edges[i], *edges[j]) != "disjoint":
+                raise InputError(f"{names[r]} and {names[s]} touch")
         # Containment: since rings are disjoint, one vertex decides each test.
-        for h, ring in enumerate(self.holes):
-            if _point_in_ring(ring[0], self.outer) != "inside":
+        for h, ring in enumerate(holes):
+            if _locate(ring[0], outer) != "inside":
                 raise InputError(f"hole {h} is not inside the outer ring")
-            for g, other in enumerate(self.holes):
-                if g != h and _point_in_ring(ring[0], other) == "inside":
+            for g, other in enumerate(holes):
+                if g != h and _locate(ring[0], other) == "inside":
                     raise InputError(f"hole {h} is nested inside hole {g}")
 
     # -- indexing ----------------------------------------------------------
@@ -305,10 +409,33 @@ class Polygon:
 
     def area(self) -> Fraction:
         """Exact area of the polygon interior (holes subtracted)."""
-        total = _ring_signed_area2(self.outer)
-        for h in self.holes:
-            total += _ring_signed_area2(h)  # holes are clockwise: negative
-        return total / 2
+        # Holes are clockwise, so their signed areas are negative.
+        total = sum(_twice_area(ring) for ring in self._xy)
+        return Fraction(total, 2 * self._scale * self._scale)
+
+
+def _with_points(poly: Polygon, points) -> tuple[tuple, list[IntPoint]]:
+    """The polygon's int rings and the points, at one common scale."""
+    scale, xy = _scaled(points, poly._scale)
+    k = scale // poly._scale
+    if k == 1:
+        return poly._xy, xy
+    return tuple([(x * k, y * k) for x, y in ring] for ring in poly._xy), xy
+
+
+def _where(p: IntPoint, rings) -> str:
+    """point_in_polygon on int rings (outer ring first)."""
+    outer, *holes = rings
+    where = _locate(p, outer)
+    if where != "inside":
+        return where
+    for ring in holes:
+        where = _locate(p, ring)
+        if where == "boundary":
+            return "boundary"
+        if where == "inside":
+            return "outside"
+    return "inside"
 
 
 def point_in_polygon(p: Point, poly: Polygon) -> str:
@@ -316,16 +443,8 @@ def point_in_polygon(p: Point, poly: Polygon) -> str:
 
     Points on any ring are 'boundary'; points inside a hole are 'outside'.
     """
-    where = _point_in_ring(p, poly.outer)
-    if where != "inside":
-        return where
-    for ring in poly.holes:
-        where = _point_in_ring(p, ring)
-        if where == "boundary":
-            return "boundary"
-        if where == "inside":
-            return "outside"
-    return "inside"
+    rings, (q,) = _with_points(poly, (p,))
+    return _where(q, rings)
 
 
 def is_interior_chord(seg: Segment, poly: Polygon) -> bool:
@@ -335,15 +454,18 @@ def is_interior_chord(seg: Segment, poly: Polygon) -> bool:
     overlap, no touch except at the chord's own endpoints (so no third
     vertex on it), and its midpoint strictly inside.
     """
-    for ring in poly.rings:
-        for edge in _ring_edges(ring):
-            hit = segments_intersect(seg, edge)
-            if hit.kind in ("crossing", "overlap"):
-                return False
-            if hit.kind == "endpoint_touch" and hit.point not in (seg.a, seg.b):
-                return False
     mid = Point((seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2)
-    return point_in_polygon(mid, poly) == "inside"
+    rings, (a, b, m) = _with_points(poly, (seg.a, seg.b, mid))
+    for ring in rings:
+        for c, d in _sides(ring):
+            kind = _meet(a, b, c, d)
+            if kind in ("crossing", "overlap"):
+                return False
+            # A single common point is the chord's own endpoint exactly
+            # when that endpoint lies on the edge.
+            if kind == "endpoint_touch" and not (_on(a, c, d) or _on(b, c, d)):
+                return False
+    return _where(m, rings) == "inside"
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +490,11 @@ class Triangulation:
         return adj
 
 
-def _point_in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
+def _point_in_closed_triangle(
+    p: IntPoint, a: IntPoint, b: IntPoint, c: IntPoint
+) -> bool:
     """Is p in the closed CCW triangle abc?  (Corners count as inside.)"""
-    return (
-        orientation(a, b, p) >= 0
-        and orientation(b, c, p) >= 0
-        and orientation(c, a, p) >= 0
-    )
+    return _cross(a, b, p) >= 0 and _cross(b, c, p) >= 0 and _cross(c, a, p) >= 0
 
 
 def triangulate(poly: Polygon) -> Triangulation:
@@ -387,7 +507,7 @@ def triangulate(poly: Polygon) -> Triangulation:
     if poly.holes:
         raise InputError("triangulate expects a polygon without holes")
     ring = list(range(len(poly.outer)))
-    pts = poly.outer
+    pts = poly._xy[0]
     triangles: list[tuple[int, int, int]] = []
     scan = 0
     while len(ring) > 3:
@@ -396,7 +516,7 @@ def triangulate(poly: Polygon) -> Triangulation:
             k = (scan + offset) % n
             ia, ib, ic = ring[k - 1], ring[k], ring[(k + 1) % n]
             a, b, c = pts[ia], pts[ib], pts[ic]
-            if orientation(a, b, c) <= 0:
+            if _cross(a, b, c) <= 0:
                 continue  # reflex or straight corner: not an ear
             blocked = False
             for other in ring:
@@ -416,10 +536,8 @@ def triangulate(poly: Polygon) -> Triangulation:
 
     if len(triangles) != len(poly.outer) - 2:
         raise AssertionError("ear clipping must give n - 2 triangles")
-    total = sum(
-        orientation(pts[a], pts[b], pts[c]) for a, b, c in triangles
-    )
-    if total != _ring_signed_area2(poly.outer):
+    total = sum(_cross(pts[a], pts[b], pts[c]) for a, b, c in triangles)
+    if total != _twice_area(pts):
         raise AssertionError("triangle areas must sum to the polygon's")
 
     # Weak dual: a diagonal is an edge shared by exactly two triangles.
@@ -533,7 +651,13 @@ def load_polygon(path: str) -> Polygon:
 # ---------------------------------------------------------------------------
 
 
-def _angle_less(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> bool:
+# Samples a random polygon generator draws before it gives up with
+# InputError.  Every call in the tests and the benchmark succeeds well
+# within it (CHANGES.md records the counts).
+MAX_SAMPLES = 2000
+
+
+def _angle_less(u: tuple[int, int], v: tuple[int, int]) -> bool:
     """Exact counterclockwise-from-positive-x angle comparison of vectors."""
     uh = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
     vh = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
@@ -548,19 +672,24 @@ def random_simple_polygon(n: int, seed: int, span: int = 60) -> Polygon:
     Samples distinct grid points, sorts them by exact angle around their
     centroid, and retries until the result validates (distinct angles, no
     collinear consecutive triples).  The polygons are star-shaped around the
-    centroid, which is plenty for exercising reflex-vertex handling.
+    centroid, which is plenty for exercising reflex-vertex handling.  Gives
+    up with InputError after MAX_SAMPLES samples.
     """
     if n < 3:
         raise InputError("a polygon needs at least 3 vertices")
+    if n > (2 * span + 1) ** 2:
+        raise InputError(
+            f"{n} vertices do not fit in the {2 * span + 1}x{2 * span + 1} grid"
+        )
     rng = random.Random(seed)
-    while True:
+    for _ in range(MAX_SAMPLES):
         pts = set()
         while len(pts) < n:
             pts.add((rng.randint(-span, span), rng.randint(-span, span)))
-        cloud = [Point(x, y) for x, y in sorted(pts)]
-        cx = Fraction(sum(p.x for p in cloud), n)
-        cy = Fraction(sum(p.y for p in cloud), n)
-        vecs = [(p.x - cx, p.y - cy) for p in cloud]
+        cloud = sorted(pts)
+        # n times each point's offset from the centroid: same angles, on ints.
+        sx, sy = sum(x for x, _ in cloud), sum(y for _, y in cloud)
+        vecs = [(n * x - sx, n * y - sy) for x, y in cloud]
         if any(v == (0, 0) for v in vecs):
             continue
         order = list(range(n))
@@ -575,8 +704,11 @@ def random_simple_polygon(n: int, seed: int, span: int = 60) -> Polygon:
         )
         if not distinct:
             continue
-        ring = [cloud[i] for i in order]
         try:
-            return Polygon(ring)
+            return Polygon([cloud[i] for i in order])
         except InputError:
             continue
+    raise InputError(
+        f"no simple polygon with {n} vertices in {MAX_SAMPLES} samples "
+        f"(seed {seed})"
+    )

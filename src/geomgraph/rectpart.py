@@ -19,6 +19,7 @@ inside cells.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,13 +27,14 @@ from itertools import combinations
 
 from .errors import InputError
 from .geometry import (
+    MAX_SAMPLES,
     Point,
     Polygon,
     Segment,
+    _cross,
     _ring_edges,
     _ring_signed_area2,
     orientation,
-    segments_intersect,
 )
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
@@ -51,10 +53,10 @@ def concave_vertices(poly: Polygon) -> tuple[int, ...]:
         raise InputError("rectangle partition expects an orthogonal polygon")
     out: list[int] = []
     offset = 0
-    for ring in poly.rings:
+    for ring in poly._xy:
         m = len(ring)
         for i in range(m):
-            if orientation(ring[i - 1], ring[i], ring[(i + 1) % m]) < 0:
+            if _cross(ring[i - 1], ring[i], ring[(i + 1) % m]) < 0:
                 out.append(offset + i)
         offset += m
     if len(out) != poly.total_vertices // 2 + 2 * len(poly.holes) - 2:
@@ -132,6 +134,22 @@ def good_diagonals(poly: Polygon) -> tuple[Segment, ...]:
     return tuple(found)
 
 
+def _conflicts(
+    horiz: list[Segment], vert: list[Segment]
+) -> list[tuple[int, int]]:
+    """(i, j) for each horizontal chord horiz[i] that meets, touching
+    included, vertical chord vert[j].  Closed axis-parallel segments meet
+    exactly when the vertical one's x lies in the horizontal one's x-range
+    and the horizontal one's y in the vertical one's y-range; endpoints are
+    sorted, so a < b along each chord."""
+    return [
+        (i, j)
+        for i, h in enumerate(horiz)
+        for j, v in enumerate(vert)
+        if h.a.x <= v.a.x <= h.b.x and v.a.y <= h.a.y <= v.b.y
+    ]
+
+
 def independent_diagonals(
     poly: Polygon,
 ) -> tuple[tuple[Segment, ...], tuple[Segment, ...]]:
@@ -141,12 +159,7 @@ def independent_diagonals(
     diags = good_diagonals(poly)
     horiz = [d for d in diags if d.a.y == d.b.y]
     vert = [d for d in diags if d.a.x == d.b.x]
-    edges = []
-    for i, hseg in enumerate(horiz):
-        for j, vseg in enumerate(vert):
-            if segments_intersect(hseg, vseg).kind != "disjoint":
-                edges.append((i, j))
-    graph = BipartiteGraph(len(horiz), len(vert), edges)
+    graph = BipartiteGraph(len(horiz), len(vert), _conflicts(horiz, vert))
     matching = max_bipartite_matching(graph)
     chosen_tags = konig_independent_set(graph, matching)
     chosen = [horiz[i] for side, i in chosen_tags if side == "L"]
@@ -333,19 +346,24 @@ def random_orthogonal_polygon(
     Diagonal cell contacts are patched and enclosed pockets filled so the
     boundary is simple; with_hole carves one unit hole strictly inside.
     Retries until the concave-corner count is at most max_concave (keeping
-    brute-force cross-checks tractable)."""
+    brute-force cross-checks tractable), and gives up with InputError after
+    MAX_SAMPLES samples."""
     if with_hole and cells < 9:
         raise InputError(
             f"a hole needs a fully surrounded cell, impossible with "
             f"{cells} cells (need at least 9)"
         )
     rng = random.Random(seed)
-    while True:
+    for _ in range(MAX_SAMPLES):
         filled = {(0, 0)}
+        grown = [(0, 0)]  # sorted(filled), kept sorted as cells are added
         while len(filled) < cells:
-            x, y = rng.choice(sorted(filled))
+            x, y = rng.choice(grown)
             dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
-            filled.add((x + dx, y + dy))
+            cell = (x + dx, y + dy)
+            if cell not in filled:
+                filled.add(cell)
+                bisect.insort(grown, cell)
 
         def patch_pinches() -> None:
             changed = True
@@ -418,6 +436,11 @@ def random_orthogonal_polygon(
             continue
         if len(concave_vertices(poly)) <= max_concave:
             return poly
+    raise InputError(
+        f"no orthogonal polygon of {cells} cells"
+        f"{' with a hole' if with_hole else ''} and at most {max_concave} "
+        f"concave corners in {MAX_SAMPLES} samples (seed {seed})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from geomgraph import cli, verify
+from geomgraph import cli, rectpart, verify
 from geomgraph.cli import main
 from geomgraph.clustering import load_points
 from geomgraph.geometry import load_polygon
@@ -207,6 +207,20 @@ def test_gen_is_reproducible_and_defaults_to_stdout(capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert first.splitlines()[0].strip() == "6"
+
+
+def test_gen_exits_two_when_no_sample_qualifies(monkeypatch, capsys):
+    # 192 random cells almost never keep to 14 concave corners; a lower
+    # bound on the samples keeps the test fast.
+    monkeypatch.setattr(rectpart, "MAX_SAMPLES", 3)
+    argv = ["gen", "orth-polygon", "--seed", "1", "--cells", "192"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[0] == (
+        "error: no orthogonal polygon of 192 cells and at most 14 concave "
+        "corners in 3 samples (seed 1)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from geomgraph import geometry
 from geomgraph.errors import InputError, rational
+from geomgraph.gallery import orthogonal_comb
 from geomgraph.geometry import (
     Point,
     Polygon,
@@ -20,6 +22,7 @@ from geomgraph.geometry import (
     segments_intersect,
     triangulate,
 )
+from geomgraph.rectpart import random_orthogonal_polygon
 
 
 def test_point_is_exact_and_rejects_floats():
@@ -166,6 +169,11 @@ def test_interior_chord_hand_cases():
     assert not chord(notch, (0, 0), (4, 0))  # along a boundary edge
     assert not chord(notch, (0, 0), (4, 4))  # touches (2, 2) inside the chord
     assert not chord(notch, (0, 4), (4, 4))  # outside, across the notch
+    # The notch's tip (1, 2) touches the chord from above; the rest of the
+    # chord, midpoint included, is inside.
+    tip = Polygon([(0, 0), (4, 0), (5, 2), (4, 4), (2, 4), (1, 2), (0, 4), (-1, 2)])
+    assert not chord(tip, (-1, 2), (5, 2))
+    assert chord(tip, (-1, 2), (1, 2))
     ring = Polygon(
         [(0, 0), (6, 0), (6, 6), (0, 6)],
         holes=[[(2, 2), (2, 4), (4, 4), (4, 2)]],
@@ -173,6 +181,224 @@ def test_interior_chord_hand_cases():
     assert chord(ring, (0, 0), (2, 2))  # outer corner to hole corner
     assert not chord(ring, (0, 0), (6, 6))  # touches both hole corners
     assert not chord(ring, (2, 2), (4, 4))  # through the hole
+
+
+# ---------------------------------------------------------------------------
+# validation against the all-pairs reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_ring(ring, name, orthogonal):
+    """All-pairs ring validation on Fractions, with the public predicates:
+    the bounding-box sweep must give the same verdict and message."""
+    n = len(ring)
+    if n < 3:
+        raise InputError(f"{name}: a ring needs at least 3 vertices, got {n}")
+    if len(set(ring)) != n:
+        raise InputError(f"{name}: repeated vertex in ring")
+    for i in range(n):
+        if orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
+            raise InputError(
+                f"{name}: vertices {i - 1 if i else n - 1},{i},{(i + 1) % n} "
+                "are collinear (consecutive edges must turn)"
+            )
+    edges = [Segment(p, ring[(i + 1) % n]) for i, p in enumerate(ring)]
+    if orthogonal:
+        for i, e in enumerate(edges):
+            horizontal = e.a.y == e.b.y
+            if not (horizontal or e.a.x == e.b.x):
+                raise InputError(f"{name}: edge {i} is not axis-parallel")
+            nxt = edges[(i + 1) % n]
+            if horizontal == (nxt.a.y == nxt.b.y):
+                raise InputError(
+                    f"{name}: edges {i} and {(i + 1) % n} do not alternate "
+                    "between horizontal and vertical"
+                )
+    for i in range(n):
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            kind = segments_intersect(edges[i], edges[j]).kind
+            if kind != "disjoint":
+                raise InputError(f"{name}: edges {i} and {j} intersect ({kind})")
+    return edges
+
+
+def _reference_area2(ring):
+    return sum(p.x * q.y - q.x * p.y for p, q in zip(ring, ring[1:] + ring[:1]))
+
+
+def _reference_inside(p, ring) -> bool:
+    """Is p strictly inside the ring?  Crossing number on Fractions."""
+    inside = False
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        if orientation(a, b, p) == 0 and (
+            min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+        ):
+            return False
+        if (a.y > p.y) != (b.y > p.y):
+            if p.x < a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x):
+                inside = not inside
+    return inside
+
+
+def _reference_touching(edges):
+    """Every ring pair (i, j), i < j, with an edge of one meeting the other."""
+    return [
+        (i, j)
+        for i in range(len(edges))
+        for j in range(i + 1, len(edges))
+        if any(
+            segments_intersect(a, b).kind != "disjoint"
+            for a in edges[i] for b in edges[j]
+        )
+    ]
+
+
+def _reference_validate(outer, holes, kind):
+    rings = [tuple(Point(x, y) for x, y in r) for r in (outer, *holes)]
+    if kind not in ("simple", "orthogonal"):
+        raise InputError(f"unknown polygon kind {kind!r}")
+    names = ["outer ring"] + [f"hole {h}" for h in range(len(holes))]
+    edges = []
+    for r, ring in enumerate(rings):
+        edges.append(_reference_ring(ring, names[r], kind == "orthogonal"))
+        if r == 0 and _reference_area2(ring) <= 0:
+            raise InputError("outer ring must be counterclockwise")
+        if r > 0 and _reference_area2(ring) >= 0:
+            raise InputError(f"hole {r - 1} must be clockwise")
+    touching = _reference_touching(edges)
+    if touching:
+        i, j = touching[0]
+        raise InputError(f"{names[i]} and {names[j]} touch")
+    for h, ring in enumerate(rings[1:]):
+        if not _reference_inside(ring[0], rings[0]):
+            raise InputError(f"hole {h} is not inside the outer ring")
+        for g, other in enumerate(rings[1:]):
+            if g != h and _reference_inside(ring[0], other):
+                raise InputError(f"hole {h} is nested inside hole {g}")
+
+
+def _verdict(validate, *args) -> str:
+    try:
+        validate(*args)
+    except InputError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _assert_same_verdicts(cases) -> list[str]:
+    verdicts = []
+    for outer, holes, kind in cases:
+        want = _verdict(_reference_validate, outer, holes, kind)
+        assert _verdict(Polygon, outer, holes, kind) == want, (outer, holes)
+        verdicts.append(want)
+    return verdicts
+
+
+def test_validation_matches_all_pairs_on_shuffled_rings():
+    cases = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        ring = [(p.x, p.y) for p in random_simple_polygon(6 + seed % 15, seed).outer]
+        if seed % 2:
+            # Non-integer coordinates, a different denominator for each.
+            ring = [(Fraction(x, rng.randint(1, 6)), Fraction(y, rng.randint(1, 6)))
+                    for x, y in ring]
+        cases += [(ring, (), "simple"), (ring[::-1], (), "simple")]
+        for _ in range(4):
+            shuffled = ring[:]
+            rng.shuffle(shuffled)
+            cases.append((shuffled, (), "simple"))
+    verdicts = _assert_same_verdicts(cases)
+    assert "ok" in verdicts
+    assert any(v.endswith("(crossing)") for v in verdicts)
+
+
+def test_validation_matches_all_pairs_on_nudged_orthogonal_rings():
+    # Shifting one edge of an orthogonal ring across its neighbours lands
+    # it on, against or through other edges.
+    cases = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        ring = random_orthogonal_polygon(
+            seed, cells=10 + seed % 20, max_concave=10**9
+        ).outer
+        scale = Fraction(2, 3) if seed % 4 == 3 else 1  # some non-integer rings
+        for _ in range(12):
+            i, d = rng.randrange(len(ring)), rng.choice((-2, -1, 1, 2))
+            j = (i + 1) % len(ring)
+            a, b = ring[i], ring[j]
+            dx, dy = (0, d) if a.y == b.y else (d, 0)
+            moved = [
+                (p.x + dx, p.y + dy) if k in (i, j) else (p.x, p.y)
+                for k, p in enumerate(ring)
+            ]
+            cases.append(([(x * scale, y * scale) for x, y in moved], (), "orthogonal"))
+    verdicts = _assert_same_verdicts(cases)
+    for kind in ("overlap", "endpoint_touch", "crossing"):
+        assert any(v.endswith(f"({kind})") for v in verdicts), kind
+
+
+def test_validation_names_the_least_touching_ring_pair():
+    # Holes on an even grid inside a 16 x 16 box often share sides with the
+    # box and with each other, so several ring pairs touch at once.
+    cases, several = [], 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        scale = Fraction(1, 3) if seed % 5 == 4 else 1
+        holes = []
+        for _ in range(2 + seed % 2):
+            x, y = rng.randrange(0, 14, 2), rng.randrange(0, 14, 2)
+            w, h = rng.choice((2, 4)), rng.choice((2, 4))
+            holes.append([(x, y), (x, y + h), (x + w, y + h), (x + w, y)])
+        box = [(0, 0), (16, 0), (16, 16), (0, 16)]
+        cases.append((
+            [(px * scale, py * scale) for px, py in box],
+            [[(px * scale, py * scale) for px, py in hole] for hole in holes],
+            "orthogonal",
+        ))
+        rings = [tuple(Point(*p) for p in r) for r in (box, *holes)]
+        edges = [[Segment(p, r[(i + 1) % 4]) for i, p in enumerate(r)] for r in rings]
+        several += len(_reference_touching(edges)) > 1
+    verdicts = _assert_same_verdicts(cases)
+    assert several >= 100
+    touches = {v for v in verdicts if v.endswith("touch")}
+    assert {"outer ring and hole 1 touch", "hole 0 and hole 2 touch",
+            "hole 1 and hole 2 touch"} <= touches
+    assert "ok" in verdicts
+
+
+def test_validation_tests_a_linear_number_of_edge_pairs(monkeypatch):
+    # The all-pairs loop made about n^2 / 2 exact tests; the sweep tests
+    # only edges whose bounding boxes meet.
+    calls = 0
+    exact = geometry._meet
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return exact(*args)
+
+    monkeypatch.setattr(geometry, "_meet", counted)
+    comb = [(p.x, p.y) for p in orthogonal_comb(250)[0].outer]
+    steps = 500
+    staircase = [(0, 0), (steps, 0)]
+    for k in range(steps, 0, -1):
+        staircase += [(k, steps - k + 1), (k - 1, steps - k + 1)]
+    for ring in (comb, staircase):
+        assert len(ring) >= 1000
+        calls = 0
+        Polygon(ring, kind="orthogonal")
+        assert calls <= 4 * len(ring)
+
+
+def test_random_simple_polygon_gives_up_with_the_size(monkeypatch):
+    with pytest.raises(InputError, match="14642 vertices do not fit"):
+        random_simple_polygon(121 * 121 + 1, 0)
+    # n = 160 needs more than one sample at seed 0 (CHANGES.md).
+    monkeypatch.setattr(geometry, "MAX_SAMPLES", 1)
+    with pytest.raises(InputError, match="no simple polygon with 160 vertices"):
+        random_simple_polygon(160, 0)
 
 
 # ---------------------------------------------------------------------------

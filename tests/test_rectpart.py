@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from geomgraph import rectpart
 from geomgraph.errors import InputError
 from geomgraph.geometry import (
     Point,
@@ -15,9 +16,11 @@ from geomgraph.geometry import (
     is_interior_chord,
     orientation,
     point_in_polygon,
+    segments_intersect,
 )
 from geomgraph.rectpart import (
     RectPartition,
+    _conflicts,
     _trace_cell_boundary,
     annulus_polygon,
     build_partition,
@@ -103,6 +106,47 @@ def test_partition_matches_bruteforce_on_random_polygons():
         assert status == "passed", detail
 
 
+def _general_conflicts(horiz, vert):
+    return [
+        (i, j)
+        for i, h in enumerate(horiz)
+        for j, v in enumerate(vert)
+        if segments_intersect(h, v).kind != "disjoint"
+    ]
+
+
+def test_chord_conflicts_match_the_general_segment_test():
+    kinds = set()
+    # Random chords on a small grid: crossings, T-junctions, shared and
+    # touching endpoints all occur.
+    for seed in range(200):
+        rng = random.Random(seed)
+        horiz, vert = [], []
+        for _ in range(rng.randint(1, 5)):
+            x0, x1 = sorted(rng.sample(range(6), 2))
+            y = rng.randrange(6)
+            horiz.append(Segment(Point(x0, y), Point(x1, y)))
+        for _ in range(rng.randint(1, 5)):
+            y0, y1 = sorted(rng.sample(range(6), 2))
+            x = rng.randrange(6)
+            vert.append(Segment(Point(x, y0), Point(x, y1)))
+        assert _conflicts(horiz, vert) == _general_conflicts(horiz, vert), seed
+        kinds.update(segments_intersect(h, v).kind for h in horiz for v in vert)
+    assert kinds == {"disjoint", "crossing", "endpoint_touch"}
+    # And the good diagonals of seeded polygons, as the solver splits them.
+    conflicts = 0
+    for seed in range(60):
+        poly = random_orthogonal_polygon(
+            seed, cells=24 + seed % 40, with_hole=seed % 3 == 0, max_concave=10**9
+        )
+        diags = good_diagonals(poly)
+        horiz = [d for d in diags if d.a.y == d.b.y]
+        vert = [d for d in diags if d.a.x == d.b.x]
+        assert _conflicts(horiz, vert) == _general_conflicts(horiz, vert), seed
+        conflicts += len(_conflicts(horiz, vert))
+    assert conflicts > 0
+
+
 def test_rejects_non_orthogonal_input():
     tri = Polygon([(0, 0), (4, 0), (2, 3)])
     with pytest.raises(InputError):
@@ -114,6 +158,14 @@ def test_random_orthogonal_polygon_is_reproducible():
     b = random_orthogonal_polygon(9, with_hole=True)
     assert a.outer == b.outer and a.holes == b.holes
     assert len(concave_vertices(a)) <= 14
+
+
+def test_random_orthogonal_polygon_gives_up_with_the_size(monkeypatch):
+    # 96 cells with the default cap of 14 concave corners needs more than
+    # one sample at seed 0.
+    monkeypatch.setattr(rectpart, "MAX_SAMPLES", 1)
+    with pytest.raises(InputError, match="no orthogonal polygon of 96 cells"):
+        random_orthogonal_polygon(0, cells=96)
 
 
 def test_hole_requests_need_enough_cells():
