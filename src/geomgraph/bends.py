@@ -202,8 +202,6 @@ class BendAssignment:
     total_bends: int
     border_bends: dict
     junction_units: dict
-    network: FlowNetwork
-    flow: tuple[int, ...]
 
     def outline_corners(self, exterior: str) -> int:
         """Corner units decoded on exterior borders (always >= 4)."""
@@ -263,9 +261,7 @@ def min_bend_assignment(pmap: PlaneMap) -> BendAssignment:
                 f"expected {want}"
             )
 
-    return BendAssignment(
-        result.total_cost, border_bends, junction_units, net, result.flow
-    )
+    return BendAssignment(result.total_cost, border_bends, junction_units)
 
 
 def region_boundary_bends(assignment: BendAssignment, region: str) -> int:

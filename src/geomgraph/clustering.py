@@ -40,11 +40,11 @@ def validate_points(points) -> tuple[Point, ...]:
 
 def points_from_text(text: str) -> tuple[Point, ...]:
     """Parse the .pts format: one "x y" rational pair per line (blank lines
-    and #-comment lines ignored)."""
+    and # comments, whole-line or trailing, ignored)."""
     pts = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         parts = line.split()
         if len(parts) != 2:

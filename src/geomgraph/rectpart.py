@@ -28,13 +28,13 @@ from itertools import combinations
 from .errors import InputError
 from .geometry import (
     MAX_SAMPLES,
+    IntPoint,
     Point,
     Polygon,
     Segment,
     _cross,
     _ring_edges,
-    _ring_signed_area2,
-    orientation,
+    _twice_area,
 )
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
@@ -223,13 +223,12 @@ def _emit_cuts(
     return tuple(cuts)
 
 
-def _collapse_collinear(cycle: list[Point]) -> list[Point]:
-    kept = []
+def _collapse_collinear(cycle: list[IntPoint]) -> list[IntPoint]:
     m = len(cycle)
-    for i in range(m):
-        if orientation(cycle[i - 1], cycle[i], cycle[(i + 1) % m]) != 0:
-            kept.append(cycle[i])
-    return kept
+    return [
+        p for i, p in enumerate(cycle)
+        if _cross(cycle[i - 1], p, cycle[(i + 1) % m]) != 0
+    ]
 
 
 @dataclass(frozen=True)
@@ -298,23 +297,23 @@ def build_partition(poly: Polygon) -> RectPartition:
 # ---------------------------------------------------------------------------
 
 
-def _trace_cell_boundary(cells: set[tuple[int, int]]) -> list[list[Point]]:
-    """Boundary loops of a pinch-free polyomino, as corner-only point lists."""
-    edges: dict[Point, list[Point]] = {}
+def _trace_cell_boundary(cells: set[IntPoint]) -> list[list[IntPoint]]:
+    """Boundary loops of a pinch-free polyomino, as corner-only int pairs."""
+    edges: dict[IntPoint, list[IntPoint]] = {}
 
-    def add(a: Point, b: Point) -> None:
+    def add(a: IntPoint, b: IntPoint) -> None:
         edges.setdefault(a, []).append(b)
         edges.setdefault(b, []).append(a)
 
     for x, y in cells:
         if (x, y - 1) not in cells:
-            add(Point(x, y), Point(x + 1, y))
+            add((x, y), (x + 1, y))
         if (x, y + 1) not in cells:
-            add(Point(x, y + 1), Point(x + 1, y + 1))
+            add((x, y + 1), (x + 1, y + 1))
         if (x - 1, y) not in cells:
-            add(Point(x, y), Point(x, y + 1))
+            add((x, y), (x, y + 1))
         if (x + 1, y) not in cells:
-            add(Point(x + 1, y), Point(x + 1, y + 1))
+            add((x + 1, y), (x + 1, y + 1))
 
     if any(len(nbrs) != 2 for nbrs in edges.values()):
         raise AssertionError("pinched boundary")
@@ -418,20 +417,15 @@ def random_orthogonal_polygon(
             hole_cells = {rng.choice(candidates)}
 
         loops = _trace_cell_boundary(filled - hole_cells)
-        outer_loop = max(loops, key=lambda lp: abs(_ring_signed_area2(lp)))
-        if _ring_signed_area2(outer_loop) < 0:
+        outer_loop = max(loops, key=lambda lp: abs(_twice_area(lp)))
+        if _twice_area(outer_loop) < 0:
             outer_loop = outer_loop[::-1]
-        holes = []
-        for lp in loops:
-            if lp is outer_loop:
-                continue
-            if _ring_signed_area2(lp) > 0:
-                lp = lp[::-1]
-            holes.append([(p.x, p.y) for p in lp])
+        holes = [
+            lp[::-1] if _twice_area(lp) > 0 else lp
+            for lp in loops if lp is not outer_loop
+        ]
         try:
-            poly = Polygon(
-                [(p.x, p.y) for p in outer_loop], holes=holes, kind="orthogonal"
-            )
+            poly = Polygon(outer_loop, holes=holes, kind="orthogonal")
         except InputError:
             continue
         if len(concave_vertices(poly)) <= max_concave:

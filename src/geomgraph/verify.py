@@ -7,12 +7,20 @@ Size guards: rectangle partition <= 14 concave corners, clustering <= 12
 points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
 `check_rectpart`, `check_cluster` and `check_star` check the returned
 certificate itself at any size, before the guard.
+
+`check_bends` uses neither the flow network nor `graphs`.  Starting from
+minus each region's owed units, it folds the junctions in one at a time
+into the set of region balance vectors their unit choices reach, then
+prices each distinct vector once by an exact transport over
+border-crossing distances.  Within its bound a map has
+R <= 7 regions, J <= 2R - 4 = 10 junctions and at most 4J = 40 units.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from .bends import BendAssignment, PlaneMap
@@ -257,83 +265,49 @@ def check_cluster(points, d2, members: tuple[int, ...]) -> tuple[str, str]:
     return "failed", f"size {len(members)}, exhaustive maximum {best}"
 
 
-def _junction_unit_choices(degree: int):
-    top = 5 - degree
-    return [
-        units
-        for units in product(range(1, top + 1), repeat=degree)
-        if sum(units) == 4
-    ]
+def _junction_unit_choices(degree: int) -> list[tuple[int, ...]]:
+    """Quarter-turn units, 1..3 per region, that fill one junction's 360."""
+    return [u for u in product((1, 2, 3), repeat=degree) if sum(u) == 4]
 
 
-def _transport_cost(balance: dict[str, int], dist: dict[tuple[str, str], int]) -> int:
-    """Exact cheapest way to cancel surpluses against deficits."""
-    sources = sorted(r for r, b in balance.items() if b > 0)
-    sinks = sorted(r for r, b in balance.items() if b < 0)
-    need = {r: -balance[r] for r in sinks}
+def _transport_cost(balance: tuple[int, ...], dist: list[list[int]]) -> int:
+    """Exact cheapest way to cancel surpluses against deficits.
 
-    best = None
+    Each surplus unit in turn goes to some deficit.  The deficits left fix
+    how many units are placed, so they alone key the memo.  The recursion
+    is as deep as the surplus: a map in the oracle's bound has R <= 7
+    regions, so J <= 2R - 4 = 10 junctions and at most 4J = 40 units.
+    """
+    units = [r for r, b in enumerate(balance) for _ in range(b)]
+    sinks = [r for r, b in enumerate(balance) if b < 0]
 
-    def assign(i: int, remaining: dict[str, int], cost: int) -> None:
-        nonlocal best
-        if best is not None and cost >= best:
-            return
-        if i == len(sources):
-            if any(remaining.values()):
-                raise AssertionError("transport left a deficit unmet")
-            best = cost
-            return
-        src = sources[i]
-        units = balance[src]
+    @cache
+    def cheapest(left: tuple[int, ...]) -> int:
+        if not any(left):
+            return 0
+        src = units[len(units) - sum(left)]
+        return min(
+            dist[src][s] + cheapest(left[:k] + (n - 1,) + left[k + 1:])
+            for k, (s, n) in enumerate(zip(sinks, left)) if n
+        )
 
-        def split(j: int, left: int, add: int) -> None:
-            nonlocal best
-            if best is not None and cost + add >= best:
-                return
-            if j == len(sinks):
-                if left == 0:
-                    assign(i + 1, remaining, cost + add)
-                return
-            snk = sinks[j]
-            for take in range(min(left, remaining[snk]) + 1):
-                remaining[snk] -= take
-                split(j + 1, left - take, add + take * dist[(src, snk)])
-                remaining[snk] += take
-
-        split(0, units, 0)
-
-    assign(0, dict(need), 0)
-    if best is None:
-        raise AssertionError("no transport plan cancels the balance")
-    return best
+    return cheapest(tuple(-balance[s] for s in sinks))
 
 
-def _border_distances(pmap: PlaneMap) -> dict[tuple[str, str], int]:
-    """All-pairs cheapest border-crossing cost: exterior borders free,
-    interior borders one."""
-    weight = {}
+def _border_distances(pmap: PlaneMap) -> list[list[int]]:
+    """All-pairs cheapest border-crossing cost by Floyd-Warshall, indexed
+    like pmap.regions: exterior borders free, interior borders one."""
+    at = {r: i for i, r in enumerate(pmap.regions)}
+    n = len(at)
+    dist = [[0 if a == b else math.inf for b in range(n)] for a in range(n)]
     for a, b in pmap.adjacency:
-        w = 0 if pmap.exterior in (a, b) else 1
-        weight[(a, b)] = w
-        weight[(b, a)] = w
-    dist = {
-        (a, b): (0 if a == b else None)
-        for a in pmap.regions
-        for b in pmap.regions
-    }
-    for (a, b), w in weight.items():
-        if dist[(a, b)] is None or w < dist[(a, b)]:
-            dist[(a, b)] = w
-    for mid in pmap.regions:
-        for a in pmap.regions:
-            for b in pmap.regions:
-                left, right = dist[(a, mid)], dist[(mid, b)]
-                if left is None or right is None:
-                    continue
-                through = left + right
-                if dist[(a, b)] is None or through < dist[(a, b)]:
-                    dist[(a, b)] = through
-    if None in dist.values():
+        cost = 0 if pmap.exterior in (a, b) else 1
+        dist[at[a]][at[b]] = dist[at[b]][at[a]] = cost
+    for mid in range(n):
+        for a in range(n):
+            for b in range(n):
+                dist[a][b] = min(dist[a][b], dist[a][mid] + dist[mid][b])
+    if any(math.inf in row for row in dist):
         raise AssertionError("map not connected")
     return dist
 
@@ -342,30 +316,25 @@ def check_bends(pmap: PlaneMap, sol: BendAssignment) -> tuple[str, str]:
     interior = [r for r in pmap.regions if r != pmap.exterior]
     if len(interior) > 6:
         return "not-run", f"{len(interior)} regions exceed oracle bound 6"
+    at = {r: i for i, r in enumerate(pmap.regions)}
+    reach = {tuple(
+        -(2 * pmap.junction_count(r) + (4 if r == pmap.exterior else -4))
+        for r in pmap.regions
+    )}
+    for rot in pmap.junctions:
+        slots, choices = [at[r] for r in rot], _junction_unit_choices(len(rot))
+        folded = set()
+        for balance in reach:
+            for units in choices:
+                row = list(balance)
+                for r, u in zip(slots, units):
+                    row[r] += u
+                folded.add(tuple(row))
+        reach = folded
+    if any(sum(balance) for balance in reach):
+        raise AssertionError("angle units and owed corners do not balance")
     dist = _border_distances(pmap)
-    choices = [
-        _junction_unit_choices(len(rot)) for rot in pmap.junctions
-    ]
-    best = None
-    memo: dict[tuple[int, ...], int] = {}
-    names = sorted(pmap.regions)
-    owed = {}
-    for r in pmap.regions:
-        k = pmap.junction_count(r)
-        owed[r] = 2 * k + 4 if r == pmap.exterior else 2 * k - 4
-    for combo in product(*choices):
-        balance = {r: -owed[r] for r in pmap.regions}
-        for rot, units in zip(pmap.junctions, combo):
-            for r, u in zip(rot, units):
-                balance[r] += u
-        if sum(balance.values()) != 0:
-            raise AssertionError("angle units and owed corners do not balance")
-        key = tuple(balance[r] for r in names)
-        if key not in memo:
-            memo[key] = _transport_cost(balance, dist)
-        cost = memo[key]
-        if best is None or cost < best:
-            best = cost
+    best = min(_transport_cost(balance, dist) for balance in reach)
     if sol.total_bends == best:
         return "passed", f"total matches exhaustive optimum {best}"
     return "failed", f"total {sol.total_bends}, exhaustive optimum {best}"

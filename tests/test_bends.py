@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from geomgraph.bends import (
@@ -31,6 +34,18 @@ def pie_map() -> PlaneMap:
             ("out", "A"), ("out", "B"), ("out", "C"),
         ),
     )
+
+
+def wheel_map() -> PlaneMap:
+    """A hub ringed by five spokes.  The hub meets five junctions and no
+    exterior border, so it closes as a rectangle only with a straight angle
+    at one of them."""
+    spokes = [f"S{i}" for i in range(5)]
+    junctions, adjacency = [], []
+    for s, t in zip(spokes, spokes[1:] + spokes[:1]):
+        junctions += [("hub", s, t), ("ext", t, s)]
+        adjacency += [("hub", s), (s, t), (s, "ext")]
+    return PlaneMap(["hub", *spokes, "ext"], "ext", junctions, adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +150,90 @@ def test_outline_corners_never_fall_below_four():
     for pmap in (single_region_map(), grid_map(), five_region_map(), pie_map()):
         sol = min_bend_assignment(pmap)
         assert sol.outline_corners(pmap.exterior) >= 4
+
+
+def test_check_bends_fails_a_total_off_the_optimum():
+    for pmap in (single_region_map(), grid_map(), five_region_map(), pie_map()):
+        sol = min_bend_assignment(pmap)
+        best = sol.total_bends
+        for total in (best - 1, best + 1):
+            wrong = dataclasses.replace(sol, total_bends=total)
+            assert check_bends(pmap, wrong) == (
+                "failed", f"total {total}, exhaustive optimum {best}"
+            )
+
+
+def test_check_bends_does_not_depend_on_where_rotations_start():
+    # Whichever region a rotation lists first, every unit choice at that
+    # junction stays open: the wheel needs no bend at any shift.
+    assert min_bend_assignment(wheel_map()).total_bends == 0
+    for pmap in (grid_map(), five_region_map(), pie_map(), wheel_map()):
+        best = min_bend_assignment(pmap).total_bends
+        for shift in range(3):
+            turned = PlaneMap(
+                pmap.regions,
+                pmap.exterior,
+                [rot[shift:] + rot[:shift] for rot in pmap.junctions],
+                pmap.adjacency,
+            )
+            assert check_bends(turned, min_bend_assignment(turned)) == (
+                "passed", f"total matches exhaustive optimum {best}"
+            ), shift
+
+
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _seeded_grid_map(seed: int) -> PlaneMap:
+    """A k x k grid of cells grown into 3-6 regions from seeded cells.
+
+    Cells off the grid belong to the exterior.  The junctions are the grid
+    points where three or more regions meet, each rotation read
+    counterclockwise, and two regions are adjacent when they share a cell
+    side."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 4)
+    cells = {(x, y) for x in range(k) for y in range(k)}
+    seeds = rng.sample(sorted(cells), rng.randint(3, 6))
+    owner = {cell: f"R{i}" for i, cell in enumerate(seeds)}
+    while len(owner) < len(cells):
+        x, y = rng.choice(sorted(owner))
+        dx, dy = rng.choice(_STEPS)
+        if (x + dx, y + dy) in cells and (x + dx, y + dy) not in owner:
+            owner[x + dx, y + dy] = owner[x, y]
+
+    def at(x: int, y: int) -> str:
+        return owner.get((x, y), "ext")
+
+    junctions = []
+    for x in range(k + 1):
+        for y in range(k + 1):
+            ring = [at(x, y), at(x - 1, y), at(x - 1, y - 1), at(x, y - 1)]
+            rot = [r for i, r in enumerate(ring) if r != ring[i - 1]]
+            if len(set(rot)) >= 3:
+                junctions.append(rot)
+    adjacency = {
+        tuple(sorted((at(x, y), at(x + dx, y + dy))))
+        for x, y in cells
+        for dx, dy in _STEPS
+        if at(x, y) != at(x + dx, y + dy)
+    }
+    regions = sorted(set(owner.values())) + ["ext"]
+    return PlaneMap(regions, "ext", junctions, sorted(adjacency))
+
+
+def test_check_bends_agrees_with_the_circulation_on_grid_maps():
+    # The oracle folds junction units and prices transport without the
+    # flow network; on seeded maps its optimum must be the circulation's.
+    totals = []
+    for seed in range(40):
+        pmap = _seeded_grid_map(seed)
+        sol = min_bend_assignment(pmap)
+        assert check_bends(pmap, sol) == (
+            "passed", f"total matches exhaustive optimum {sol.total_bends}"
+        ), seed
+        totals.append(sol.total_bends)
+    assert max(totals) >= 1
 
 
 # ---------------------------------------------------------------------------

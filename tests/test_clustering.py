@@ -146,6 +146,12 @@ def test_points_text_errors_name_the_line():
         points_from_text("0 0\n# fine\n1 x\n")
 
 
+def test_points_text_strips_trailing_comments():
+    # As in the .off and .dist readers, text after '#' is a comment.
+    pts = points_from_text("0 0 # c\n1/2 3  # d\n")
+    assert pts == (Point(0, 0), Point("1/2", 3))
+
+
 def test_random_point_set_is_reproducible_and_distinct():
     a = random_point_set(12, 4)
     assert a == random_point_set(12, 4)

@@ -20,6 +20,27 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_verify_takes_only_the_bends_types_and_nothing_from_graphs():
+    # The bends oracle derives its optimum without the flow network it
+    # checks, so verify.py may take the map and answer types from bends and
+    # nothing at all from graphs.
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    imported = set()  # (module, name); "*" when a whole module is bound
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rsplit(".", 1)[-1]
+            imported |= {(module, a.name) for a in node.names}
+            imported |= {(a.name, "*") for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.name.rsplit(".", 1)[-1], "*") for a in node.names}
+    taken = {module: set() for module in ("bends", "graphs")}
+    for module, name in imported:
+        if module in taken:
+            taken[module].add(name)
+    assert taken["bends"] <= {"PlaneMap", "BendAssignment"}
+    assert taken["graphs"] == set()
+
+
 def _load(path: Path):
     spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
