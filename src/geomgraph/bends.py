@@ -13,11 +13,10 @@ representation of the map.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import FlowNetwork, min_cost_circulation, verify_circulation
+from .graphs import FlowNetwork, components, min_cost_circulation, verify_circulation
 
 # ---------------------------------------------------------------------------
 # plane maps
@@ -95,20 +94,8 @@ class PlaneMap:
                     "joins two junction ends"
                 )
 
-        # Connectivity of the region adjacency graph.
-        nbrs: dict[str, list[str]] = {r: [] for r in regions}
-        for a, b in pairs:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        reached = {regions[0]}
-        queue = deque([regions[0]])
-        while queue:
-            r = queue.popleft()
-            for s in nbrs[r]:
-                if s not in reached:
-                    reached.add(s)
-                    queue.append(s)
-        if len(reached) != len(regions):
+        at = {r: i for i, r in enumerate(regions)}
+        if any(components(len(regions), ((at[a], at[b]) for a, b in pairs))):
             raise InputError("the region adjacency graph is disconnected")
 
         # Sphere consistency: junctions - arcs + regions must equal 2

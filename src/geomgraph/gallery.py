@@ -27,6 +27,7 @@ from .geometry import (
     is_interior_chord,
     triangulate,
 )
+from .graphs import components
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -235,29 +236,16 @@ def validate_quadrilateralization(
     for key, faces in side_faces.items():
         if len(faces) > 2:
             raise InputError(f"side {key} belongs to {len(faces)} quads")
+    dual = [faces for faces in side_faces.values() if len(faces) == 2]
     adj: list[list[int]] = [[] for _ in quads]
-    edge_count = 0
-    for key, faces in side_faces.items():
-        if len(faces) == 2:
-            a, b = faces
-            adj[a].append(b)
-            adj[b].append(a)
-            edge_count += 1
-    seen = [False] * len(quads)
-    queue = deque([0])
-    seen[0] = True
-    reached = 1
-    while queue:
-        q = queue.popleft()
-        for u in adj[q]:
-            if not seen[u]:
-                seen[u] = True
-                reached += 1
-                queue.append(u)
-    if reached != len(quads) or edge_count != len(quads) - 1:
+    for a, b in dual:
+        adj[a].append(b)
+        adj[b].append(a)
+    reached = components(len(quads), dual).count(0)
+    if reached != len(quads) or len(dual) != len(quads) - 1:
         raise InputError(
             f"quad dual graph is not a tree ({reached}/{len(quads)} reached, "
-            f"{edge_count} dual edges)"
+            f"{len(dual)} dual edges)"
         )
     return adj
 

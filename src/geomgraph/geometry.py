@@ -307,6 +307,8 @@ def _validate_ring(ring: list[IntPoint], name: str, orthogonal: bool) -> None:
             if not (horizontal or a[0] == b[0]):
                 raise InputError(f"{name}: edge {i} is not axis-parallel")
             c, d = edges[(i + 1) % n]
+            # Two edges of one kind in a row are collinear, rejected above,
+            # so this names a vertical edge followed by a slanted one.
             if horizontal == (c[1] == d[1]):
                 raise InputError(
                     f"{name}: edges {i} and {(i + 1) % n} do not alternate "

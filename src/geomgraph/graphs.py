@@ -1,9 +1,10 @@
 """Classical graph algorithms over exact arithmetic.
 
-Matchings (Hopcroft–Karp and Edmonds' blossom), König's independent set,
-Bellman–Ford with negative-cycle witnesses, and min-cost circulation with
-lower bounds.  Everything is deterministic: ties break toward lower vertex
-and arc indices, so repeated runs give identical certificates.
+Connected components, matchings (Hopcroft–Karp and Edmonds' blossom),
+König's independent set, Bellman–Ford with negative-cycle witnesses, and
+min-cost circulation with lower bounds.  Everything is deterministic: ties
+break toward lower vertex and arc indices, so repeated runs give identical
+certificates.
 """
 
 from __future__ import annotations
@@ -149,6 +150,31 @@ class FlowNetwork:
             norm.append((t, h, lo, up, c))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", tuple(norm))
+
+
+# ---------------------------------------------------------------------------
+# connected components
+# ---------------------------------------------------------------------------
+
+
+def components(vertex_count: int, edges) -> list[int]:
+    """Label each vertex with the least vertex of its connected component
+    (union-find over the (u, v) edge pairs, each root the least of its set)."""
+    parent = list(range(vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru < rv:
+            parent[rv] = ru
+        elif rv < ru:
+            parent[ru] = rv
+    return [find(v) for v in range(vertex_count)]
 
 
 # ---------------------------------------------------------------------------

@@ -111,17 +111,13 @@ class TriMesh:
         if used != set(range(n)):
             raise InputError("unused vertex in mesh")
 
-        # Dual simplicity: adjacent triangles share exactly one edge.
-        pair_count: dict[tuple[int, int], int] = {}
-        for (u, v), t in owner.items():
-            s = owner[(v, u)]
-            if s == t:
-                raise InputError(f"edge ({u},{v}) bounds triangle {t} twice")
-            key = (min(s, t), max(s, t))
-            pair_count[key] = pair_count.get(key, 0) + 1
-        if any(c != 2 for c in pair_count.values()):
-            bad = next(k for k, c in pair_count.items() if c != 2)
-            raise InputError(f"triangles {bad} share more than one edge")
+        # Dual simplicity: each triangle has three distinct neighbours.
+        # The first triangle that fails is the lesser of its pair.
+        for t, tri in enumerate(self.triangles):
+            nbrs = [owner[(v, u)] for u, v in _tri_edges(tri)]
+            for s in nbrs:
+                if nbrs.count(s) > 1:
+                    raise InputError(f"triangles {(t, s)} share more than one edge")
 
         edge_count = len(owner) // 2
         if n - edge_count + len(self.triangles) != 2:

@@ -35,23 +35,29 @@ def _fmt(value) -> str:
 
 class _Drawing:
     """Collects shapes in mathematical (y-up) coordinates, then emits an
-    SVG with the y axis flipped and a margin around the content."""
+    SVG with the y axis flipped and a margin around the content.
 
-    def __init__(self) -> None:
+    The drawer passes points whose bounding box holds all it draws.  The
+    box's longer side (at least 1) is `unit`; stroke widths, dot radii and
+    the 6% margin of the viewBox are fractions of it.
+    """
+
+    def __init__(self, points) -> None:
         self.shapes: list[str] = []
-        self.xs: list[float] = []
-        self.ys: list[float] = []
-
-    def _see(self, pts) -> None:
-        for x, y in pts:
-            self.xs.append(float(x))
-            self.ys.append(float(y))
+        xs = [float(x) for x, _ in points]
+        ys = [float(y) for _, y in points]
+        w, h = max(xs) - min(xs), max(ys) - min(ys)
+        self.unit = max(w, h, 1.0)
+        pad = self.unit * 0.06
+        self.view = (
+            f"{_fmt(min(xs) - pad)} {_fmt(-max(ys) - pad)} "
+            f"{_fmt(w + 2 * pad)} {_fmt(h + 2 * pad)}"
+        )
 
     def poly(self, rings, fill: str, stroke: str, width: float,
              dash: str = "", rule: str = "") -> None:
         parts = []
         for ring in rings:
-            self._see(ring)
             steps = " L ".join(f"{_fmt(x)} {_fmt(-y)}" for x, y in ring)
             parts.append(f"M {steps} Z")
         extra = f' stroke-dasharray="{dash}"' if dash else ""
@@ -63,7 +69,6 @@ class _Drawing:
         )
 
     def line(self, a, b, stroke: str, width: float, dash: str = "") -> None:
-        self._see([a, b])
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.shapes.append(
             f'<line x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}" '
@@ -74,7 +79,6 @@ class _Drawing:
 
     def dot(self, p, r: float, fill: str, stroke: str = "none",
             width: float = 0.0) -> None:
-        self._see([p])
         pen = "" if stroke == "none" else (
             f' stroke="{stroke}" stroke-width="{_fmt(width)}"'
         )
@@ -84,28 +88,11 @@ class _Drawing:
         )
 
     def render(self) -> str:
-        if not self.xs:
-            raise AssertionError("nothing drawn")
-        lo_x, hi_x = min(self.xs), max(self.xs)
-        lo_y, hi_y = min(self.ys), max(self.ys)
-        pad = max(hi_x - lo_x, hi_y - lo_y, 1.0) * 0.06
-        view = (
-            f"{_fmt(lo_x - pad)} {_fmt(-hi_y - pad)} "
-            f"{_fmt(hi_x - lo_x + 2 * pad)} {_fmt(hi_y - lo_y + 2 * pad)}"
-        )
         body = "\n".join(self.shapes)
         return (
             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="640" viewBox="{view}">\n{body}\n</svg>\n'
+            f'width="640" viewBox="{self.view}">\n{body}\n</svg>\n'
         )
-
-
-def _scale(points) -> float:
-    """The longer side of the points' bounding box (at least 1); stroke
-    widths and dot radii are fractions of it."""
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
-    return max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,59 +102,55 @@ def _scale(points) -> float:
 
 def gallery_svg(poly: Polygon, cert: GuardCertificate) -> str:
     rings = [[(v.x, v.y) for v in ring] for ring in poly.rings]
-    unit = _scale([p for ring in rings for p in ring])
     verts = poly.all_vertices
-    d = _Drawing()
-    d.poly(rings, fill="#dce8f5", stroke="#2b4a6f", width=unit * 0.008,
+    d = _Drawing([p for ring in rings for p in ring])
+    d.poly(rings, fill="#dce8f5", stroke="#2b4a6f", width=d.unit * 0.008,
            rule="evenodd")
     for face in cert.faces:
         pts = [(verts[i].x, verts[i].y) for i in face]
-        d.poly([pts], fill="none", stroke="#9fb8d1", width=unit * 0.003)
+        d.poly([pts], fill="none", stroke="#9fb8d1", width=d.unit * 0.003)
     for g in cert.guards:
-        d.dot((verts[g].x, verts[g].y), unit * 0.018, "#d62728",
-              stroke="#7a1416", width=unit * 0.004)
+        d.dot((verts[g].x, verts[g].y), d.unit * 0.018, "#d62728",
+              stroke="#7a1416", width=d.unit * 0.004)
     return d.render()
 
 
 def rectpart_svg(poly: Polygon, part: RectPartition) -> str:
-    unit = _scale([(p.x, p.y) for box in part.rectangles for p in box])
-    d = _Drawing()
+    d = _Drawing([(p.x, p.y) for box in part.rectangles for p in box])
     for i, (ll, ur) in enumerate(part.rectangles):
         box = [(ll.x, ll.y), (ur.x, ll.y), (ur.x, ur.y), (ll.x, ur.y)]
         d.poly([box], fill=_PALETTE[i % len(_PALETTE)], stroke="none",
                width=0.0)
     rings = [[(v.x, v.y) for v in ring] for ring in poly.rings]
-    d.poly(rings, fill="none", stroke="#1a1a1a", width=unit * 0.01)
+    d.poly(rings, fill="none", stroke="#1a1a1a", width=d.unit * 0.01)
     for seg in part.diagonals:
         d.line((seg.a.x, seg.a.y), (seg.b.x, seg.b.y), stroke="#ffffff",
-               width=unit * 0.006, dash=f"{_fmt(unit * 0.02)}")
+               width=d.unit * 0.006, dash=f"{_fmt(d.unit * 0.02)}")
     return d.render()
 
 
 def cluster_svg(points, members) -> str:
     points = validate_points(points)
     chosen = set(members)
-    unit = _scale([(p.x, p.y) for p in points])
-    d = _Drawing()
+    d = _Drawing([(p.x, p.y) for p in points])
     for i, p in enumerate(points):
         if i in chosen:
-            d.dot((p.x, p.y), unit * 0.022, "#4e79a7", stroke="#27415f",
-                  width=unit * 0.005)
+            d.dot((p.x, p.y), d.unit * 0.022, "#4e79a7", stroke="#27415f",
+                  width=d.unit * 0.005)
         else:
-            d.dot((p.x, p.y), unit * 0.012, "#b0b0b0")
+            d.dot((p.x, p.y), d.unit * 0.012, "#b0b0b0")
     return d.render()
 
 
 def strip_svg(result: StripResult) -> str:
     mesh, strip = result.mesh, result.strip
     flat = [(float(v[0]), float(v[1])) for v in mesh.vertices]
-    unit = _scale(flat)
-    d = _Drawing()
+    d = _Drawing(flat)
     order = {t: i for i, t in enumerate(strip)}
     for t, tri in enumerate(mesh.triangles):
         pts = [flat[i] for i in tri]
         d.poly([pts], fill=_PALETTE[order[t] % len(_PALETTE)],
-               stroke="#ffffff", width=unit * 0.003)
+               stroke="#ffffff", width=d.unit * 0.003)
     centers = [
         (
             sum(flat[i][0] for i in mesh.triangles[t]) / 3,
@@ -177,8 +160,8 @@ def strip_svg(result: StripResult) -> str:
     ]
     for i, c in enumerate(centers):
         d.line(c, centers[(i + 1) % len(centers)], stroke="#1a1a1a",
-               width=unit * 0.004)
-    d.dot(centers[0], unit * 0.012, "#1a1a1a")
+               width=d.unit * 0.004)
+    d.dot(centers[0], d.unit * 0.012, "#1a1a1a")
     return d.render()
 
 
@@ -195,9 +178,8 @@ def tiling_svg(tiling: Tiling, solution: AngleSolution) -> str:
         for tiles, dx in ((before, 0.0), (after, shift))
         for i, tile in enumerate(tiles)
     ]
-    unit = _scale([p for _i, pts in shifted for p in pts])
-    d = _Drawing()
+    d = _Drawing([p for _i, pts in shifted for p in pts])
     for i, pts in shifted:
         d.poly([pts], fill=_PALETTE[i % len(_PALETTE)],
-               stroke="#1a1a1a", width=unit * 0.004)
+               stroke="#1a1a1a", width=d.unit * 0.004)
     return d.render()

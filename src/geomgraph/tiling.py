@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, integer, rational
+from .graphs import components
 from .parametric import INF, ParamDigraph, distances_at, karp_orlin_threshold
 
 __all__ = [
@@ -158,42 +159,30 @@ class ZoneReport:
 
 def zones(tiling: Tiling) -> ZoneReport:
     """Verify the declared zone labels are exactly the equivalence closure
-    of "opposite sides of a tile" and "glued sides of adjacent tiles"."""
+    of "opposite sides of a tile" and "glued sides of adjacent tiles".
+
+    No side class can hold two zones: `Tiling` already requires opposite
+    sides to carry z and -z and glued slots to carry z and -z, so every
+    link of the closure stays inside one zone.  What is left to check is
+    that each zone's sides form one class.
+    """
     slots = [
         (t, i)
         for t, tile in enumerate(tiling.tiles)
         for i in range(len(tile))
     ]
     index = {s: n for n, s in enumerate(slots)}
-    parent = list(range(len(slots)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for t, tile in enumerate(tiling.tiles):
-        k = len(tile) // 2
-        for i in range(k):
-            union(index[(t, i)], index[(t, i + k)])
-    for sa, sb in tiling.adjacencies:
-        union(index[sa], index[sb])
-
-    zone_of_class: dict[int, int] = {}
+    links = [
+        (index[(t, i)], index[(t, i + len(tile) // 2)])
+        for t, tile in enumerate(tiling.tiles)
+        for i in range(len(tile) // 2)
+    ]
+    links += [(index[sa], index[sb]) for sa, sb in tiling.adjacencies]
+    labels = components(len(slots), links)
     class_of_zone: dict[int, int] = {}
     for n, (t, i) in enumerate(slots):
         z = abs(tiling.tiles[t][i])
-        root = find(n)
-        if zone_of_class.setdefault(root, z) != z:
-            raise InputError(
-                f"tile {t} side {i}: zone {z} glued into zone "
-                f"{zone_of_class[root]}"
-            )
-        if class_of_zone.setdefault(z, root) != root:
+        if class_of_zone.setdefault(z, labels[n]) != labels[n]:
             raise InputError(
                 f"tile {t} side {i}: zone {z} splits into disconnected "
                 f"side classes"

@@ -6,7 +6,9 @@ the solver's reduction, and returns (status, detail) where status is
 Size guards: rectangle partition <= 14 concave corners, clustering <= 12
 points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
 `check_rectpart`, `check_cluster` and `check_star` check the returned
-certificate itself at any size, before the guard.
+certificate itself at any size, before the guard.  `check_cluster` takes
+the largest cluster as the maximum independent set of the far pairs, the
+same branch and bound that prices `check_rectpart`'s chord conflicts.
 
 `check_bends` uses neither the flow network nor `graphs`.  Starting from
 minus each region's owed units, it folds the junctions in one at a time
@@ -247,19 +249,9 @@ def check_cluster(points, d2, members: tuple[int, ...]) -> tuple[str, str]:
                 return "failed", f"members {a} and {b} are farther apart than d2 {d2}"
     if n > 12:
         return "not-run", f"{n} points exceed oracle bound 12"
-    best = 0
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        rest = mask
-        while rest:
-            i = rest.bit_length() - 1
-            if mask & ~near[i]:
-                break
-            rest ^= 1 << i
-        else:  # every chosen point is near every other
-            best = size
+    # The largest cluster is the largest point set that holds no far pair.
+    far = [(i, j) for i, j in combinations(range(n), 2) if not near[i] >> j & 1]
+    best = max_independent_set_size(n, far)
     if len(members) == best:
         return "passed", f"cluster size matches exhaustive maximum {best}"
     return "failed", f"size {len(members)}, exhaustive maximum {best}"

@@ -92,32 +92,152 @@ def test_missing_and_malformed_inputs_exit_two(tmp_path, capsys):
 
 TILING = {"directions": ["0", "30"], "tiles": [[1, 2, -1, -2]]}
 POLY = {"kind": "simple", "outer": [[0, 0], [4, 0], [0, 4]]}
+SQUARE = [[0, 0], [9, 0], [9, 9], [0, 9]]
 MAP = {"regions": ["A", "ext"], "exterior": "ext", "junctions": [],
        "adjacency": [["A", "ext"]]}
+# case -> (subcommand, document, a phrase of the rule it breaks).  The
+# case's first word is the file suffix; .quads go with annulus.poly, whose
+# outer vertices are 0-3 and whose hole vertices are 4-7.
 MALFORMED = {
-    "tiling-direction-text": ("tiling", {**TILING, "directions": ["abc", "30"]}),
-    "tiling-direction-1/0": ("tiling", {**TILING, "directions": ["1/0", "30"]}),
-    "tiling-direction-bool": ("tiling", {**TILING, "directions": [True, "30"]}),
-    "tiling-zone-text": ("tiling", {**TILING, "tiles": [[1, "b", -1, -2]]}),
-    "tiling-zone-float": ("tiling", {**TILING, "tiles": [[1, 2.5, -1, -2]]}),
-    "tiling-tiles-int": ("tiling", {**TILING, "tiles": 5}),
-    "tiling-adjacency-short": ("tiling", {**TILING, "adjacencies": [[[0, 0]]]}),
-    "poly-holes-int": ("gallery", {**POLY, "holes": 5}),
-    "map-regions-int": ("bends", {**MAP, "regions": 5}),
-    "map-adjacency-short": ("bends", {**MAP, "adjacency": [["A"]]}),
-    "map-junction-int": ("bends", {**MAP, "junctions": [5]}),
+    "tiling-direction-text": ("tiling", {**TILING, "directions": ["abc", "30"]},
+                              "bad rational angle 'abc'"),
+    "tiling-direction-1/0": ("tiling", {**TILING, "directions": ["1/0", "30"]},
+                             "bad rational angle '1/0'"),
+    "tiling-direction-bool": ("tiling", {**TILING, "directions": [True, "30"]},
+                              "bool angle True"),
+    "tiling-directions-text": ("tiling", {**TILING, "directions": "0 30"},
+                               "directions must be a list"),
+    "tiling-zone-text": ("tiling", {**TILING, "tiles": [[1, "b", -1, -2]]},
+                         "str zone id 'b'"),
+    "tiling-zone-float": ("tiling", {**TILING, "tiles": [[1, 2.5, -1, -2]]},
+                          "float zone id 2.5"),
+    "tiling-tiles-int": ("tiling", {**TILING, "tiles": 5},
+                         "tiles must be lists of zone ids"),
+    "tiling-adjacency-short": ("tiling", {**TILING, "adjacencies": [[[0, 0]]]},
+                               "adjacencies must be"),
+    "poly-holes-int": ("gallery", {**POLY, "holes": 5},
+                       "holes must be a list of rings"),
+    "poly-non-object": ("gallery", [POLY], "top level must be a JSON object"),
+    "poly-unknown-key": ("gallery", {**POLY, "color": "red"},
+                         "unknown key 'color'"),
+    "poly-empty-ring": ("gallery", {**POLY, "outer": []},
+                        "outer must be a non-empty list"),
+    "poly-non-int-pair": ("gallery", {**POLY, "outer": [[0, 0], [4, 0], [0, 0.5]]},
+                          "outer[2] must be a pair of integers"),
+    "poly-vertical-then-slanted": (
+        "gallery",
+        {"kind": "orthogonal", "outer": [[0, 0], [4, 0], [4, 4], [0, 8]]},
+        "edges 1 and 2 do not alternate between horizontal and vertical",
+    ),
+    "poly-hole-outside": (
+        "gallery",
+        {"outer": SQUARE, "holes": [[[10, 1], [10, 2], [11, 2], [11, 1]]]},
+        "hole 0 is not inside the outer ring",
+    ),
+    "poly-hole-nested": (
+        "gallery",
+        {"outer": SQUARE, "holes": [[[1, 1], [1, 8], [8, 8], [8, 1]],
+                                    [[3, 3], [3, 5], [5, 5], [5, 3]]]},
+        "hole 1 is nested inside hole 0",
+    ),
+    "map-regions-int": ("bends", {**MAP, "regions": 5},
+                        '"regions" must be a list of names'),
+    "map-adjacency-short": ("bends", {**MAP, "adjacency": [["A"]]},
+                            '"adjacency" must be pairs of region names'),
+    "map-junction-int": ("bends", {**MAP, "junctions": [5]},
+                         '"junctions" must be lists of region names'),
+    "map-non-object": ("bends", [MAP], "expected a JSON object"),
+    "map-empty-name": ("bends", {**MAP, "regions": ["", "ext"]},
+                       "region names must be nonempty strings"),
+    "map-no-interior": ("bends", {**MAP, "regions": ["ext"], "adjacency": []},
+                        "need at least one interior region"),
+    "map-junction-unknown": ("bends", {**MAP, "junctions": [["A", "ext", "Z"]]},
+                             "junction 0: unknown region 'Z'"),
+    "map-adjacency-unknown": ("bends", {**MAP, "adjacency": [["A", "Z"]]},
+                              "('A', 'Z'): unknown region"),
+    "map-self-border": ("bends", {**MAP, "adjacency": [["A", "A"]]},
+                        "a region cannot border itself"),
+    "map-adjacency-twice": ("bends",
+                            {**MAP, "adjacency": [["A", "ext"], ["ext", "A"]]},
+                            "listed more than once"),
+    "quads-empty": ("gallery", {"quads": []}, "empty quadrilateralization"),
+    "quads-three-indices": ("gallery", {"quads": [[0, 1, 7]]},
+                            "quads[0] must be 4 integer vertex indices"),
+    "quads-index-out-of-range": ("gallery", {"quads": [[0, 1, 7, 8]]},
+                                 "quad 0: vertex index out of range"),
+    "quads-non-convex": ("gallery", {"quads": [[0, 1, 4, 3]]},
+                         "quad 0: not convex"),
+    "quads-clockwise": ("gallery", {"quads": [[0, 3, 2, 1]]},
+                        "quad 0: not convex (a corner turns clockwise)"),
+    "quads-degenerate": ("gallery", {"quads": [[0, 4, 6, 2]]},
+                         "quad 0: not counterclockwise or degenerate"),
+    "quads-hole-vertex": ("gallery", {"quads": [[0, 1, 2, 3]]},
+                          "quad 0: contains a hole vertex"),
+    "quads-dual-cycle": (
+        "gallery",
+        {"quads": [[0, 1, 7, 4], [1, 2, 6, 7], [2, 3, 5, 6], [3, 0, 4, 5]]},
+        "quad dual graph is not a tree (4/4 reached, 4 dual edges)",
+    ),
 }
+
+
+def _the_error_line(argv, capsys) -> str:
+    """Run the CLI, require exit 2 and one error line, and return it."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    messages = [line for line in err if not line.startswith("elapsed:")]
+    assert len(messages) == 1 and messages[0].startswith("error: ")
+    return messages[0]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_json_exits_two_with_one_error_line(case, tmp_path, capsys):
-    cmd, doc = MALFORMED[case]
-    bad = tmp_path / f"bad.{case.split('-')[0]}"
+    cmd, doc, phrase = MALFORMED[case]
+    suffix = case.split("-")[0]
+    bad = tmp_path / f"bad.{suffix}"
     bad.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([cmd, "--in", str(bad)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    messages = [line for line in err if not line.startswith("elapsed:")]
-    assert len(messages) == 1 and messages[0].startswith("error: ")
+    if suffix == "quads":
+        argv = [cmd, "--in", path("annulus.poly"), "--quads", str(bad)]
+    else:
+        argv = [cmd, "--in", str(bad)]
+    assert phrase in _the_error_line(argv, capsys)
+
+
+TETRA = (Path(path("tetrahedron.off")).read_text(encoding="utf-8")
+         .splitlines())  # OFF, counts, 4 vertex rows, 4 face rows
+MALFORMED_TEXT = {
+    "off-no-counts": ("OFF\n", "missing OFF counts line"),
+    "off-bad-counts": ("OFF\n4 four 6\n", "line 2: bad counts line"),
+    "off-short-counts": ("OFF\n4 4\n", "line 2: expected 'V F E' counts"),
+    "off-row-count": ("\n".join(TETRA[:-1]), "expected 4 vertex and 4 face "
+                      "rows, found 7"),
+    "off-bad-coordinate": ("\n".join(TETRA[:3] + ["2 x 0"] + TETRA[4:]),
+                           "line 4: bad rational coordinate 'x'"),
+    "off-face-row": ("\n".join(TETRA[:-1] + ["4 1 2 3"]),
+                     "line 10: expected '3 i j k'"),
+    "off-bad-index": ("\n".join(TETRA[:-1] + ["3 1 2 z"]),
+                      "line 10: bad vertex index"),
+    "off-index-out-of-range": ("\n".join(TETRA[:-1] + ["3 1 2 4"]),
+                               "triangle 3 references vertex 4"),
+    "pts-empty": ("", "empty point set"),
+    "pts-comment-only": ("# nothing here\n", "empty point set"),
+    "dist-empty": ("", "empty distance file"),
+    "dist-bad-count": ("two\n0 1\n1 0\n", "line 1: expected the point count"),
+    "dist-row-count": ("3\n0 1 1\n1 0 1\n", "expected 3 matrix rows, found 2"),
+    "dist-row-length": ("2\n0 1\n1\n", "line 3: expected 2 entries"),
+}
+TEXT_COMMANDS = {"off": ["strip"], "pts": ["cluster", "--d2", "1"],
+                 "dist": ["star"]}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+def test_malformed_text_exits_two_with_one_error_line(case, tmp_path, capsys):
+    text, phrase = MALFORMED_TEXT[case]
+    suffix = case.split("-")[0]
+    bad = tmp_path / f"bad.{suffix}"
+    bad.write_text(text, encoding="utf-8")
+    argv = [TEXT_COMMANDS[suffix][0], "--in", str(bad), *TEXT_COMMANDS[suffix][1:]]
+    assert phrase in _the_error_line(argv, capsys)
 
 
 def test_unsupported_flags_exit_two(capsys):

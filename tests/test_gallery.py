@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -182,14 +183,38 @@ def test_orthogonal_guards_rejects_vertex_indices_that_are_not_ints():
 def test_verify_rejects_tampered_certificates():
     poly = comb_polygon(3)
     cert = fisk_guards(poly)
-    broken = type(cert)(
-        mode=cert.mode,
-        faces=cert.faces,
-        coloring=cert.coloring,
-        guards=cert.guards[:-1],
+    assert cert.faces[0] == (1, 2, 3) and cert.coloring[1:4] == (0, 1, 2)
+    assert cert.guards == (1, 5, 8) and cert.coloring[8] == 0
+    recolored = cert.coloring[:3] + (0,) + cert.coloring[4:]
+    tampered = {
+        "unknown mode 'hexagons'": replace(cert, mode="hexagons"),
+        "coloring covers 8 of 9 vertices": replace(
+            cert, coloring=cert.coloring[:-1]),
+        "coloring uses an out-of-range color": replace(
+            cert, coloring=(3,) + cert.coloring[1:]),
+        "face 0 has 2 vertices, expected 3": replace(
+            cert, faces=((1, 2),) + cert.faces[1:]),
+        "face 0 repeats a color": replace(cert, coloring=recolored),
+        "empty guard set": replace(cert, guards=()),
+        "guards are not a single color class": replace(cert, guards=(1, 2)),
+        "guards are not the whole color class": replace(
+            cert, guards=cert.guards[:-1]),
+        # Vertex -1 reads as vertex 8, a guard, so the colors check out,
+        # but no guard is listed on the face.
+        "face 0 contains no guard": replace(
+            cert, faces=((-1, 2, 3),) + cert.faces[1:]),
+    }
+    for msg, broken in tampered.items():
+        assert verify_guard_certificate(poly, broken) == (False, msg)
+    # A convex quadrilateral has one triangulation coloring, with classes of
+    # sizes 1, 2 and 1; the class of two is a valid class but too large.
+    square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    cert = fisk_guards(square)
+    pair = next(c for c in range(3) if cert.coloring.count(c) == 2)
+    big = tuple(v for v, c in enumerate(cert.coloring) if c == pair)
+    assert verify_guard_certificate(square, replace(cert, guards=big)) == (
+        False, "2 guards exceed floor(4/3)"
     )
-    ok, msg = verify_guard_certificate(poly, broken)
-    assert not ok and msg
 
 
 def test_quads_json_round_trip_and_errors():

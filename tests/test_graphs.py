@@ -12,6 +12,7 @@ from geomgraph.graphs import (
     Matching,
     WeightedDigraph,
     bellman_ford_multi,
+    components,
     konig_independent_set,
     max_bipartite_matching,
     maximum_matching_general,
@@ -59,6 +60,50 @@ def bf_general_size(n: int, edges) -> int:
         return top
 
     return best(0, 0)
+
+
+def bfs_components(n: int, edges) -> list[int]:
+    """Reference labels: breadth-first search from each unlabelled vertex
+    in index order, so every label is the least vertex it reaches."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    labels = [-1] * n
+    for root in range(n):
+        if labels[root] != -1:
+            continue
+        labels[root] = root
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if labels[v] == -1:
+                    labels[v] = root
+                    queue.append(v)
+    return labels
+
+
+# ---------------------------------------------------------------------------
+# connected components
+# ---------------------------------------------------------------------------
+
+
+def test_components_label_each_vertex_with_its_least_vertex():
+    assert components(0, []) == []
+    assert components(3, []) == [0, 1, 2]
+    assert components(5, [(4, 1), (3, 2), (2, 4)]) == [0, 1, 1, 1, 1]
+    assert components(4, [(2, 2), (3, 2), (2, 3)]) == [0, 1, 2, 2]
+
+
+def test_components_match_breadth_first_search_on_seeded_graphs():
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        edges = [
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        assert components(n, edges) == bfs_components(n, edges), seed
 
 
 # ---------------------------------------------------------------------------
