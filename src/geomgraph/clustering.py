@@ -178,19 +178,13 @@ def cluster_for_pair(points, p_idx: int, q_idx: int) -> tuple[int, ...]:
     return _pair_cluster(xy, table, p_idx, q_idx, _closed_lune(table, p_idx, q_idx))
 
 
-def max_cluster_given_d2(points, d2) -> tuple[int, ...]:
-    """Largest cluster with squared diameter at most d2; ties broken by the
+def _largest_cluster(xy, table, limit: int) -> tuple[int, ...]:
+    """Largest cluster whose table entries are all at most limit, given the
+    scaled coordinates and their distance table; ties broken by the
     lexicographically least sorted index tuple."""
-    points = validate_points(points)
-    d2 = rational(d2, "squared diameter bound")
-    if d2 < 0:
-        raise InputError("squared diameter bound must be nonnegative")
-    scale, xy, table = _distance_table(points)
-    # The table holds ints, so `entry <= d2 * D^2` iff `entry <= floor(...)`.
-    limit = math.floor(d2 * scale * scale)
     best = (0,)  # the singleton of the lowest index is always a cluster
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
+    for i in range(len(xy)):
+        for j in range(i + 1, len(xy)):
             if table[i][j] > limit:
                 continue
             lune = _closed_lune(table, i, j)
@@ -204,38 +198,50 @@ def max_cluster_given_d2(points, d2) -> tuple[int, ...]:
     return best
 
 
+def max_cluster_given_d2(points, d2) -> tuple[int, ...]:
+    """Largest cluster with squared diameter at most d2; ties broken by the
+    lexicographically least sorted index tuple."""
+    points = validate_points(points)
+    d2 = rational(d2, "squared diameter bound")
+    if d2 < 0:
+        raise InputError("squared diameter bound must be nonnegative")
+    scale, xy, table = _distance_table(points)
+    # The table holds ints, so `entry <= d2 * D^2` iff `entry <= floor(...)`.
+    return _largest_cluster(xy, table, math.floor(d2 * scale * scale))
+
+
 def min_diameter_k_cluster(points, k: int) -> ClusterResult:
     """A k-point cluster of minimum squared diameter: binary search over the
     sorted pairwise squared distances, then trim the winning cluster to its
-    k lowest indices."""
+    k lowest indices.  Every probe reads the one distance table, with the
+    table's own entries as limits."""
     points = validate_points(points)
     if not 1 <= k <= len(points):
         raise InputError(f"k must be between 1 and {len(points)}")
-    scale, _xy, table = _distance_table(points)
+    scale, xy, table = _distance_table(points)
     scale2 = scale * scale
-    values = [
-        Fraction(v, scale2) for v in sorted({v for row in table for v in row})
-    ]
+    values = sorted({v for row in table for v in row})
     # `cluster` is the probe at values[hi] once one has succeeded.
     lo, hi = 0, len(values) - 1
     cluster = None
     while lo < hi:
         mid = (lo + hi) // 2
-        probe = max_cluster_given_d2(points, values[mid])
+        probe = _largest_cluster(xy, table, values[mid])
         if len(probe) >= k:
             hi = mid
             cluster = probe
         else:
             lo = mid + 1
     if cluster is None:
-        cluster = max_cluster_given_d2(points, values[lo])
+        cluster = _largest_cluster(xy, table, values[lo])
     if len(cluster) < k:
         raise AssertionError(f"no {k}-cluster at the largest squared distance")
     members = cluster[:k]
-    diam2 = Fraction(max(table[a][b] for a in members for b in members), scale2)
+    diam2 = max(table[a][b] for a in members for b in members)
     # A smaller trimmed diameter would contradict the minimality of values[lo].
     if diam2 != values[lo]:
         raise AssertionError(
-            f"trimmed cluster has squared diameter {diam2}, not {values[lo]}"
+            f"trimmed cluster has squared diameter {Fraction(diam2, scale2)}, "
+            f"not {Fraction(values[lo], scale2)}"
         )
-    return ClusterResult(members, diam2)
+    return ClusterResult(members, Fraction(diam2, scale2))

@@ -69,12 +69,18 @@ def verify_guard_certificate(poly: Polygon, cert: GuardCertificate) -> tuple[boo
     for f, face in enumerate(cert.faces):
         if len(face) != face_size:
             return False, f"face {f} has {len(face)} vertices, expected {face_size}"
+        outside = next((v for v in face if not 0 <= v < n), None)
+        if outside is not None:
+            return False, f"face {f} names vertex {outside}, outside 0..{n - 1}"
         face_colors = {cert.coloring[v] for v in face}
         if len(face_colors) != face_size:
             return False, f"face {f} repeats a color"
     guard_set = set(cert.guards)
     if not guard_set:
         return False, "empty guard set"
+    outside = next((v for v in cert.guards if not 0 <= v < n), None)
+    if outside is not None:
+        return False, f"guard {outside} is outside 0..{n - 1}"
     guard_colors = {cert.coloring[v] for v in guard_set}
     if len(guard_colors) != 1:
         return False, "guards are not a single color class"

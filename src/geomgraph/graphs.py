@@ -415,13 +415,20 @@ class BellmanFordResult:
 
 
 def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordResult:
-    """Generic Bellman–Ford from a set of sources.
+    """Bellman–Ford from a set of sources, stopping at the first negative cycle.
 
-    arcs is a sequence of (tail, head, weight); weights only need + and <
-    against each other and against `zero` (Fractions, ints, or lexicographic
-    tuples all work).  A relaxation that survives vertex_count rounds proves
-    a negative cycle, which is extracted from the predecessor links and
-    re-verified by summing its arc weights before being returned.
+    arcs is a sequence of (tail, head, weight); the weights are ints or
+    Fractions, and `zero` is the sources' distance.  The arcs are grouped
+    by tail, each tail's in arc-index order.  A round scans the tails in
+    vertex order and relaxes the arcs of only those whose distance fell
+    since their last scan (at the start, the sources).  After each round
+    that lowered a distance, an O(n) walk of the predecessor links looks
+    for a cycle; a cycle found there is re-verified by summing its arc
+    weights and returned if that sum is negative.  Without a negative
+    cycle the distances are final after n - 1 rounds.  A relaxation that
+    survives n rounds proves a negative cycle, which is extracted by
+    walking back from the heads relaxed in the last round; so the worst
+    case stays O(n m).
     """
     n = vertex_count
     dist = [None] * n
@@ -430,46 +437,84 @@ def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordRes
         dist[s] = zero
     if n == 0:
         return BellmanFordResult((), None)
+    out: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
+    for aid, (t, h, w) in enumerate(arcs):
+        out[t].append((aid, h, w))
+    # dirty[v]: dist[v] fell (or was set) since v's arcs were last relaxed.
+    dirty = [d is not None for d in dist]
     last_round_heads: list[int] = []
     for rnd in range(n):
         changed = False
-        for aid, (t, h, w) in enumerate(arcs):
-            if dist[t] is None:
+        for t in range(n):
+            if not dirty[t]:
                 continue
-            cand = dist[t] + w
-            if dist[h] is None or cand < dist[h]:
-                dist[h] = cand
-                pred[h] = aid
-                changed = True
-                if rnd == n - 1:
-                    last_round_heads.append(h)
+            dirty[t] = False
+            d = dist[t]
+            for aid, h, w in out[t]:
+                cand = d + w
+                dh = dist[h]
+                if dh is None or cand < dh:
+                    dist[h] = cand
+                    pred[h] = aid
+                    dirty[h] = True
+                    changed = True
+                    if rnd == n - 1:
+                        last_round_heads.append(h)
         if not changed:
+            return BellmanFordResult(tuple(dist), None)
+        if rnd < n - 1:
+            cycle = _predecessor_cycle(arcs, pred, zero)
+            if cycle is not None:
+                return BellmanFordResult(None, cycle)
+    for start in last_round_heads:
+        v = start
+        for _ in range(n):
+            if pred[v] == -1:
+                break
+            v = arcs[pred[v]][0]
+        else:
+            # v is on a predecessor cycle.
+            cycle = _negative_cycle_through(arcs, pred, v, zero)
+            if cycle is not None:
+                return BellmanFordResult(None, cycle)
+    raise AssertionError("relaxation in final round but no negative cycle found")
+
+
+def _predecessor_cycle(arcs, pred: list[int], zero) -> tuple[int, ...] | None:
+    """The first negative cycle of the predecessor links, in vertex order
+    of the walks that reach it, or None; one O(n) pass, since each walk
+    stops at the first vertex an earlier walk (or itself) has visited."""
+    n = len(pred)
+    walk = [-1] * n  # the start of the walk that first visited each vertex
+    for start in range(n):
+        v = start
+        while v != -1 and walk[v] == -1:
+            walk[v] = start
+            aid = pred[v]
+            v = arcs[aid][0] if aid != -1 else -1
+        if v != -1 and walk[v] == start:
+            cycle = _negative_cycle_through(arcs, pred, v, zero)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def _negative_cycle_through(arcs, pred: list[int], v: int, zero) -> tuple[int, ...] | None:
+    """The predecessor cycle through v (arc indices in traversal order) if
+    its weights sum below zero, else None."""
+    cycle = []
+    cur = v
+    while True:
+        aid = pred[cur]
+        cycle.append(aid)
+        cur = arcs[aid][0]
+        if cur == v:
             break
-    if last_round_heads:
-        for start in last_round_heads:
-            v = start
-            for _ in range(n):
-                if pred[v] == -1:
-                    break
-                v = arcs[pred[v]][0]
-            else:
-                # v is on a predecessor cycle; walk it out.
-                cycle_arcs = []
-                cur = v
-                while True:
-                    aid = pred[cur]
-                    cycle_arcs.append(aid)
-                    cur = arcs[aid][0]
-                    if cur == v:
-                        break
-                cycle_arcs.reverse()
-                total = zero
-                for aid in cycle_arcs:
-                    total = total + arcs[aid][2]
-                if total < zero:
-                    return BellmanFordResult(None, tuple(cycle_arcs))
-        raise AssertionError("relaxation in final round but no negative cycle found")
-    return BellmanFordResult(tuple(dist), None)
+    cycle.reverse()
+    total = zero
+    for aid in cycle:
+        total = total + arcs[aid][2]
+    return tuple(cycle) if total < zero else None
 
 
 def negative_cycle_anywhere(g: WeightedDigraph) -> tuple[int, ...] | None:

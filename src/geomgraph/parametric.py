@@ -14,6 +14,14 @@ so no endpoint lies before that root.  Jumping to it is a Newton
 shortest paths; the walk stops at the first feasible probe, and its last
 cycle is tight there.
 
+A probe is one :func:`graphs.bellman_ford_multi` run from every vertex.
+Its rounds relax only the arcs of tails whose distance fell since their
+last scan, and after each round that changed something it walks the
+predecessor links for a cycle, so an infeasible probe usually stops after a
+few rounds with a short cycle.  Which negative cycle a probe returns, and
+with it the Newton steps and the witness cycles, depends on that order;
+the endpoints and the distances of a feasible probe do not.
+
 Every probe runs on ints.  A ParamDigraph scales its arcs once, by the lcm
 D of all intercept and slope denominators, and a probe at lam = p/q weighs
 each arc D*I*q + D*S*p, which is D*q times its exact weight.  A positive
@@ -168,12 +176,14 @@ def _cycle_sums(g: ParamDigraph, cycle) -> tuple[int, int]:
 def _root_bound(g: ParamDigraph) -> Fraction:
     """Every cycle constraint with nonzero slope has its root in
     [-bound, bound]: |root| = |I/S| <= (sum of |intercepts|) * lcm(slope
-    denominators), since a nonzero slope sum is at least 1/lcm in size."""
-    denom_lcm = math.lcm(1, *(s.denominator for (_t, _h, _i, s) in g.arcs))
-    intercept_sum = sum(
-        (abs(i) for (_t, _h, i, _s) in g.arcs), Fraction(0)
-    )
-    return intercept_sum * denom_lcm
+    denominators), since a nonzero slope sum is at least 1/lcm in size.
+    Computed on the scaled ints: the slope D*s/D has denominator
+    D / gcd(D*s, D) in lowest terms."""
+    scale = g.scale
+    slopes = {s for (_t, _h, _i, s) in g.scaled_arcs}
+    denom_lcm = math.lcm(1, *(scale // math.gcd(s, scale) for s in slopes))
+    intercept_sum = sum(abs(i) for (_t, _h, i, _s) in g.scaled_arcs)
+    return Fraction(intercept_sum * denom_lcm, scale)
 
 
 def _newton_walk(g: ParamDigraph, lam: Fraction, rising: bool):

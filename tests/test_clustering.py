@@ -162,13 +162,14 @@ def test_min_diameter_k_cluster_probes_only_in_the_binary_search(monkeypatch):
     import geomgraph.clustering as clustering
 
     probes = []
-    real = clustering.max_cluster_given_d2
+    real = clustering._largest_cluster
 
-    def counted(points, d2):
-        probes.append(d2)
-        return real(points, d2)
+    def counted(xy, table, limit):
+        probes.append(limit)
+        return real(xy, table, limit)
 
-    monkeypatch.setattr(clustering, "max_cluster_given_d2", counted)
+    # Integer points have scale 1, so each limit is the squared distance.
+    monkeypatch.setattr(clustering, "_largest_cluster", counted)
     pts = random_point_set(10, 4, span=25)
     res = min_diameter_k_cluster(pts, 4)
     values = len({dist2(a, b) for a in pts for b in pts})  # with 0
@@ -277,6 +278,39 @@ def test_min_diameter_matches_the_fraction_reference():
         k = 1 + seed % len(pts)
         res = min_diameter_k_cluster(pts, k)
         assert (res.diameter2, res.members) == _reference_min_diameter(pts, k), seed
+
+
+def _table_per_probe_min_diameter(points, k):
+    """The binary search as it was when every probe went through the public
+    `max_cluster_given_d2`, which validates the points and builds the
+    distance table again."""
+    points = validate_points(points)
+    values = sorted({dist2(a, b) for a in points for b in points})
+    lo, hi = 0, len(values) - 1
+    cluster = None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe = max_cluster_given_d2(points, values[mid])
+        if len(probe) >= k:
+            hi, cluster = mid, probe
+        else:
+            lo = mid + 1
+    if cluster is None:
+        cluster = max_cluster_given_d2(points, values[lo])
+    members = cluster[:k]
+    return max(dist2(points[a], points[b]) for a in members for b in members), members
+
+
+def test_min_diameter_reads_one_table_with_the_same_results():
+    for seed in range(200):
+        if seed % 2:
+            pts, _bounds = _seeded_case(seed)
+        else:
+            pts = random_point_set(4 + seed % 13, seed, span=12)
+        for k in {1, 2, 1 + seed % len(pts), len(pts)}:
+            res = min_diameter_k_cluster(pts, k)
+            want = _table_per_probe_min_diameter(pts, k)
+            assert (res.diameter2, res.members) == want, (seed, k)
 
 
 def test_a_lune_as_large_as_the_best_cluster_is_still_tried():

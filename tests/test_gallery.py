@@ -199,10 +199,14 @@ def test_verify_rejects_tampered_certificates():
         "guards are not a single color class": replace(cert, guards=(1, 2)),
         "guards are not the whole color class": replace(
             cert, guards=cert.guards[:-1]),
-        # Vertex -1 reads as vertex 8, a guard, so the colors check out,
-        # but no guard is listed on the face.
-        "face 0 contains no guard": replace(
+        # Vertex -1 would read as vertex 8, a guard, and vertex 9 or 99
+        # would raise IndexError; ids are range-checked before any lookup.
+        "face 0 names vertex -1, outside 0..8": replace(
             cert, faces=((-1, 2, 3),) + cert.faces[1:]),
+        "face 1 names vertex 9, outside 0..8": replace(
+            cert, faces=cert.faces[:1] + ((1, 9, 3),) + cert.faces[2:]),
+        "guard -1 is outside 0..8": replace(cert, guards=(1, 5, -1)),
+        "guard 99 is outside 0..8": replace(cert, guards=(99, 1, 5, 8)),
     }
     for msg, broken in tampered.items():
         assert verify_guard_certificate(poly, broken) == (False, msg)

@@ -278,6 +278,137 @@ def test_bellman_ford_negative_cycle_is_real():
         assert arcs[cyc[i]][1] == arcs[cyc[(i + 1) % len(cyc)]][0]
 
 
+def _round_based_bellman_ford(vertex_count, arcs, sources, zero):
+    """The reference driver: every arc in every round, and a cycle only
+    from the heads still relaxed after vertex_count rounds."""
+    n = vertex_count
+    dist = [None] * n
+    pred = [-1] * n
+    for s in sources:
+        dist[s] = zero
+    last_round_heads = []
+    for rnd in range(n):
+        changed = False
+        for aid, (t, h, w) in enumerate(arcs):
+            if dist[t] is None:
+                continue
+            cand = dist[t] + w
+            if dist[h] is None or cand < dist[h]:
+                dist[h] = cand
+                pred[h] = aid
+                changed = True
+                if rnd == n - 1:
+                    last_round_heads.append(h)
+        if not changed:
+            break
+    for v in last_round_heads:
+        for _ in range(n):
+            if pred[v] == -1:
+                break
+            v = arcs[pred[v]][0]
+        else:
+            cycle, cur = [], v
+            while True:
+                cycle.append(pred[cur])
+                cur = arcs[pred[cur]][0]
+                if cur == v:
+                    break
+            cycle.reverse()
+            if sum((arcs[a][2] for a in cycle), zero) < zero:
+                return None, tuple(cycle)
+    if last_round_heads:
+        raise AssertionError("relaxation in final round but no negative cycle")
+    return tuple(dist), None
+
+
+def _seeded_digraph(seed):
+    """n <= 8 vertices, int or Fraction weights (alternating by seed),
+    parallel arcs, sometimes a negative self-loop, and one to three sources,
+    so that some vertices are often unreachable."""
+    rng = random.Random(seed)
+    fractions = seed % 2 == 1
+    zero = Fraction(0) if fractions else 0
+
+    def weight(lo, hi):
+        w = rng.randint(lo, hi)
+        return Fraction(w, rng.randint(1, 4)) if fractions else w
+
+    n = rng.randint(1, 8)
+    arcs = []
+    for _ in range(rng.randint(0, 2 * n)):
+        t, h = rng.randrange(n), rng.randrange(n)
+        arcs.append((t, h, weight(-3, 9)))
+        if rng.random() < 0.3:
+            arcs.append((t, h, weight(-3, 9)))
+    if rng.random() < 0.15:
+        v = rng.randrange(n)
+        arcs.insert(rng.randrange(len(arcs) + 1), (v, v, weight(-3, -1)))
+    sources = rng.sample(range(n), rng.randint(1, min(3, n)))
+    return n, arcs, sources, zero
+
+
+def test_bellman_ford_matches_the_round_based_driver():
+    feasible = infeasible = unreachable = 0
+    for seed in range(1500):
+        n, arcs, sources, zero = _seeded_digraph(seed)
+        want_dist, want_cycle = _round_based_bellman_ford(n, arcs, sources, zero)
+        res = bellman_ford_multi(n, arcs, sources, zero)
+        assert (res.distances is None) == (want_dist is None), seed
+        assert res.distances == want_dist, seed
+        if res.negative_cycle is None:
+            feasible += 1
+            unreachable += None in res.distances
+            continue
+        infeasible += 1
+        cyc = res.negative_cycle
+        for i, a in enumerate(cyc):
+            assert arcs[a][1] == arcs[cyc[(i + 1) % len(cyc)]][0], seed
+        assert sum((arcs[a][2] for a in cyc), zero) < zero, seed
+    # The seeds reach both verdicts, and unreachable vertices.
+    assert min(feasible, infeasible, unreachable) >= 100
+
+
+def test_infeasible_probe_relaxes_fewer_arcs_than_n_rounds():
+    import importlib.util
+    from pathlib import Path
+
+    from geomgraph.parametric import _root_bound
+    from geomgraph.tiling import angle_graph
+
+    adds = [0]
+
+    class CountedInt(int):
+        def __add__(self, other):
+            adds[0] += 1
+            return CountedInt(int(self) + int(other))
+
+        __radd__ = __add__
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tilings.py"
+    spec = importlib.util.spec_from_file_location("_bench_tilings", path)
+    tilings = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tilings)
+    g = angle_graph(tilings.rhombic_tiling(12, 1))
+    n, m = g.vertex_count, len(g.scaled_arcs)
+    zero = CountedInt(0)
+    # Every cycle has a min-angle arc of slope -1, and the optimum is 15
+    # degrees, so both are infeasible: lam = 16 just above it, and the
+    # first probe of the Newton walk far above every cycle root.
+    first = _root_bound(g) + 1
+    assert first.denominator == 1
+    for lam in (16, first.numerator):
+        arcs = [(t, h, CountedInt(i + lam * s)) for (t, h, i, s) in g.scaled_arcs]
+        adds[0] = 0
+        assert _round_based_bellman_ford(n, arcs, range(n), zero)[1] is not None
+        assert adds[0] >= n * m
+        adds[0] = 0
+        cyc = bellman_ford_multi(n, arcs, range(n), zero).negative_cycle
+        assert cyc is not None and sum(arcs[a][2] for a in cyc) < 0
+        # 1,388 and 552 additions against n * m = 7,020 when this test was
+        # written: the far probe stops after its first round.
+        assert adds[0] < (n * m if lam == 16 else 2 * m)
+
+
 def test_negative_cycle_anywhere_on_disconnected_digraph():
     g = WeightedDigraph(5, [(0, 1, Fraction(1)),
                             (3, 4, Fraction(-2)), (4, 3, Fraction(1))])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -266,6 +267,22 @@ def test_param_digraph_scales_its_arcs_once():
     assert g == ParamDigraph(2, list(g.arcs))
     assert "scaled_arcs" not in repr(g)
     assert dataclasses.replace(g, vertex_count=3).scaled_arcs == g.scaled_arcs
+
+
+def test_root_bound_on_ints_equals_the_fraction_formula():
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        arcs = [
+            (rng.randrange(n), rng.randrange(n),
+             Fraction(rng.randint(-20, 30), rng.choice((1, 2, 3, 7))),
+             Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5, 9))))
+            for _ in range(rng.randint(0, 14))
+        ]
+        g = ParamDigraph(n, arcs)
+        lcm = math.lcm(1, *(s.denominator for (_t, _h, _i, s) in g.arcs))
+        want = sum((abs(i) for (_t, _h, i, _s) in g.arcs), Fraction(0)) * lcm
+        assert parametric._root_bound(g) == want
 
 
 def test_integer_probes_match_the_fraction_reference():
