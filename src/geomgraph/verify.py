@@ -10,6 +10,14 @@ certificate itself at any size, before the guard.  `check_cluster` takes
 the largest cluster as the maximum independent set of the far pairs, the
 same branch and bound that prices `check_rectpart`'s chord conflicts.
 
+`check_tiling` and `check_star` read their cycle ratios off one table,
+{slope sum: least intercept sum over all simple cycles}, from a subset DP
+in the style of Held and Karp: paths from each root through higher vertices
+grow one arc at a time, keeping one least intercept sum per (vertex set,
+end, slope sum).  How a path may close depends on that state alone, so the
+least path gives the least cycle of every slope sum, and the extreme ratio
+over every simple cycle is exact without listing the cycles.
+
 `check_bends` uses neither the flow network nor `graphs`.  Starting from
 minus each region's owed units, it folds the junctions in one at a time
 into the set of region balance vectors their unit choices reach, then
@@ -99,14 +107,11 @@ def _scaled_arcs(arcs) -> tuple[int, list[tuple[int, int, int, int]]]:
     ]
 
 
-def _integer_cycle_sums(vertex_count: int, arcs):
-    """Yield (intercept_sum, slope_sum) over all simple cycles of a graph
-    whose arcs carry int intercepts and slopes.
-
-    Parallel arcs are collapsed to the least intercept per (tail, head,
-    slope), which preserves every extreme cycle ratio.  Cycles are
-    enumerated once each by requiring the least vertex first.
-    """
+def _least_cycle_sums(vertex_count: int, arcs) -> dict[int, int]:
+    """{slope sum: least intercept sum over all simple cycles} of a graph
+    with int intercepts and slopes, by the subset DP in the module
+    docstring.  Parallel arcs collapse to the least intercept per (tail,
+    head, slope)."""
     collapsed: dict[tuple[int, int, int], int] = {}
     for t, h, intercept, slope in arcs:
         key = (t, h, slope)
@@ -116,55 +121,49 @@ def _integer_cycle_sums(vertex_count: int, arcs):
     for (t, h, slope), intercept in collapsed.items():
         out[t].append((h, intercept, slope))
 
-    for root in range(vertex_count):
-        stack = [(root, 0, 0, 1 << root)]
-        while stack:
-            v, isum, ssum, onpath = stack.pop()
-            for h, intercept, slope in out[v]:
-                if h == root:
-                    yield isum + intercept, ssum + slope
-                elif h > root and not onpath >> h & 1:
-                    stack.append(
-                        (h, isum + intercept, ssum + slope, onpath | 1 << h)
-                    )
-
-
-def _simple_cycles(vertex_count: int, arcs):
-    """Yield (intercept_sum, slope_sum) as Fractions over all simple cycles
-    of a graph with rational arcs, in :func:`_integer_cycle_sums` order."""
-    scale, scaled = _scaled_arcs(arcs)
-    for isum, ssum in _integer_cycle_sums(vertex_count, scaled):
-        yield Fraction(isum, scale), Fraction(ssum, scale)
+    least: dict[int, int] = {}
+    # A cycle's root is its least vertex, which it enters from a vertex no
+    # lower, so a start vertex with no arc in is no root.
+    for root in sorted({h for t, h, _s in collapsed if t >= h}):
+        layer = {(0, root, 0): 0}  # (vertices after root, end, slope sum)
+        while layer:
+            grown: dict[tuple[int, int, int], int] = {}
+            for (visited, v, ssum), isum in layer.items():
+                for h, intercept, slope in out[v]:
+                    total, s = isum + intercept, ssum + slope
+                    if h == root:
+                        if total < least.get(s, total + 1):
+                            least[s] = total
+                    elif h > root and not visited >> h & 1:
+                        key = (visited | 1 << h, h, s)
+                        if total < grown.get(key, total + 1):
+                            grown[key] = total
+            layer = grown
+    return least
 
 
 def min_cycle_ratio(g: ParamDigraph) -> Fraction | None:
-    """min over simple cycles with sloped arcs of intercept-sum / count of
-    sloped arcs, for slopes in {0, -1}; None when no cycle has one."""
-    best = None
+    """min over simple cycles with slope sum s < 0 of intercept-sum / -s
+    (the count of sloped arcs for slopes in {0, -1}); None when no cycle
+    has one.  Each s's least ratio is its least intercept sum, so the
+    minimum is exact; that would pick the wrong end of a positive slope
+    sum's ratios, so a positive slope raises InputError."""
     _scale, arcs = _scaled_arcs(g.arcs)  # the scale cancels in each ratio
-    for isum, ssum in _integer_cycle_sums(g.vertex_count, arcs):
-        if ssum == 0:
-            continue
-        ratio = Fraction(isum, -ssum)
-        if best is None or ratio < best:
-            best = ratio
-    return best
+    if any(slope > 0 for *_th, slope in arcs):
+        raise InputError("min_cycle_ratio takes slopes <= 0 only")
+    least = _least_cycle_sums(g.vertex_count, arcs)
+    return min((Fraction(i, -s) for s, i in least.items() if s < 0), default=None)
 
 
 def max_cycle_bound(g: ParamDigraph) -> Fraction | None:
-    """max over simple cycles with positive slope sum of
-    -intercept-sum / slope-sum; constant cycles must be nonnegative."""
-    best = None
+    """max over simple cycles with slope sum s > 0 of -intercept-sum / s;
+    constant cycles must be nonnegative.  Each s's greatest bound is its
+    least intercept sum, so the maximum is exact for slopes of any sign."""
     _scale, arcs = _scaled_arcs(g.arcs)  # the scale cancels in each ratio
-    for isum, ssum in _integer_cycle_sums(g.vertex_count, arcs):
-        if ssum == 0:
-            if isum < 0:
-                raise AssertionError("constant negative cycle")
-            continue
-        bound = Fraction(-isum, ssum)
-        if best is None or bound > best:
-            best = bound
-    return best
+    least = _least_cycle_sums(g.vertex_count, arcs)
+    if least.get(0, 0) < 0:
+        raise AssertionError("constant negative cycle")
+    return max((Fraction(-i, s) for s, i in least.items() if s > 0), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,21 @@ from geomgraph.parametric import (
     karp_orlin_threshold,
     parametric_feasible_interval,
 )
-from geomgraph.stars import load_matrix, optimal_star_embedding
-from geomgraph.tiling import load_tiling, optimize_angles
-from geomgraph.verify import _simple_cycles, min_cycle_ratio
+from geomgraph.stars import (
+    build_parametric_graph,
+    load_matrix,
+    optimal_star_embedding,
+    random_metric,
+)
+from geomgraph.tiling import (
+    angle_graph,
+    hexagon_tiling,
+    load_tiling,
+    optimize_angles,
+)
+from geomgraph.verify import max_cycle_bound, min_cycle_ratio
+
+from cycle_reference import least_cycle_sums, simple_cycle_sums
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -134,7 +146,7 @@ def test_interval_matches_cycle_enumeration_on_random_graphs():
         g = _random_sloped_graph(rng)
         lo = hi = None
         empty = False
-        for isum, ssum in _simple_cycles(g.vertex_count, g.arcs):
+        for isum, ssum in simple_cycle_sums(g.vertex_count, g.arcs):
             if ssum > 0 and (lo is None or -isum / ssum > lo):
                 lo = -isum / ssum
             if ssum < 0 and (hi is None or -isum / ssum < hi):
@@ -176,6 +188,47 @@ def test_interval_matches_cycle_enumeration_on_random_graphs():
         "everywhere", "lower only", "upper only", "two-sided",
         "single point", "empty, one cycle", "empty, two cycles",
     }
+
+
+def _oracle_graphs():
+    rng = random.Random(57)
+    for _ in range(400):
+        yield _random_sloped_graph(rng)
+    for path in sorted(INSTANCES.glob("*.tiling")):
+        yield angle_graph(load_tiling(str(path)))
+    yield angle_graph(hexagon_tiling())
+    for n in range(3, 6):
+        for seed in range(20):
+            yield build_parametric_graph(random_metric(n, seed))
+
+
+def test_least_cycle_sums_match_every_listed_cycle():
+    # The subset DP keeps one intercept sum per path state; listing every
+    # simple cycle must give the same least intercept sum per slope sum,
+    # and the same ratios read off it.
+    for g in _oracle_graphs():
+        want = least_cycle_sums(g.vertex_count, g.arcs)
+        got = verify._least_cycle_sums(g.vertex_count, g.scaled_arcs)
+        assert {
+            Fraction(s, g.scale): Fraction(i, g.scale) for s, i in got.items()
+        } == want
+
+        # A least intercept sum is the wrong end of a positive slope sum's
+        # ratios, so min_cycle_ratio refuses any positive slope.
+        if any(s > 0 for _t, _h, _i, s in g.arcs):
+            with pytest.raises(InputError, match="slopes <= 0"):
+                min_cycle_ratio(g)
+        else:
+            assert min_cycle_ratio(g) == min(
+                (i / -s for s, i in want.items() if s < 0), default=None
+            )
+        if want.get(0, 0) < 0:
+            with pytest.raises(AssertionError, match="constant negative cycle"):
+                max_cycle_bound(g)
+        else:
+            assert max_cycle_bound(g) == max(
+                (-i / s for s, i in want.items() if s > 0), default=None
+            )
 
 
 # ---------------------------------------------------------------------------

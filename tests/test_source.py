@@ -20,25 +20,33 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_verify_takes_only_the_bends_types_and_nothing_from_graphs():
-    # The bends oracle derives its optimum without the flow network it
-    # checks, so verify.py may take the map and answer types from bends and
-    # nothing at all from graphs.
+def _taken_by_verify(module: str) -> set[str]:
+    """The names verify.py imports from one package module."""
     tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
     imported = set()  # (module, name); "*" when a whole module is bound
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module:
-            module = node.module.rsplit(".", 1)[-1]
-            imported |= {(module, a.name) for a in node.names}
+            source = node.module.rsplit(".", 1)[-1]
+            imported |= {(source, a.name) for a in node.names}
             imported |= {(a.name, "*") for a in node.names}
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {(a.name.rsplit(".", 1)[-1], "*") for a in node.names}
-    taken = {module: set() for module in ("bends", "graphs")}
-    for module, name in imported:
-        if module in taken:
-            taken[module].add(name)
-    assert taken["bends"] <= {"PlaneMap", "BendAssignment"}
-    assert taken["graphs"] == set()
+    return {name for source, name in imported if source == module}
+
+
+def test_verify_takes_only_the_bends_types_and_nothing_from_graphs():
+    # The bends oracle derives its optimum without the flow network it
+    # checks, so verify.py may take the map and answer types from bends and
+    # nothing at all from graphs.
+    assert _taken_by_verify("bends") <= {"PlaneMap", "BendAssignment"}
+    assert _taken_by_verify("graphs") == set()
+
+
+def test_verify_takes_only_the_digraph_and_one_probe_from_parametric():
+    # The cycle oracles find their ratios by their own subset DP, so
+    # verify.py may take the graph type and check_star's bisection probe
+    # from parametric, and not the solver's threshold or distances.
+    assert _taken_by_verify("parametric") <= {"ParamDigraph", "feasibility_witness"}
 
 
 def _load(path: Path):

@@ -65,6 +65,13 @@ def test_tiling_oracle_steps_aside_above_6_zones():
     assert check_tiling(tiling, sol.lambda_star) == (
         "not-run", "7 zones exceed oracle bound 6"
     )
+    zones = range(1, 7)  # 6: the most the oracle takes
+    tiling = Tiling([str(20 * z) for z in zones],
+                    [tuple(zones) + tuple(-z for z in zones)])
+    sol = optimize_angles(tiling)
+    assert check_tiling(tiling, sol.lambda_star) == (
+        "passed", f"threshold matches exhaustive cycle ratio {sol.lambda_star}"
+    )
 
 
 def test_star_oracle_steps_aside_above_7_points():
