@@ -8,16 +8,17 @@ cycles creates a vertex at which a merging move is guaranteed.  Iterating
 yields one cyclic strip over a mesh that covers the same surface, growing
 the triangle count by at most a factor of 3/2.
 
-`single_strip` builds the topology once (directed-edge owners, dual
-neighbours, one incident triangle per vertex) and keeps the matching as a
-partner array with a cycle id and a position along the cycle for every
-triangle.  A merge test at a vertex of degree k reads only its ring and
-counts the cycles after the swap in O(k log k), and a per-vertex counter
-rejects in O(1) the vertices around which the matching does not
-alternate; an accepted swap relabels only the cycles that merged, and
-bisections split triangles in place.  The
-public `vertex_ring`, `merge_move`, `cycle_cover_from_matching` and
-`bisect_pair` work on whole meshes and share the driver's helpers.
+A validated `TriMesh` holds its topology (directed-edge owners and each
+triangle's three dual neighbours), and nothing rebuilds it.  `single_strip`
+copies it, adds one incident triangle per vertex, and keeps the matching as
+a partner array with a cycle id and a position along the cycle for every
+triangle; it uses no cache and hashes no mesh.  A merge test at a vertex of
+degree k reads only its ring and counts the cycles after the swap in
+O(k log k), and a per-vertex counter rejects in O(1) the vertices around
+which the matching does not alternate; an accepted swap relabels only the
+cycles that merged, and bisections split triangles in place.  The public
+`vertex_ring`, `merge_move`, `cycle_cover_from_matching` and `bisect_pair`
+work on whole meshes and share the driver's helpers.
 """
 
 from __future__ import annotations
@@ -70,11 +71,7 @@ class TriMesh:
 
     def __init__(self, vertices, triangles):
         verts = tuple(
-            (
-                rational(x, "coordinate"),
-                rational(y, "coordinate"),
-                rational(z, "coordinate"),
-            )
+            tuple(rational(c, "coordinate") for c in (x, y, z))
             for x, y, z in vertices
         )
         tris = tuple(
@@ -86,6 +83,8 @@ class TriMesh:
         self._validate()
 
     def _validate(self) -> None:
+        """Check the mesh; keep, not as fields, `_owner` (directed edge ->
+        its triangle) and `_adj` (the triangles across each one's edges)."""
         n = len(self.vertices)
         if len(self.triangles) < 4:
             raise InputError("a closed surface needs at least 4 triangles")
@@ -104,36 +103,33 @@ class TriMesh:
                 owner[e] = t
         for (u, v), t in owner.items():
             if (v, u) not in owner:
-                raise InputError(
-                    f"boundary edge ({u},{v}): mesh is not closed"
-                )
-        used = {v for tri in self.triangles for v in tri}
-        if used != set(range(n)):
+                raise InputError(f"boundary edge ({u},{v}): mesh is not closed")
+        if {v for tri in self.triangles for v in tri} != set(range(n)):
             raise InputError("unused vertex in mesh")
 
         # Dual simplicity: each triangle has three distinct neighbours.
         # The first triangle that fails is the lesser of its pair.
-        for t, tri in enumerate(self.triangles):
-            nbrs = [owner[(v, u)] for u, v in _tri_edges(tri)]
+        adj = []
+        for t, (a, b, c) in enumerate(self.triangles):
+            nbrs = (owner[(b, a)], owner[(c, b)], owner[(a, c)])
             for s in nbrs:
                 if nbrs.count(s) > 1:
                     raise InputError(f"triangles {(t, s)} share more than one edge")
+            adj.append(nbrs)
 
-        edge_count = len(owner) // 2
-        if n - edge_count + len(self.triangles) != 2:
+        if n - len(owner) // 2 + len(self.triangles) != 2:
             raise InputError("mesh is not a topological sphere")
 
-        seen = {0}
-        stack = [0]
+        seen, stack = {0}, [0]
         while stack:
-            t = stack.pop()
-            for u, v in _tri_edges(self.triangles[t]):
-                s = owner[(v, u)]
+            for s in adj[stack.pop()]:
                 if s not in seen:
                     seen.add(s)
                     stack.append(s)
         if len(seen) != len(self.triangles):
             raise InputError("mesh is not connected")
+        object.__setattr__(self, "_owner", owner)
+        object.__setattr__(self, "_adj", tuple(adj))
 
 
 def _tri_edges(tri: tuple[int, int, int]):
@@ -143,69 +139,30 @@ def _tri_edges(tri: tuple[int, int, int]):
 
 @lru_cache(maxsize=16)
 def _edge_owner(mesh: TriMesh) -> dict[tuple[int, int], int]:
-    """Directed edge -> index of the triangle containing it."""
-    owner: dict[tuple[int, int], int] = {}
-    for t, tri in enumerate(mesh.triangles):
-        for e in _tri_edges(tri):
-            owner[e] = t
-    return owner
+    """Directed edge -> index of the triangle containing it, as the mesh
+    kept it.  The cache stays only because perfbench/worker.py reads its
+    `cache_info()`; nothing in the package calls this."""
+    return mesh._owner
 
 
 @lru_cache(maxsize=16)
 def dual_graph(mesh: TriMesh) -> Graph:
-    """One vertex per triangle, one edge per adjacent pair; always cubic,
-    and bridgelessness (no cut edge) is checked.  Meshes with boundary
-    never get this far: they are rejected at construction."""
-    owner = _edge_owner(mesh)
-    edges = {
-        (min(t, owner[(v, u)]), max(t, owner[(v, u)]))
-        for (u, v), t in owner.items()
-    }
-    g = Graph(len(mesh.triangles), edges)
-    adj = g.adjacency()
-    if any(len(nbrs) != 3 for nbrs in adj):
-        raise AssertionError("dual graph is not cubic")
-    if _has_bridge(adj):
-        raise AssertionError("dual graph has a bridge")
-    return g
+    """One vertex per triangle, one edge per adjacent pair, as the mesh kept
+    them.  The cache stays only because perfbench/worker.py reads its
+    `cache_info()`; `single_strip` does not call this.
 
-
-def _has_bridge(adj: list[list[int]]) -> bool:
-    """Tarjan's lowlink bridge test, iterative."""
-    n = len(adj)
-    order = [-1] * n
-    low = [0] * n
-    counter = 0
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        order[root] = low[root] = counter
-        counter += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if order[w] == -1:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-                if w != parent:
-                    low[v] = min(low[v], order[w])
-                elif parent != -1:
-                    # A parallel dual edge would hide here, but TriMesh
-                    # construction already rejects those.
-                    parent = -2
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > order[u]:
-                        return True
-    return False
+    The graph is cubic and bridgeless with no check.  A `TriMesh` is
+    connected across its edges, has Euler characteristic 2, and every
+    directed edge has exactly one reverse; gluing vertices only lowers the
+    characteristic, and no connected closed surface exceeds 2, so the mesh
+    is a sphere with no pinched vertex or handle.  Its dual is the plane
+    dual of a graph without loops, so bridgeless, and three distinct
+    neighbours per triangle make it cubic.  Hence it has a perfect matching
+    (Petersen), which `single_strip` checks directly."""
+    return Graph(
+        len(mesh.triangles),
+        ((t, s) for t, nbrs in enumerate(mesh._adj) for s in nbrs if t < s),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +172,7 @@ def _has_bridge(adj: list[list[int]]) -> bool:
 
 def _ring(triangles, owner, start: int, v: int) -> list[int]:
     """Triangles around v in rotation order, beginning at `start`."""
-    ring = [start]
-    cur = start
+    ring, cur = [start], start
     while True:
         tri = triangles[cur]
         after = tri[(tri.index(v) + 1) % 3]
@@ -227,24 +183,23 @@ def _ring(triangles, owner, start: int, v: int) -> list[int]:
 
 
 class _Topology:
-    """Mutable incidence of a closed mesh: the directed-edge owner map, the
-    three dual neighbours of every triangle, and one incident triangle per
-    vertex, so that a ring walk costs O(degree)."""
+    """Mutable incidence of a closed mesh: the directed-edge owner map and
+    the three dual neighbours of every triangle, copied from the mesh, and
+    one incident triangle per vertex, so that a ring walk costs O(degree)."""
 
     def __init__(self, mesh: TriMesh) -> None:
         self.vertices = list(mesh.vertices)
         self.triangles = list(mesh.triangles)
-        self.owner = {
-            e: t for t, tri in enumerate(self.triangles) for e in _tri_edges(tri)
-        }
+        self.owner = dict(mesh._owner)
+        self.adj = list(mesh._adj)
         self.corner = [0] * len(self.vertices)
         for t, tri in enumerate(self.triangles):
             for v in tri:
                 self.corner[v] = t
-        self.adj = [self._neighbors(t) for t in range(len(self.triangles))]
 
-    def _neighbors(self, t: int) -> list[int]:
-        return [self.owner[(v, u)] for u, v in _tri_edges(self.triangles[t])]
+    def _neighbors(self, t: int) -> tuple[int, int, int]:
+        a, b, c = self.triangles[t]
+        return self.owner[(b, a)], self.owner[(c, b)], self.owner[(a, c)]
 
     def ring(self, v: int) -> list[int]:
         return _ring(self.triangles, self.owner, self.corner[v], v)
@@ -495,10 +450,11 @@ class _Cover:
 
 def vertex_ring(mesh: TriMesh, v: int) -> tuple[int, ...]:
     """Triangles incident to v in cyclic rotation order, least first."""
+    v = integer(v, "vertex id")
     if not 0 <= v < len(mesh.vertices):
         raise InputError(f"vertex {v} out of range")
     incident = [t for t, tri in enumerate(mesh.triangles) if v in tri]
-    ring = _ring(mesh.triangles, _edge_owner(mesh), min(incident), v)
+    ring = _ring(mesh.triangles, mesh._owner, min(incident), v)
     if len(ring) != len(incident):
         raise AssertionError(f"pinched vertex {v}")
     return tuple(ring)
@@ -513,6 +469,7 @@ def merge_move(mesh: TriMesh, cover: CycleCover, v: int) -> CycleCover | None:
     yields another perfect matching).  Returns the new cover when it has
     strictly fewer cycles, otherwise None.
     """
+    v = integer(v, "vertex id")
     if not 0 <= v < len(mesh.vertices):
         raise InputError(f"vertex {v} out of range")
     state = _Cover(
@@ -537,6 +494,7 @@ def bisect_pair(mesh: TriMesh, t1: int, t2: int) -> TriMesh:
     appended in that order.  The new vertex has exactly four incident
     triangles, and the Euler characteristic is unchanged.
     """
+    t1, t2 = integer(t1, "triangle id"), integer(t2, "triangle id")
     topo = _Topology(mesh)
     topo.split(t1, t2)
     return topo.mesh()
@@ -584,15 +542,17 @@ def _exhaust_merges(cover: _Cover) -> int:
 def single_strip(mesh: TriMesh) -> StripResult:
     """Drive matching, merge moves, and bisections to one cyclic strip.
 
-    The topology and the cover are built once and updated in place; the
-    result's mesh is built and validated once at the end, and the strip is
-    the cycle walked from triangle 0 toward its smaller neighbour.
+    The topology is copied from the mesh, the matching runs on its dual
+    edges, and both are updated in place; the result's mesh is built and
+    validated once at the end, and the strip is the cycle walked from
+    triangle 0 toward its smaller neighbour.
     """
     source = len(mesh.triangles)
-    pm = perfect_matching_general(dual_graph(mesh))
+    topo = _Topology(mesh)
+    pm = perfect_matching_general(Graph(source, topo.dual_edges(range(source))))
     if pm is None:
         raise AssertionError("cubic bridgeless dual must have a perfect matching")
-    cover = _Cover(_Topology(mesh), _partner(source, pm.pairs))
+    cover = _Cover(topo, _partner(source, pm.pairs))
 
     merges = 0
     bisections = 0

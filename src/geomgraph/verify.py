@@ -94,19 +94,6 @@ def max_independent_set_size(n: int, edges) -> int:
     return best
 
 
-def _scaled_arcs(arcs) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """(D, arcs as (tail, head, D*intercept, D*slope) in ints), where D is
-    the lcm of every intercept and slope denominator."""
-    scale = math.lcm(
-        1, *(x.denominator for _t, _h, i, s in arcs for x in (i, s))
-    )
-    return scale, [
-        (t, h, i.numerator * (scale // i.denominator),
-         s.numerator * (scale // s.denominator))
-        for t, h, i, s in arcs
-    ]
-
-
 def _least_cycle_sums(vertex_count: int, arcs) -> dict[int, int]:
     """{slope sum: least intercept sum over all simple cycles} of a graph
     with int intercepts and slopes, by the subset DP in the module
@@ -148,7 +135,7 @@ def min_cycle_ratio(g: ParamDigraph) -> Fraction | None:
     has one.  Each s's least ratio is its least intercept sum, so the
     minimum is exact; that would pick the wrong end of a positive slope
     sum's ratios, so a positive slope raises InputError."""
-    _scale, arcs = _scaled_arcs(g.arcs)  # the scale cancels in each ratio
+    arcs = g.scaled_arcs  # the scale D cancels in each ratio
     if any(slope > 0 for *_th, slope in arcs):
         raise InputError("min_cycle_ratio takes slopes <= 0 only")
     least = _least_cycle_sums(g.vertex_count, arcs)
@@ -159,8 +146,7 @@ def max_cycle_bound(g: ParamDigraph) -> Fraction | None:
     """max over simple cycles with slope sum s > 0 of -intercept-sum / s;
     constant cycles must be nonnegative.  Each s's greatest bound is its
     least intercept sum, so the maximum is exact for slopes of any sign."""
-    _scale, arcs = _scaled_arcs(g.arcs)  # the scale cancels in each ratio
-    least = _least_cycle_sums(g.vertex_count, arcs)
+    least = _least_cycle_sums(g.vertex_count, g.scaled_arcs)  # D cancels
     if least.get(0, 0) < 0:
         raise AssertionError("constant negative cycle")
     return max((Fraction(-i, s) for s, i in least.items() if s > 0), default=None)

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from geomgraph.errors import InputError
-from geomgraph.graphs import Matching, perfect_matching_general
+from geomgraph.graphs import Matching, components, perfect_matching_general
 from geomgraph.strips import (
     StripResult,
     TriMesh,
+    _edge_owner,
     bisect_pair,
     cycle_cover_from_matching,
     dual_graph,
@@ -98,6 +99,39 @@ def test_fixture_meshes_are_valid_and_duals_are_cubic():
         assert all(len(nbrs) == 3 for nbrs in adj)
 
 
+def _checked_meshes():
+    yield from (tetrahedron(), octahedron(), icosahedron())
+    for size in (8, 24, 96, 500):
+        for seed in range(20):
+            mesh = sphere_like_mesh(seed, size)
+            yield mesh
+            res = single_strip(mesh)
+            if res.bisection_count:
+                yield res.mesh
+
+
+def test_validated_duals_are_cubic_and_bridgeless():
+    # dual_graph reads the neighbours TriMesh keeps and checks nothing; the
+    # cubic and bridgeless proof in its docstring is checked here instead,
+    # against dual edges worked out from the triangles alone.
+    for mesh in _checked_meshes():
+        t_count = len(mesh.triangles)
+        on_pair: dict[frozenset, list[int]] = {}
+        for t, tri in enumerate(mesh.triangles):
+            for i in range(3):
+                on_pair.setdefault(frozenset(tri) - {tri[i]}, []).append(t)
+        shared = {
+            (t, s) for ts in on_pair.values() for t in ts for s in ts if t < s
+        }
+        g = dual_graph(mesh)
+        assert g.edges == shared
+        assert all(len(nbrs) == 3 for nbrs in g.adjacency())
+        edges = sorted(g.edges)
+        for i in range(len(edges)):
+            rest = edges[:i] + edges[i + 1:]
+            assert set(components(t_count, rest)) == {0}, edges[i]
+
+
 # ---------------------------------------------------------------------------
 # cycle covers and local moves
 # ---------------------------------------------------------------------------
@@ -136,6 +170,23 @@ def test_vertex_ring_is_a_cyclic_fan():
         assert sorted(set(ring)) == sorted(ring)
         for t in ring:
             assert v in mesh.triangles[t]
+
+
+def test_strip_operations_take_only_int_ids():
+    # A float or bool id would otherwise be read as an int, or fail as a
+    # TypeError that the command line reports as an internal error.
+    mesh = octahedron()
+    cover = cycle_cover_from_matching(
+        mesh, perfect_matching_general(dual_graph(mesh))
+    )
+    with pytest.raises(InputError, match="float vertex id 1.0"):
+        vertex_ring(mesh, 1.0)
+    with pytest.raises(InputError, match="float vertex id 2.0"):
+        merge_move(mesh, cover, 2.0)
+    with pytest.raises(InputError, match="float triangle id 4.0"):
+        bisect_pair(mesh, 0, 4.0)
+    with pytest.raises(InputError, match="bool triangle id True"):
+        bisect_pair(mesh, True, 1)
 
 
 def test_bisect_pair_replaces_one_shared_edge():
@@ -315,6 +366,23 @@ def test_broken_strip_fails_loudly_under_python_O(tmp_path):
     )
     assert run.returncode == 3, run.stderr
     assert "internal error: AssertionError" in run.stderr
+
+
+def test_single_strip_hashes_no_mesh(monkeypatch):
+    # The solve path reads the topology the mesh keeps; it looks nothing
+    # up in a cache keyed on the mesh, whose hash covers every coordinate.
+    meshes = [sphere_like_mesh(seed, 96) for seed in range(5)]
+    dual_graph.cache_clear()
+    _edge_owner.cache_clear()
+
+    def refuse(mesh):
+        raise AssertionError("hashed a mesh")
+
+    monkeypatch.setattr(TriMesh, "__hash__", refuse)
+    bisections = [single_strip(mesh).bisection_count for mesh in meshes]
+    assert any(bisections)
+    assert dual_graph.cache_info().currsize == 0
+    assert _edge_owner.cache_info().currsize == 0
 
 
 def test_single_strip_is_deterministic():
