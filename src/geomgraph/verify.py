@@ -5,8 +5,8 @@ the solver's reduction, and returns (status, detail) where status is
 "passed", "failed", or "not-run" (instance too large for the oracle).
 Size guards: rectangle partition <= 14 concave corners, clustering <= 12
 points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
-`check_rectpart`, `check_cluster` and `check_star` check the returned
-certificate itself at any size, before the guard.  `check_cluster` takes
+`check_rectpart`, `check_cluster`, `check_tiling` and `check_star` check
+the returned certificate itself at any size, before the guard.  `check_cluster` takes
 the largest cluster as the maximum independent set of the far pairs, the
 same branch and bound that prices `check_rectpart`'s chord conflicts.
 
@@ -49,7 +49,7 @@ from .parametric import ParamDigraph, feasibility_witness
 from .rectpart import RectPartition, concave_vertices
 from .stars import DistanceMatrix, StarEmbedding, build_parametric_graph, dilation
 from .strips import StripResult
-from .tiling import Tiling, angle_graph
+from .tiling import AngleSolution, Tiling, angle_graph
 
 __all__ = [
     "check_gallery",
@@ -332,7 +332,37 @@ def check_strip(result: StripResult) -> tuple[str, str]:
     return "passed", "single cycle over all triangles, growth within 3/2"
 
 
-def check_tiling(tiling: Tiling, lam: Fraction) -> tuple[str, str]:
+def check_tiling(tiling: Tiling, sol: AngleSolution | Fraction) -> tuple[str, str]:
+    """Check an angle solution against the tiling.
+
+    At any size, each zone's direction must be its input direction plus its
+    adjustment, and the tiling rebuilt on those directions (which rejects a
+    corner whose interior angle is not positive) must have λ as its least
+    corner angle.  Within the zone bound, λ must also be the exhaustive
+    least cycle ratio of the angle graph.  A bare λ in place of the
+    solution, as perfbench/test_perfbench.py passes, gets only that last
+    check.
+    """
+    lam = sol
+    if isinstance(sol, AngleSolution):
+        lam, m = sol.lambda_star, len(tiling.zone_directions)
+        if len(sol.directions) != m or len(sol.adjustments) != m:
+            return "failed", (
+                f"{len(sol.directions)} directions and "
+                f"{len(sol.adjustments)} adjustments for {m} zones"
+            )
+        for z, (theta, a, d) in enumerate(
+            zip(tiling.zone_directions, sol.adjustments, sol.directions), 1
+        ):
+            if d != theta + a:
+                return "failed", f"zone {z}: direction {d} is not {theta} + {a}"
+        try:
+            rebuilt = Tiling(sol.directions, tiling.tiles, tiling.adjacencies)
+        except InputError as exc:
+            return "failed", f"directions break a tile: {exc}"
+        least = min(angle for *_, angle in rebuilt.corners())
+        if least != lam:
+            return "failed", f"directions give least angle {least}, not {lam}"
     if len(tiling.zone_directions) > 6:
         return (
             "not-run",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 
-from test_golden import CASES, GOLDEN, SVG_CASES, drawing, report
+from test_golden import CASES, GOLDEN, OTHER_GOLDENS, SVG_CASES, drawing, report
 
 
 def main() -> int:
@@ -18,7 +18,7 @@ def main() -> int:
     kinds = (("json", CASES, report), ("svg", SVG_CASES, drawing))
     for suffix, cases, run in kinds:
         for stale in GOLDEN.glob(f"*.{suffix}"):
-            if stale.stem not in cases:
+            if stale.stem not in cases and stale.name not in OTHER_GOLDENS:
                 stale.unlink()
         for name, argv in sorted(cases.items()):
             code, out = run(argv)

@@ -255,7 +255,7 @@ def test_criterion_6_tiling():
         sol = optimize_angles(til)
         if name == "rhombus.tiling":
             assert sol.lambda_star == 90
-        status, detail = check_tiling(til, sol.lambda_star)
+        status, detail = check_tiling(til, sol)
         assert status == "passed", detail
         g = angle_graph(til)
         assert feasibility_witness(g, sol.lambda_star) is None

@@ -1,4 +1,7 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -253,6 +256,57 @@ def test_unsupported_flags_exit_two(capsys):
     capsys.readouterr()
 
 
+# Help, usage and argument errors, byte for byte.  tests/golden/cli-parser.json
+# was recorded from the parser that built every subcommand's arguments on
+# each call; only an intended change of the help or usage text may
+# re-record it, from the records _parser_outcome returns.
+PARSER_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli-parser.json"
+SUBCOMMANDS = ("gallery", "rectpart", "cluster", "bends", "strip", "tiling",
+               "star", "gen")
+PARSER_CASES = (
+    [], ["-h"], ["--help"],
+    *([cmd, "-h"] for cmd in SUBCOMMANDS),
+    ["bogus"], ["-x"], ["--in", "x"], ["-h", "star"], ["star", "-h", "--in", "x"],
+    ["star"], ["star", "--in"], ["--", "star"], ["--json", "star", "--in", "x"],
+    ["star", "--in", "x", "--svg", "x.svg"],
+    ["bends", "--in", "x", "--svg", "x.svg"],
+    ["cluster", "--in", "x"], ["cluster", "--in", "x", "--d2"],
+    ["gallery", "--in", "x", "--d2", "1"], ["gallery", "--quads", "x"],
+    ["strip", "--in", "x", "extra"], ["tiling", "--in", "x", "--bogus"],
+    ["gen"], ["gen", "polygon", "--seed", "1"], ["gen", "mesh"],
+    ["gen", "mesh", "--seed", "one"], ["gen", "points", "--seed", "1", "--count"],
+)
+
+
+def _parser_outcome(argv) -> dict:
+    """stdout, stderr (elapsed time masked) and exit code of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {
+        "argv": list(argv),
+        "stdout": out.getvalue(),
+        "stderr": re.sub(r"elapsed: \S+", "elapsed: <masked>", err.getvalue()),
+        "code": code,
+    }
+
+
+def test_parser_golden_covers_every_case():
+    golden = json.loads(PARSER_GOLDEN.read_text(encoding="utf-8"))
+    assert [case["argv"] for case in golden] == [list(a) for a in PARSER_CASES]
+
+
+@pytest.mark.parametrize("n", range(len(PARSER_CASES)),
+                         ids=lambda n: " ".join(PARSER_CASES[n]) or "no-args")
+def test_parser_output_matches_golden(n, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(PARSER_GOLDEN.read_text(encoding="utf-8"))[n]
+    assert _parser_outcome(PARSER_CASES[n]) == golden
+
+
 def test_verification_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
         verify, "check_gallery", lambda poly, cert: ("failed", "forced")
@@ -377,3 +431,32 @@ CORPUS = (
 def test_corpus_instance_verifies(argv, capsys):
     assert main(argv + ["--verify"]) == 0
     assert "verify: passed" in capsys.readouterr().out
+
+
+# Every loader and solver the CLI imports.  perfbench/worker.py replaces
+# cli.single_strip to keep each strip for its check, and perfbench/tracer.py
+# wraps the loaders in cli's namespace; a solver row that held the function
+# object itself would miss both.
+ROUTED = (
+    "load_polygon", "load_quads", "fisk_guards", "orthogonal_guards",
+    "build_partition", "load_points", "max_cluster_given_d2", "load_map",
+    "min_bend_assignment", "load_mesh", "single_strip", "load_tiling",
+    "optimize_angles", "load_matrix", "optimal_star_embedding",
+)
+
+
+def test_solvers_call_through_the_cli_namespace(monkeypatch, capsys):
+    calls = dict.fromkeys(ROUTED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ROUTED:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for argv in CORPUS:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert [name for name, count in calls.items() if not count] == []

@@ -110,6 +110,55 @@ def _checked_meshes():
                 yield res.mesh
 
 
+def _bridges(n: int, edges) -> list[tuple[int, int]]:
+    """Every bridge of a simple graph, by one iterative lowlink search."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    order, low = [-1] * n, [0] * n
+    found, counter = [], 0
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, via, arcs = stack[-1]
+            for w, i in arcs:
+                if i == via:
+                    continue
+                if order[w] == -1:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, i, iter(adj[w])))
+                    break
+                low[v] = min(low[v], order[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > order[u]:
+                        found.append(edges[via])
+    return sorted(found)
+
+
+def _bridges_by_removal(n: int, edges) -> list[tuple[int, int]]:
+    """The reference: the edges whose removal disconnects the graph."""
+    return [
+        e for i, e in enumerate(edges)
+        if set(components(n, edges[:i] + edges[i + 1:])) != {0}
+    ]
+
+
+def test_bridge_search_reports_a_bridge():
+    # Two triangles joined by the edge 2-3.
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
+    assert _bridges(6, edges) == _bridges_by_removal(6, edges) == [(2, 3)]
+
+
 def test_validated_duals_are_cubic_and_bridgeless():
     # dual_graph reads the neighbours TriMesh keeps and checks nothing; the
     # cubic and bridgeless proof in its docstring is checked here instead,
@@ -127,9 +176,10 @@ def test_validated_duals_are_cubic_and_bridgeless():
         assert g.edges == shared
         assert all(len(nbrs) == 3 for nbrs in g.adjacency())
         edges = sorted(g.edges)
-        for i in range(len(edges)):
-            rest = edges[:i] + edges[i + 1:]
-            assert set(components(t_count, rest)) == {0}, edges[i]
+        assert set(components(t_count, edges)) == {0}
+        assert _bridges(t_count, edges) == []
+        if t_count <= 24:  # the fixtures and the small seeded meshes
+            assert _bridges_by_removal(t_count, edges) == []
 
 
 # ---------------------------------------------------------------------------

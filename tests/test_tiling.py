@@ -228,7 +228,7 @@ def test_threshold_matches_the_cycle_ratio_oracle():
         hexagon_tiling(("0", "20", "130")),
     ):
         sol = optimize_angles(t)
-        status, detail = check_tiling(t, sol.lambda_star)
+        status, detail = check_tiling(t, sol)
         assert status == "passed", detail
 
 

@@ -21,7 +21,7 @@ from geomgraph.stars import (
     random_metric,
 )
 from geomgraph.strips import StripResult, octahedron, single_strip
-from geomgraph.tiling import Tiling, hexagon_tiling, optimize_angles
+from geomgraph.tiling import Tiling, optimize_angles
 from geomgraph.verify import (
     check_bends,
     check_cluster,
@@ -62,14 +62,17 @@ def test_tiling_oracle_steps_aside_above_6_zones():
     tiling = Tiling([str(20 * z) for z in zones],
                     [tuple(zones) + tuple(-z for z in zones)])
     sol = optimize_angles(tiling)
-    assert check_tiling(tiling, sol.lambda_star) == (
-        "not-run", "7 zones exceed oracle bound 6"
+    assert check_tiling(tiling, sol) == ("not-run", "7 zones exceed oracle bound 6")
+    # The certificate is still checked above the bound.
+    assert check_tiling(tiling, replace(sol, lambda_star=sol.lambda_star + 1)) == (
+        "failed",
+        f"directions give least angle {sol.lambda_star}, not {sol.lambda_star + 1}",
     )
     zones = range(1, 7)  # 6: the most the oracle takes
     tiling = Tiling([str(20 * z) for z in zones],
                     [tuple(zones) + tuple(-z for z in zones)])
     sol = optimize_angles(tiling)
-    assert check_tiling(tiling, sol.lambda_star) == (
+    assert check_tiling(tiling, sol) == (
         "passed", f"threshold matches exhaustive cycle ratio {sol.lambda_star}"
     )
 
@@ -130,12 +133,42 @@ def test_strip_oracle_fails_a_repeat_and_too_much_growth():
     )
 
 
+SKEW3 = Tiling(["0", "20", "130"],
+               [(1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -3)],
+               [((0, 2), (1, 0)), ((0, 3), (2, 0)), ((1, 3), (2, 1))])
+
+
 def test_tiling_oracle_fails_a_wrong_threshold():
-    tiling = hexagon_tiling()
-    lam = optimize_angles(tiling).lambda_star
-    assert lam == 60
-    assert check_tiling(tiling, lam + 1) == (
-        "failed", "threshold 61, exhaustive cycle ratio 60"
+    # The input directions are a true certificate of their least angle,
+    # 20, which is not the optimum.
+    sol = optimize_angles(SKEW3)
+    assert sol.lambda_star == 60
+    unchanged = replace(sol, lambda_star=Fraction(20), adjustments=(0, 0, 0),
+                        directions=SKEW3.zone_directions)
+    assert check_tiling(SKEW3, unchanged) == (
+        "failed", "threshold 20, exhaustive cycle ratio 60"
+    )
+
+
+def test_tiling_oracle_checks_the_angle_certificate():
+    sol = optimize_angles(SKEW3)  # adjustments -40 0 -50, directions -40 20 80
+    assert check_tiling(SKEW3, replace(sol, adjustments=sol.adjustments[:2])) == (
+        "failed", "3 directions and 2 adjustments for 3 zones"
+    )
+    assert check_tiling(SKEW3, replace(sol, directions=SKEW3.zone_directions)) == (
+        "failed", "zone 1: direction 0 is not 0 + -40"
+    )
+    # The optimum paired with the unchanged directions, which give 20.
+    unchanged = replace(sol, adjustments=(0, 0, 0), directions=SKEW3.zone_directions)
+    assert check_tiling(SKEW3, unchanged) == (
+        "failed", "directions give least angle 20, not 60"
+    )
+    # Turning zone 2 by 150 carries it past zone 3: tile 2 turns inside out.
+    flat = replace(sol, lambda_star=Fraction(10), adjustments=(0, 150, 0),
+                   directions=(Fraction(0), Fraction(170), Fraction(130)))
+    assert check_tiling(SKEW3, flat) == (
+        "failed", "directions break a tile: tile 2 corner 0: interior angle "
+        "-140 is not positive"
     )
 
 
