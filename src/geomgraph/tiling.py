@@ -10,6 +10,10 @@ lambda and stays convex iff d_a - d_b <= 180 - phi; both are difference
 constraints, so the largest feasible lambda is the point where a parametric
 shortest-path graph (arc weights constant or constant - lambda) first gains
 a negative cycle, and the adjustments are shortest-path distances there.
+
+A `Tiling` is fully checked once, when it is built (zone closure and
+geometry included): `zones` only reports, and `reconstruct_positions`
+places tiles from one unit vector per signed zone.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain
 
 from .errors import InputError, integer, rational
 from .graphs import components
@@ -46,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tiling:
-    """Combinatorial tiling by unit-side zonogons.
+    """Tiling by unit-side zonogons, fully checked when it is built.
 
     zone_directions[i] is the angle in rational degrees of zone i+1; tiles
     are cyclic tuples of signed 1-based zone ids with second half the
@@ -82,6 +87,9 @@ class Tiling:
         m = len(self.zone_directions)
         if not self.tiles:
             raise InputError("tiling has no tiles")
+        heading = {}  # signed zone -> its sides' direction in [0, 360)
+        for z, theta in enumerate(self.zone_directions, 1):
+            heading[z], heading[-z] = theta % 360, (theta + 180) % 360
         used = set()
         corners = []
         for t, tile in enumerate(self.tiles):
@@ -99,7 +107,7 @@ class Tiling:
                         f"is {tile[i + k]}, expected {-z}"
                     )
                 used.add(abs(z))
-            sides = [self.side_direction(t, i) for i in range(len(tile))]
+            sides = [heading[z] for z in tile]
             for j, cur in enumerate(sides):
                 nxt = (j + 1) % len(tile)
                 turn = (sides[nxt] - cur) % 360
@@ -134,6 +142,30 @@ class Tiling:
                     f"{za} and {zb}; need the same zone, opposite signs"
                 )
 
+        # Each zone's sides must be one class of the closure of opposite
+        # and glued sides; the checks above keep every link inside one
+        # zone.  Side slot (t, i) is union-find vertex start[t] + i.
+        start = [0, *accumulate(map(len, self.tiles))]
+        opposite = (
+            (start[t] + i, start[t] + i + len(tile) // 2)
+            for t, tile in enumerate(self.tiles)
+            for i in range(len(tile) // 2)
+        )
+        glued = (
+            (start[a] + i, start[b] + j) for (a, i), (b, j) in self.adjacencies
+        )
+        labels = components(start[-1], chain(opposite, glued))
+        class_of_zone: dict[int, int] = {}
+        for t, tile in enumerate(self.tiles):
+            for i, z in enumerate(tile):
+                label = labels[start[t] + i]
+                if class_of_zone.setdefault(abs(z), label) != label:
+                    raise InputError(
+                        f"tile {t} side {i}: zone {abs(z)} splits into "
+                        f"disconnected side classes"
+                    )
+        reconstruct_positions(self, self.zone_directions)
+
     def side_direction(self, t: int, i: int) -> Fraction:
         z = self.tiles[t][i]
         base = self.zone_directions[abs(z) - 1]
@@ -158,45 +190,15 @@ class ZoneReport:
 
 
 def zones(tiling: Tiling) -> ZoneReport:
-    """Verify the declared zone labels are exactly the equivalence closure
-    of "opposite sides of a tile" and "glued sides of adjacent tiles".
-
-    No side class can hold two zones: `Tiling` already requires opposite
-    sides to carry z and -z and glued slots to carry z and -z, so every
-    link of the closure stays inside one zone.  What is left to check is
-    that each zone's sides form one class.
-    """
-    slots = [
-        (t, i)
-        for t, tile in enumerate(tiling.tiles)
-        for i in range(len(tile))
-    ]
-    index = {s: n for n, s in enumerate(slots)}
-    links = [
-        (index[(t, i)], index[(t, i + len(tile) // 2)])
-        for t, tile in enumerate(tiling.tiles)
-        for i in range(len(tile) // 2)
-    ]
-    links += [(index[sa], index[sb]) for sa, sb in tiling.adjacencies]
-    labels = components(len(slots), links)
-    class_of_zone: dict[int, int] = {}
-    for n, (t, i) in enumerate(slots):
-        z = abs(tiling.tiles[t][i])
-        if class_of_zone.setdefault(z, labels[n]) != labels[n]:
-            raise InputError(
-                f"tile {t} side {i}: zone {z} splits into disconnected "
-                f"side classes"
-            )
-
+    """The side slots of each zone; `Tiling` has already checked that
+    they form one class of opposite and glued sides."""
     members: list[list[tuple[int, int]]] = [
         [] for _ in tiling.zone_directions
     ]
-    for t, i in slots:
-        members[abs(tiling.tiles[t][i]) - 1].append((t, i))
-    return ZoneReport(
-        len(tiling.zone_directions),
-        tuple(tuple(sorted(lst)) for lst in members),
-    )
+    for t, tile in enumerate(tiling.tiles):
+        for i, z in enumerate(tile):
+            members[abs(z) - 1].append((t, i))
+    return ZoneReport(len(members), tuple(map(tuple, members)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +236,6 @@ class AngleSolution:
 
 def optimize_angles(tiling: Tiling) -> AngleSolution:
     """Largest-minimum-angle redirection of the tiling's zones."""
-    zones(tiling)
-    reconstruct_positions(tiling, tiling.zone_directions)
-
     g = angle_graph(tiling)
     lam = karp_orlin_threshold(g)
     if lam is INF:
@@ -280,12 +279,13 @@ def reconstruct_positions(
     a tiling failing that is combinatorially valid but not geometric.
     """
     dirs = [rational(v, "angle") for v in directions]
-
-    def unit(t: int, i: int) -> tuple[float, float]:
-        z = tiling.tiles[t][i]
-        theta = dirs[abs(z) - 1] + (180 if z < 0 else 0)
-        rad = math.radians(float(theta))
-        return math.cos(rad), math.sin(rad)
+    if len(dirs) != (m := len(tiling.zone_directions)):
+        raise InputError(f"{len(dirs)} directions for {m} zones")
+    units: dict[int, tuple[float, float]] = {}
+    for z, theta in enumerate(dirs, 1):
+        for signed, angle in ((z, theta), (-z, theta + 180)):
+            rad = math.radians(float(angle))
+            units[signed] = math.cos(rad), math.sin(rad)
 
     def walk(t: int, anchor_side: int, anchor: tuple[float, float]):
         n = len(tiling.tiles[t])
@@ -293,7 +293,7 @@ def reconstruct_positions(
         verts[anchor_side] = anchor
         for step in range(n):
             i = (anchor_side + step) % n
-            dx, dy = unit(t, i)
+            dx, dy = units[tiling.tiles[t][i]]
             x, y = verts[i]
             verts[(i + 1) % n] = (x + dx, y + dy)
         x, y = verts[anchor_side]

@@ -118,6 +118,14 @@ MALFORMED = {
                          "tiles must be lists of zone ids"),
     "tiling-adjacency-short": ("tiling", {**TILING, "adjacencies": [[[0, 0]]]},
                                "adjacencies must be"),
+    "tiling-zone-split": ("tiling", {**TILING, "tiles": [[1, 2, -1, -2]] * 2},
+                          "tile 1 side 0: zone 1 splits into disconnected"),
+    "tiling-not-geometric": (
+        "tiling",
+        {"directions": ["0", "90"], "tiles": [[1, 2, -1, -2]] * 2,
+         "adjacencies": [[[0, 0], [1, 2]], [[0, 1], [1, 3]]]},
+        "tiling is not geometric: glued sides",
+    ),
     "poly-holes-int": ("gallery", {**POLY, "holes": 5},
                        "holes must be a list of rings"),
     "poly-non-object": ("gallery", [POLY], "top level must be a JSON object"),

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from geomgraph import tiling as tiling_module
 from geomgraph.errors import InputError
 from geomgraph.parametric import feasibility_witness
 from geomgraph.tiling import (
@@ -147,9 +148,9 @@ def test_zones_reports_slots_per_zone():
 
 def test_zone_labels_must_form_one_connected_class():
     # Two rhombi reuse the labels but share nothing: each zone falls apart.
-    t = Tiling(("0", "30"), ((1, 2, -1, -2), (1, 2, -1, -2)))
-    with pytest.raises(InputError, match="splits into disconnected"):
-        zones(t)
+    # A tiling is checked when it is built, so there is none to pass on.
+    with pytest.raises(InputError, match="tile 1 side 0: zone 1 splits"):
+        Tiling(("0", "30"), ((1, 2, -1, -2), (1, 2, -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +260,43 @@ def test_reconstruction_places_glued_sides_together():
 
 def test_combinatorial_but_non_geometric_gluing_is_rejected():
     # Gluing the same two rhombi along two different sides forces the
-    # second tile into two incompatible positions.
-    t = Tiling(
-        ("0", "90"),
-        ((1, 2, -1, -2), (1, 2, -1, -2)),
-        (((0, 0), (1, 2)), ((0, 1), (1, 3))),
-    )
+    # second tile into two incompatible positions; building it fails.
     with pytest.raises(InputError, match="not geometric"):
-        reconstruct_positions(t, t.zone_directions)
-    with pytest.raises(InputError, match="not geometric"):
-        optimize_angles(t)
+        Tiling(
+            ("0", "90"),
+            ((1, 2, -1, -2), (1, 2, -1, -2)),
+            (((0, 0), (1, 2)), ((0, 1), (1, 3))),
+        )
+
+
+def test_reconstruction_needs_one_direction_per_zone():
+    t = hexagon_tiling()
+    with pytest.raises(InputError, match="2 directions for 3 zones"):
+        reconstruct_positions(t, ("0", "60"))
+    with pytest.raises(InputError, match="4 directions for 3 zones"):
+        reconstruct_positions(t, ("0", "60", "120", "180"))
+
+
+def test_optimize_angles_reconstructs_once_and_does_not_recheck_zones(
+    monkeypatch,
+):
+    t = hexagon_tiling(("0", "20", "130"))
+    calls = {"zones": 0, "reconstruct_positions": 0}
+
+    def counted(name):
+        original = getattr(tiling_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(tiling_module, name, wrapper)
+
+    counted("zones")
+    counted("reconstruct_positions")
+    sol = optimize_angles(t)
+    assert calls == {"zones": 0, "reconstruct_positions": 1}
+    assert sol.tile_vertices == reconstruct_positions(t, sol.directions)
 
 
 # ---------------------------------------------------------------------------
