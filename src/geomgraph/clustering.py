@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, rational
-from .geometry import Point, _scaled
+from .errors import InputError, rational, scaled
+from .geometry import Point
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def _distance_table(points) -> tuple[int, list[tuple[int, int]], list[list[int]]
     """(D, the coordinates times D as ints, the n x n table of their squared
     distances), where D is the lcm of every coordinate denominator.  The
     table is D^2 times the exact squared distances."""
-    scale, xy = _scaled(points)
+    scale, xy = scaled(points)
     table = [
         [(ax - bx) ** 2 + (ay - by) ** 2 for bx, by in xy] for ax, ay in xy
     ]

@@ -1,7 +1,9 @@
-"""Shared exception types and the exact-input coercers."""
+"""Shared exception types, the exact-input coercers, and `scaled`, which
+turns pairs of Fractions into int pairs at one common scale."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -46,3 +48,15 @@ def integer(value, role: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{type(value).__name__} {role} {value!r}; use an int")
+
+
+def scaled(pairs, base: int = 1) -> tuple[int, list[tuple[int, int]]]:
+    """(D, the pairs times D as int pairs), where D is the lcm of base and
+    every denominator in the pairs.  A positive scale keeps the sign of
+    every cross product and sum, and the order of every coordinate."""
+    scale = math.lcm(base, *(c.denominator for p in pairs for c in p))
+    return scale, [
+        (x.numerator * (scale // x.denominator),
+         y.numerator * (scale // y.denominator))
+        for x, y in pairs
+    ]

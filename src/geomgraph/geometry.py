@@ -5,23 +5,23 @@ exact sign, so there are no tolerance knobs anywhere in this module.  The
 public `orientation` and `segments_intersect` answer on Fractions.  The
 polygon kernel (validation, ring area, ear clipping, chord and point
 location) instead scales a polygon's coordinates once by the lcm of their
-denominators and decides every turn with one int cross product, `_cross`.
-Validation sweeps the edges' bounding boxes, so only edges whose boxes meet
-get the exact test.  Floats are deliberately rejected at construction time
-— convert them to Fractions explicitly if you really mean the binary value.
+denominators (`errors.scaled`) and decides every turn with one int cross
+product, `_cross`.  Validation sweeps the edges' bounding boxes, so only
+edges whose boxes meet get the exact test.  Floats are deliberately
+rejected at construction time — convert them to Fractions explicitly if
+you really mean the binary value.
 """
 
 from __future__ import annotations
 
 import collections
 import json
-import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, rational
+from .errors import InputError, rational, scaled
 
 # ---------------------------------------------------------------------------
 # points and small vector helpers
@@ -170,18 +170,6 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentIntersection:
 IntPoint = tuple[int, int]
 
 
-def _scaled(points, base: int = 1) -> tuple[int, list[IntPoint]]:
-    """(D, the points times D as int pairs), where D is the lcm of base and
-    every coordinate denominator.  A positive scale keeps the sign of every
-    cross product and the order of every coordinate."""
-    scale = math.lcm(base, *(c.denominator for p in points for c in p))
-    return scale, [
-        (x.numerator * (scale // x.denominator),
-         y.numerator * (scale // y.denominator))
-        for x, y in points
-    ]
-
-
 def _cross(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
     """`orientation(a, b, c)` on int pairs."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -280,7 +268,7 @@ def _locate(p: IntPoint, ring: list[IntPoint]) -> str:
 
 def _ring_signed_area2(ring: Sequence[Point]) -> Fraction:
     """Twice the signed area of a ring (positive when counterclockwise)."""
-    scale, xy = _scaled(ring)
+    scale, xy = scaled(ring)
     return Fraction(_twice_area(xy), scale * scale)
 
 
@@ -350,7 +338,7 @@ class Polygon:
         object.__setattr__(self, "kind", kind)
         # The int kernel's copy of the rings, scaled once (not a field, so
         # equality, hashing and repr see only the Points).
-        scale, xy = _scaled(self.all_vertices)
+        scale, xy = scaled(self.all_vertices)
         rings, start = [], 0
         for ring in self.rings:
             rings.append(xy[start:start + len(ring)])
@@ -418,7 +406,7 @@ class Polygon:
 
 def _with_points(poly: Polygon, points) -> tuple[tuple, list[IntPoint]]:
     """The polygon's int rings and the points, at one common scale."""
-    scale, xy = _scaled(points, poly._scale)
+    scale, xy = scaled(points, poly._scale)
     k = scale // poly._scale
     if k == 1:
         return poly._xy, xy

@@ -98,11 +98,11 @@ class Graph:
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        # Sorted pairs (u, v), u < v, give each vertex its lower neighbours
+        # first, then its higher ones, each in ascending order.
         for u, v in sorted(self.edges):
             adj[u].append(v)
             adj[v].append(u)
-        for lst in adj:
-            lst.sort()
         return adj
 
 
@@ -423,12 +423,11 @@ def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordRes
     vertex order and relaxes the arcs of only those whose distance fell
     since their last scan (at the start, the sources).  After each round
     that lowered a distance, an O(n) walk of the predecessor links looks
-    for a cycle; a cycle found there is re-verified by summing its arc
-    weights and returned if that sum is negative.  Without a negative
-    cycle the distances are final after n - 1 rounds.  A relaxation that
-    survives n rounds proves a negative cycle, which is extracted by
-    walking back from the heads relaxed in the last round; so the worst
-    case stays O(n m).
+    for a cycle; every such cycle is negative (Cherkassky and Goldberg,
+    1999), and one found is re-verified by summing its arc weights and
+    returned.  Without a negative cycle the distances are final after
+    n - 1 rounds, and a relaxation in round n leaves a predecessor cycle,
+    so the worst case stays O(n m).
     """
     n = vertex_count
     dist = [None] * n
@@ -442,8 +441,7 @@ def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordRes
         out[t].append((aid, h, w))
     # dirty[v]: dist[v] fell (or was set) since v's arcs were last relaxed.
     dirty = [d is not None for d in dist]
-    last_round_heads: list[int] = []
-    for rnd in range(n):
+    for _ in range(n):
         changed = False
         for t in range(n):
             if not dirty[t]:
@@ -458,31 +456,17 @@ def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordRes
                     pred[h] = aid
                     dirty[h] = True
                     changed = True
-                    if rnd == n - 1:
-                        last_round_heads.append(h)
         if not changed:
             return BellmanFordResult(tuple(dist), None)
-        if rnd < n - 1:
-            cycle = _predecessor_cycle(arcs, pred, zero)
-            if cycle is not None:
-                return BellmanFordResult(None, cycle)
-    for start in last_round_heads:
-        v = start
-        for _ in range(n):
-            if pred[v] == -1:
-                break
-            v = arcs[pred[v]][0]
-        else:
-            # v is on a predecessor cycle.
-            cycle = _negative_cycle_through(arcs, pred, v, zero)
-            if cycle is not None:
-                return BellmanFordResult(None, cycle)
+        cycle = _predecessor_cycle(arcs, pred, zero)
+        if cycle is not None:
+            return BellmanFordResult(None, cycle)
     raise AssertionError("relaxation in final round but no negative cycle found")
 
 
 def _predecessor_cycle(arcs, pred: list[int], zero) -> tuple[int, ...] | None:
-    """The first negative cycle of the predecessor links, in vertex order
-    of the walks that reach it, or None; one O(n) pass, since each walk
+    """The first predecessor cycle whose weights sum below zero (arc
+    indices in traversal order), or None; one O(n) pass, since each walk
     stops at the first vertex an earlier walk (or itself) has visited."""
     n = len(pred)
     walk = [-1] * n  # the start of the walk that first visited each vertex
@@ -492,29 +476,19 @@ def _predecessor_cycle(arcs, pred: list[int], zero) -> tuple[int, ...] | None:
             walk[v] = start
             aid = pred[v]
             v = arcs[aid][0] if aid != -1 else -1
-        if v != -1 and walk[v] == start:
-            cycle = _negative_cycle_through(arcs, pred, v, zero)
-            if cycle is not None:
-                return cycle
+        if v == -1 or walk[v] != start:
+            continue
+        cycle, cur = [], v  # v is on a cycle first reached by this walk
+        while True:
+            aid = pred[cur]
+            cycle.append(aid)
+            cur = arcs[aid][0]
+            if cur == v:
+                break
+        cycle.reverse()
+        if sum((arcs[a][2] for a in cycle), zero) < zero:
+            return tuple(cycle)
     return None
-
-
-def _negative_cycle_through(arcs, pred: list[int], v: int, zero) -> tuple[int, ...] | None:
-    """The predecessor cycle through v (arc indices in traversal order) if
-    its weights sum below zero, else None."""
-    cycle = []
-    cur = v
-    while True:
-        aid = pred[cur]
-        cycle.append(aid)
-        cur = arcs[aid][0]
-        if cur == v:
-            break
-    cycle.reverse()
-    total = zero
-    for aid in cycle:
-        total = total + arcs[aid][2]
-    return tuple(cycle) if total < zero else None
 
 
 def negative_cycle_anywhere(g: WeightedDigraph) -> tuple[int, ...] | None:
@@ -599,7 +573,6 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
                     dist[h] = nd
                     pred_arc[h] = rid
                     heapq.heappush(heap, (nd, h))
-        target = -1
         best = (INF, -1)
         for v in range(n):
             if excess[v] < 0 and dist[v] < best[0]:

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError, integer, rational
+from .errors import InputError, integer, rational, scaled
 from .graphs import bellman_ford_multi
 
 INF = float("inf")
@@ -79,18 +79,13 @@ class ParamDigraph:
             norm.append(
                 (t, h, rational(intercept, "intercept"), rational(slope, "slope"))
             )
-        scale = math.lcm(
-            1, *(x.denominator for (_t, _h, i, s) in norm for x in (i, s))
-        )
-        scaled = tuple(
-            (t, h, i.numerator * (scale // i.denominator),
-             s.numerator * (scale // s.denominator))
-            for (t, h, i, s) in norm
-        )
+        scale, weights = scaled([(i, s) for (_t, _h, i, s) in norm])
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", tuple(norm))
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scaled_arcs", scaled)
+        object.__setattr__(self, "scaled_arcs", tuple(
+            (t, h, i, s) for (t, h, _i, _s), (i, s) in zip(norm, weights)
+        ))
 
 
 def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fraction]]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from geomgraph import geometry
-from geomgraph.errors import InputError, rational
+from geomgraph.errors import InputError, rational, scaled
 from geomgraph.gallery import orthogonal_comb
 from geomgraph.geometry import (
     Point,
@@ -49,6 +49,16 @@ def test_rational_keeps_fractions_and_names_the_role():
     ):
         with pytest.raises(InputError, match=message):
             rational(bad, "angle")
+
+
+def test_scaled_takes_the_lcm_over_both_coordinates_and_the_base():
+    pairs = [(Fraction(1, 2), Fraction(-2, 3)), (Fraction(-5), Fraction(3, 4))]
+    assert scaled(pairs) == (12, [(6, -8), (-60, 9)])
+    assert scaled(pairs, 5) == (60, [(30, -40), (-300, 45)])
+    assert scaled(pairs, 4) == (12, [(6, -8), (-60, 9)])
+    assert scaled([(Fraction(0), Fraction(-7))]) == (1, [(0, -7)])
+    assert scaled([]) == (1, [])
+    assert scaled([], 6) == (6, [])
 
 
 def test_orientation_and_dist2():

@@ -49,6 +49,12 @@ def test_verify_takes_only_the_digraph_and_one_probe_from_parametric():
     assert _taken_by_verify("parametric") <= {"ParamDigraph", "feasibility_witness"}
 
 
+def test_verify_takes_only_the_error_type_and_the_coercer_from_errors():
+    # check_cluster scales its coordinates with its own lcm, so the oracle
+    # does not share the solvers' scaler, errors.scaled.
+    assert _taken_by_verify("errors") == {"InputError", "rational"}
+
+
 def _load(path: Path):
     spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
