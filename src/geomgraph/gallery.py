@@ -222,13 +222,14 @@ def validate_quadrilateralization(
         for i in range(4):
             a, b = quad[i], quad[(i + 1) % 4]
             key = (min(a, b), max(a, b))
-            side_faces.setdefault(key, []).append(qi)
-            if key not in boundary_edges:
+            # A shared side was already tested at its first quad.
+            if key not in side_faces and key not in boundary_edges:
                 if not is_interior_chord(Segment(verts[a], verts[b]), poly):
                     raise InputError(
                         f"{label}: side {a}-{b} is not a polygon edge or an "
                         "interior diagonal"
                     )
+            side_faces.setdefault(key, []).append(qi)
         for ring in poly._xy[1:]:
             for p in ring:
                 if all(_cross(pts[i], pts[(i + 1) % 4], p) > 0 for i in range(4)):

@@ -20,6 +20,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import InputError, rational, scaled
 
@@ -682,13 +683,10 @@ def random_simple_polygon(n: int, seed: int, span: int = 60) -> Polygon:
         vecs = [(n * x - sx, n * y - sy) for x, y in cloud]
         if any(v == (0, 0) for v in vecs):
             continue
-        order = list(range(n))
-        # Insertion sort with the exact comparator (n is small).
-        for i in range(1, n):
-            j = i
-            while j > 0 and _angle_less(vecs[order[j]], vecs[order[j - 1]]):
-                order[j], order[j - 1] = order[j - 1], order[j]
-                j -= 1
+        order = sorted(range(n), key=cmp_to_key(
+            lambda i, j: -1 if _angle_less(vecs[i], vecs[j])
+            else 1 if _angle_less(vecs[j], vecs[i]) else 0
+        ))
         distinct = all(
             _angle_less(vecs[order[i]], vecs[order[i + 1]]) for i in range(n - 1)
         )

@@ -36,7 +36,9 @@ __all__ = [
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A finite metric: symmetric, zero diagonal, positive off-diagonal,
-    triangle inequality.  Validation is always on and names the axiom."""
+    triangle inequality.  Validation is always on and names the axiom.
+    Given symmetry, the triangle check needs only q > p: p == q never
+    fails, and (p, q, r) with p > q fails iff (q, p, r), which comes first."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -66,7 +68,7 @@ class DistanceMatrix:
                         f"positivity violated: D[{p}][{q}] <= 0"
                     )
         for p in range(n):
-            for q in range(n):
+            for q in range(p + 1, n):
                 for r in range(n):
                     if rows[p][q] > rows[p][r] + rows[r][q]:
                         raise InputError(
@@ -216,12 +218,12 @@ def random_metric(n: int, seed: int, span: int = 20) -> DistanceMatrix:
     for p in range(n):
         for q in range(p + 1, n):
             d[p][q] = d[q][p] = Fraction(rng.randint(1, span))
-    for r in range(n):
+    for r in range(n):  # no entry through r changes in round r
         for p in range(n):
-            for q in range(n):
+            for q in range(p + 1, n):
                 through = d[p][r] + d[r][q]
-                if p != q and through < d[p][q]:
-                    d[p][q] = through
+                if through < d[p][q]:
+                    d[p][q] = d[q][p] = through
     return DistanceMatrix(tuple(tuple(row) for row in d))
 
 

@@ -56,14 +56,14 @@ class Tiling:
     zone_directions[i] is the angle in rational degrees of zone i+1; tiles
     are cyclic tuples of signed 1-based zone ids with second half the
     negation of the first; adjacencies pair side slots (tile, side) that
-    are glued, necessarily with the same zone and opposite signs.
+    are glued, necessarily with the same zone and opposite signs.  Corner
+    j + k of a 2k-gon repeats corner j, so one per opposite pair is kept.
     """
 
     zone_directions: tuple[Fraction, ...]
     tiles: tuple[tuple[int, ...], ...]
     adjacencies: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    # (tile, corner, zone_a, zone_b, interior angle) per corner, computed
-    # once by _validate; corners() yields these tuples.
+    # The corners() tuples, one per opposite-corner pair, set by _validate.
     _corners: tuple[tuple[int, int, int, int, Fraction], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -107,17 +107,15 @@ class Tiling:
                         f"is {tile[i + k]}, expected {-z}"
                     )
                 used.add(abs(z))
-            sides = [heading[z] for z in tile]
-            for j, cur in enumerate(sides):
-                nxt = (j + 1) % len(tile)
-                turn = (sides[nxt] - cur) % 360
+            for j in range(k):  # corner j + k repeats corner j
+                turn = (heading[tile[j + 1]] - heading[tile[j]]) % 360
                 if turn >= 180:
                     raise InputError(
                         f"tile {t} corner {j}: interior angle "
                         f"{180 - turn} is not positive"
                     )
                 corners.append(
-                    (t, j, abs(tile[j]), abs(tile[nxt]), 180 - turn)
+                    (t, j, abs(tile[j]), abs(tile[j + 1]), 180 - turn)
                 )
         object.__setattr__(self, "_corners", tuple(corners))
         if used != set(range(1, m + 1)):
@@ -172,7 +170,7 @@ class Tiling:
         return (base + (180 if z < 0 else 0)) % 360
 
     def corners(self):
-        """Yield (tile, corner, zone_a, zone_b, interior_angle)."""
+        """Yield (tile, corner, zone_a, zone_b, angle), one per opposite pair."""
         yield from self._corners
 
 
@@ -208,9 +206,9 @@ def zones(tiling: Tiling) -> ZoneReport:
 
 def angle_graph(tiling: Tiling) -> ParamDigraph:
     """Vertex 0 is the start; vertex z is zone z.  Arcs: zero-weight start
-    arcs to every zone; per corner between zones a, b with interior angle
-    phi, a min-angle arc a -> b with weight phi - lambda and a convexity
-    arc b -> a with weight 180 - phi."""
+    arcs to every zone; per opposite-corner pair between zones a, b with
+    interior angle phi, a min-angle arc a -> b with weight phi - lambda and
+    a convexity arc b -> a with weight 180 - phi."""
     m = len(tiling.zone_directions)
     arcs: list[tuple[int, int, Fraction, Fraction]] = []
     for z in range(1, m + 1):
@@ -246,7 +244,7 @@ def optimize_angles(tiling: Tiling) -> AngleSolution:
         raise AssertionError(f"threshold {lam} admits a negative cycle")
     adjustments = tuple(d[z] for z in range(1, g.vertex_count))
 
-    # The sloped arcs are (a, b, interior, -1), one per corner.
+    # The sloped arcs are (a, b, interior, -1), one per kept corner.
     new_angles = [interior + d[a] - d[b] for a, b, interior, s in g.arcs if s]
     if min(new_angles) != lam:
         raise AssertionError(

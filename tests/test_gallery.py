@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from geomgraph import gallery
 from geomgraph.errors import InputError
 from geomgraph.gallery import (
     comb_polygon,
@@ -170,6 +171,41 @@ def test_orthogonal_guards_validates_the_quadrilateralization():
         orthogonal_guards(poly, bad)
     with pytest.raises(InputError):
         orthogonal_guards(comb_polygon(3), ((0, 1, 2, 3),))  # not orthogonal
+
+
+def test_each_interior_quad_side_is_tested_once(monkeypatch):
+    tested = []
+
+    def counting(seg, poly):
+        tested.append(frozenset((seg.a, seg.b)))
+        return real(seg, poly)
+
+    real = gallery.is_interior_chord
+    monkeypatch.setattr(gallery, "is_interior_chord", counting)
+    for teeth in range(2, 9):
+        tested.clear()
+        poly, quads = orthogonal_comb(teeth)
+        orthogonal_guards(poly, quads)
+        n = len(poly.outer)
+        boundary = {frozenset((i, (i + 1) % n)) for i in range(n)}
+        interior = {
+            frozenset((q[i], q[(i + 1) % 4])) for q in quads for i in range(4)
+        } - boundary
+        # Each interior side is shared by two quads and tested at the first.
+        assert len(tested) == len(set(tested)) == len(interior) == 2 * teeth - 2
+        assert set(tested) == {
+            frozenset(poly.outer[v] for v in side) for side in interior
+        }
+
+
+def test_a_bad_shared_quad_side_names_its_first_quad():
+    poly, _ = staircase_with_quads()
+    # Side 0-4 runs through vertex 6 at (1, 1); both quads have it.
+    below, above = (0, 1, 2, 4), (0, 4, 5, 7)
+    with pytest.raises(InputError, match="^quad 0: side 4-0 is not"):
+        orthogonal_guards(poly, (below, above))
+    with pytest.raises(InputError, match="^quad 0: side 0-4 is not"):
+        orthogonal_guards(poly, (above, below))
 
 
 def test_orthogonal_guards_rejects_vertex_indices_that_are_not_ints():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -48,6 +49,58 @@ def test_metric_axioms_are_named_on_rejection():
         DistanceMatrix([[0, 1, 9], [1, 0, 1], [9, 1, 0]])
     with pytest.raises(InputError, match="float distance"):
         DistanceMatrix([[0, 1.5], [1.5, 0]])
+
+
+def _first_triangle_error(rows):
+    """The all-triples check over every ordered (p, q, r): the message
+    and (p, q) of its first violation, or (None, None)."""
+    n = len(rows)
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                if rows[p][q] > rows[p][r] + rows[r][q]:
+                    return (
+                        f"triangle inequality violated: D[{p}][{q}] > "
+                        f"D[{p}][{r}] + D[{r}][{q}]"
+                    ), (p, q)
+    return None, None
+
+
+def test_triangle_check_names_the_all_triples_first_violation():
+    # Broken symmetric metrics: a random metric with several entries raised
+    # (on both sides of the diagonal) until some triangles fail.
+    rng = random.Random(19)
+    adjacent = 0  # first violations with q == p + 1
+    for case in range(300):
+        n = rng.randint(3, 9)
+        rows = [list(row) for row in random_metric(n, case).entries]
+        for _ in range(rng.randint(1, 4)):
+            p, q = rng.sample(range(n), 2)
+            rows[p][q] = rows[q][p] = rows[p][q] * rng.randint(2, 9)
+        want, first = _first_triangle_error(rows)
+        if want is None:
+            assert DistanceMatrix(rows).n == n
+            continue
+        adjacent += first[1] == first[0] + 1
+        with pytest.raises(InputError) as caught:
+            DistanceMatrix(rows)
+        assert str(caught.value) == want
+    assert adjacent > 0
+
+
+def test_random_metric_is_the_all_pairs_floyd_warshall_closure():
+    for n in range(2, 12):
+        for seed in range(5):
+            rng = random.Random(seed)
+            d = [[Fraction(0)] * n for _ in range(n)]
+            for p in range(n):
+                for q in range(p + 1, n):
+                    d[p][q] = d[q][p] = Fraction(rng.randint(1, 20))
+            for r in range(n):
+                for p in range(n):
+                    for q in range(n):
+                        d[p][q] = min(d[p][q], d[p][r] + d[r][q])
+            assert random_metric(n, seed).entries == tuple(map(tuple, d))
 
 
 def test_entries_are_exact_rationals():

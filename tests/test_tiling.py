@@ -86,9 +86,10 @@ def test_side_directions_and_corner_angles():
     assert t.side_direction(0, 1) == 30
     assert t.side_direction(0, 2) == 180
     assert t.side_direction(0, 3) == 210
+    # Corners 2 and 3 repeat corners 0 and 1, so only the first two are kept.
     interiors = [phi for *_rest, phi in t.corners()]
-    assert interiors == [150, 30, 150, 30]
-    assert sum(interiors) == 360
+    assert interiors == [150, 30]
+    assert 2 * sum(interiors) == 360
 
 
 def _rhombic_tilings():
@@ -103,7 +104,8 @@ def _rhombic_tilings():
 
 
 def _reference_corners(t: Tiling):
-    """(tile, corner, zone_a, zone_b, interior) from the side directions."""
+    """(tile, corner, zone_a, zone_b, interior) for all 2k corners of every
+    2k-gon, from the side directions."""
     out = []
     for i, tile in enumerate(t.tiles):
         k = len(tile)
@@ -126,7 +128,18 @@ def test_corners_match_the_side_direction_reference():
     tilings += _rhombic_tilings()
     for t in tilings:
         got = list(t.corners())
-        assert got == _reference_corners(t)
+        ref = _reference_corners(t)
+        kept = []
+        for i, tile in enumerate(t.tiles):
+            k = len(tile) // 2
+            rows = [row for row in ref if row[0] == i]
+            # Corner j + k has corner j's zones and angle.
+            for j in range(k):
+                assert rows[j + k] == (i, j + k, *rows[j][2:])
+            kept += rows[:k]
+        assert got == kept
+        # Start arcs plus two arcs per kept corner.
+        assert len(angle_graph(t).arcs) == len(t.zone_directions) + 2 * len(got)
         assert all(type(phi) is Fraction for *_rest, phi in got)
         # The kept corners take no part in equality, hashing or repr.
         twin = Tiling(t.zone_directions, t.tiles, t.adjacencies)
@@ -161,10 +174,11 @@ def test_zone_labels_must_form_one_connected_class():
 def test_angle_graph_shape():
     g = angle_graph(rhombus_tiling())
     assert g.vertex_count == 3  # start + one per zone
-    assert len(g.arcs) == 2 + 2 * 4  # start arcs + two arcs per corner
+    # start arcs + two arcs per kept corner, one per opposite-corner pair
+    assert len(g.arcs) == 2 + 2 * 2
     slopes = sorted(s for *_rest, s in g.arcs)
-    assert slopes.count(-1) == 4  # one min-angle arc per corner
-    assert slopes.count(0) == 6
+    assert slopes.count(-1) == 2  # one min-angle arc per kept corner
+    assert slopes.count(0) == 4
 
 
 # ---------------------------------------------------------------------------
