@@ -22,12 +22,15 @@ few rounds with a short cycle.  Which negative cycle a probe returns, and
 with it the Newton steps and the witness cycles, depends on that order;
 the endpoints and the distances of a feasible probe do not.
 
-Every probe runs on ints.  A ParamDigraph scales its arcs once, by the lcm
-D of all intercept and slope denominators, and a probe at lam = p/q weighs
-each arc D*I*q + D*S*p, which is D*q times its exact weight.  A positive
-scale keeps every sum and comparison, so the probe relaxes the same arcs
-and returns the same negative cycle as one on Fractions would;
-:func:`distances_at` divides its distances back by D*q.
+Every probe runs on ints.  A ParamDigraph holds its arcs scaled by one
+common denominator D of all intercepts and slopes, and a probe at lam = p/q
+weighs each arc D*I*q + D*S*p, which is D*q times its exact weight.  A
+positive scale keeps every sum and comparison, so the probe relaxes the
+same arcs and returns the same negative cycle as one on Fractions would;
+:func:`distances_at` divides its distances back by D*q.  The scaling starts
+at load: `stars.DistanceMatrix` and `tiling.Tiling` keep their values as
+ints at one D per input, the solvers build their graphs from those ints,
+and the Fraction arcs are made only when something reads them.
 
 - :func:`parametric_feasible_interval` walks up to the lower endpoint from
   below every cycle root, and down to the upper endpoint from above them.
@@ -58,9 +61,10 @@ class ParamDigraph:
     Parallel arcs and self-loops are allowed.  Vertex ids must be ints and
     intercepts and slopes exact (see `errors.rational`).
 
-    scale is the lcm D of every intercept and slope denominator, and
-    scaled_arcs holds each arc as (tail, head, D*intercept, D*slope) in
-    ints; the probes run on those."""
+    scale is a common denominator D of every intercept and slope (their
+    lcm when built from Fractions), and scaled_arcs holds each arc as
+    (tail, head, D*intercept, D*slope) in ints; the probes run on those.
+    The Fraction arcs are made from them on first read."""
 
     vertex_count: int
     arcs: tuple[tuple[int, int, Fraction, Fraction], ...]
@@ -71,21 +75,45 @@ class ParamDigraph:
 
     def __init__(self, vertex_count: int, arcs):
         vertex_count = integer(vertex_count, "vertex count")
-        norm = []
+        ends, weights = [], []
         for t, h, intercept, slope in arcs:
             t, h = integer(t, "vertex id"), integer(h, "vertex id")
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise InputError(f"arc ({t},{h}) out of range")
-            norm.append(
-                (t, h, rational(intercept, "intercept"), rational(slope, "slope"))
+            ends.append((t, h))
+            weights.append(
+                (rational(intercept, "intercept"), rational(slope, "slope"))
             )
-        scale, weights = scaled([(i, s) for (_t, _h, i, s) in norm])
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "arcs", tuple(norm))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scaled_arcs", tuple(
-            (t, h, i, s) for (t, h, _i, _s), (i, s) in zip(norm, weights)
+        scale, weights = scaled(weights)
+        self._fill(vertex_count, scale, tuple(
+            (t, h, i, s) for (t, h), (i, s) in zip(ends, weights)
         ))
+
+    @classmethod
+    def _from_scaled(cls, vertex_count: int, scale: int, scaled_arcs):
+        """A graph from arcs already scaled to ints at a positive scale,
+        which may be any common denominator of the weights.  Nothing is
+        checked: the callers build in-range ids from a validated input."""
+        g = object.__new__(cls)
+        g._fill(vertex_count, scale, tuple(scaled_arcs))
+        return g
+
+    def _fill(self, vertex_count: int, scale: int, scaled_arcs) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_arcs", scaled_arcs)
+
+    def __getattr__(self, name: str):
+        # Runs only for attributes not yet set: the arcs before first read.
+        if name != "arcs":
+            raise AttributeError(name)
+        scale = self.scale
+        arcs = tuple(
+            (t, h, Fraction(i, scale), Fraction(s, scale))
+            for t, h, i, s in self.scaled_arcs
+        )
+        object.__setattr__(self, "arcs", arcs)
+        return arcs
 
 
 def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fraction]]:
@@ -94,8 +122,10 @@ def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fracti
 
 
 def _scaled_weights(g: ParamDigraph, lam) -> tuple[list[tuple[int, int, int]], int]:
-    """The arcs at lam = p/q as (tail, head, D*q*weight) in ints, and D*q."""
-    lam = rational(lam, "parameter")
+    """The arcs at lam = p/q as (tail, head, D*q*weight) in ints, and D*q.
+    The solvers' own parameters are Fractions and pass uncoerced."""
+    if not isinstance(lam, Fraction):
+        lam = rational(lam, "parameter")
     p, q = lam.numerator, lam.denominator
     arcs = [(t, h, i * q + s * p) for (t, h, i, s) in g.scaled_arcs]
     return arcs, g.scale * q
@@ -113,11 +143,18 @@ def is_feasible(g: ParamDigraph, lam: Fraction) -> bool:
     return feasibility_witness(g, lam) is None
 
 
+def _scaled_distances(
+    g: ParamDigraph, lam: Fraction
+) -> tuple[list[int | None] | None, int]:
+    """distances_at's distances times the unit D*q, as ints, and that unit."""
+    arcs, unit = _scaled_weights(g, lam)
+    return bellman_ford_multi(g.vertex_count, arcs, (0,), 0).distances, unit
+
+
 def distances_at(g: ParamDigraph, lam: Fraction) -> tuple[Fraction | None, ...] | None:
     """Exact shortest-path distances from vertex 0 at lam (None for a vertex
     it cannot reach), or None when a negative cycle is reachable from 0."""
-    arcs, unit = _scaled_weights(g, lam)
-    dist = bellman_ford_multi(g.vertex_count, arcs, (0,), 0).distances
+    dist, unit = _scaled_distances(g, lam)
     if dist is None:
         return None
     return tuple(None if d is None else Fraction(d, unit) for d in dist)
@@ -245,9 +282,10 @@ def karp_orlin_threshold(g: ParamDigraph):
     ratio candidate, and the walk jumps to its ratio until a probe is
     feasible.
     """
-    for _t, _h, _i, s in g.arcs:
-        if s != 0 and s != -1:
-            raise InputError(f"slopes must be 0 or -1, got {s}")
+    scale = g.scale
+    for _t, _h, _i, s in g.scaled_arcs:
+        if s != 0 and s != -scale:
+            raise InputError(f"slopes must be 0 or -1, got {Fraction(s, scale)}")
     hi, _witness, certificate = _newton_walk(g, _root_bound(g) + 1, rising=False)
     if certificate is not None:
         raise InputError(

@@ -12,11 +12,16 @@ shortest-path distances there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, rational
-from .parametric import ParamDigraph, distances_at, parametric_feasible_interval
+from .parametric import (
+    ParamDigraph,
+    _scaled_distances,
+    parametric_feasible_interval,
+)
 
 __all__ = [
     "DistanceMatrix",
@@ -38,9 +43,17 @@ class DistanceMatrix:
     """A finite metric: symmetric, zero diagonal, positive off-diagonal,
     triangle inequality.  Validation is always on and names the axiom.
     Given symmetry, the triangle check needs only q > p: p == q never
-    fails, and (p, q, r) with p > q fails iff (q, p, r), which comes first."""
+    fails, and (p, q, r) with p > q fails iff (q, p, r), which comes first.
+
+    Next to the Fraction entries it keeps the same table as ints at D, the
+    lcm of their denominators; the axioms are checked on that table, and
+    the star solver builds its graph from it."""
 
     entries: tuple[tuple[Fraction, ...], ...]
+    _scale: int = field(init=False, repr=False, compare=False)
+    _table: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, entries):
         rows = tuple(
@@ -50,7 +63,14 @@ class DistanceMatrix:
         n = len(rows)
         if n == 0:
             raise InputError("empty distance matrix")
-        for p, row in enumerate(rows):
+        scale = math.lcm(1, *(v.denominator for row in rows for v in row))
+        table = tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in row)
+            for row in rows
+        )
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_table", table)
+        for p, row in enumerate(table):
             if len(row) != n:
                 raise InputError(
                     f"row {p} has {len(row)} entries, expected {n}"
@@ -59,18 +79,19 @@ class DistanceMatrix:
                 raise InputError(f"zero diagonal violated: D[{p}][{p}] != 0")
         for p in range(n):
             for q in range(p + 1, n):
-                if rows[p][q] != rows[q][p]:
+                if table[p][q] != table[q][p]:
                     raise InputError(
                         f"symmetry violated: D[{p}][{q}] != D[{q}][{p}]"
                     )
-                if rows[p][q] <= 0:
+                if table[p][q] <= 0:
                     raise InputError(
                         f"positivity violated: D[{p}][{q}] <= 0"
                     )
-        for p in range(n):
+        for p, row in enumerate(table):
             for q in range(p + 1, n):
-                for r in range(n):
-                    if rows[p][q] > rows[p][r] + rows[r][q]:
+                pq = row[q]
+                for r, pr in enumerate(row):
+                    if pq > pr + table[r][q]:
                         raise InputError(
                             f"triangle inequality violated: D[{p}][{q}] > "
                             f"D[{p}][{r}] + D[{r}][{q}]"
@@ -104,19 +125,17 @@ def build_parametric_graph(d: DistanceMatrix) -> ParamDigraph:
     p-down -> q-up of weight -D[p][q] and an arc p-up -> q-down of weight
     lambda * D[p][q].  No negative cycle at lambda means hub distances with
     dilation lambda exist."""
-    n = d.n
-    up = lambda p: 1 + p
-    down = lambda p: 1 + n + p
-    arcs: list[tuple[int, int, Fraction, Fraction]] = []
+    n, table = d.n, d._table
+    arcs = []
     for p in range(n):
-        arcs.append((0, up(p), Fraction(0), Fraction(0)))
-        arcs.append((down(p), up(p), Fraction(0), Fraction(0)))
-    for p in range(n):
-        for q in range(n):
+        arcs.append((0, 1 + p, 0, 0))
+        arcs.append((1 + n + p, 1 + p, 0, 0))
+    for p, row in enumerate(table):
+        for q, dpq in enumerate(row):
             if p != q:
-                arcs.append((down(p), up(q), -d[p, q], Fraction(0)))
-                arcs.append((up(p), down(q), Fraction(0), d[p, q]))
-    return ParamDigraph(1 + 2 * n, arcs)
+                arcs.append((1 + n + p, 1 + q, -dpq, 0))
+                arcs.append((1 + p, 1 + n + q, 0, dpq))
+    return ParamDigraph._from_scaled(1 + 2 * n, d._scale, arcs)
 
 
 def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
@@ -140,19 +159,37 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
     if delta < 1:
         raise AssertionError(f"dilation {delta} is below 1")
 
-    dist = distances_at(g, delta)
+    dist, unit = _scaled_distances(g, delta)
     if dist is None or any(v is None for v in dist):
         raise AssertionError("every auxiliary vertex must be reachable at delta")
 
     # The zero arc down(p) -> up(p) makes every hub distance nonnegative;
     # the -D and lambda*D arcs give non-contraction and dilation <= delta.
-    hub = tuple((dist[1 + n + p] - dist[1 + p]) / 2 for p in range(n))
-    try:
-        achieved = dilation(d, hub)
-    except InputError as exc:
-        raise AssertionError(f"the hub vector does not embed: {exc}") from None
-    if achieved != delta:
+    # Checked as `dilation` does, on ints.  With delta = P/Q, the table at
+    # scale D and the distances at unit D*Q, twice[p] = 2*D*Q*H[p].  So
+    # H[p] + H[q] < D[p][q] iff twice[p] + twice[q] < 2*Q*table[p][q], and
+    # that pair's ratio minus delta has the sign of twice[p] + twice[q] -
+    # 2*P*table[p][q]; the dilation is delta iff the greatest such excess
+    # is 0.
+    twice = [dist[1 + n + p] - dist[1 + p] for p in range(n)]
+    table, big_p, big_q = d._table, delta.numerator, delta.denominator
+    if any(h < 0 for h in twice):
+        raise AssertionError(
+            "the hub vector does not embed: hub distances must be nonnegative"
+        )
+    excess = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            total, dpq = twice[p] + twice[q], table[p][q]
+            if total < 2 * big_q * dpq:
+                raise AssertionError(
+                    f"the hub vector does not embed: contraction: "
+                    f"H[{p}]+H[{q}] < D[{p}][{q}]"
+                )
+            excess.append(total - 2 * big_p * dpq)
+    if max(excess) != 0:
         raise AssertionError("the hub vector does not embed with dilation delta")
+    hub = tuple(Fraction(h, 2 * unit) for h in twice)
     return StarEmbedding(hub, delta)
 
 

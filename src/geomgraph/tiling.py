@@ -26,7 +26,12 @@ from itertools import accumulate, chain
 
 from .errors import InputError, integer, rational
 from .graphs import components
-from .parametric import INF, ParamDigraph, distances_at, karp_orlin_threshold
+from .parametric import (
+    INF,
+    ParamDigraph,
+    _scaled_distances,
+    karp_orlin_threshold,
+)
 
 __all__ = [
     "Tiling",
@@ -58,13 +63,19 @@ class Tiling:
     negation of the first; adjacencies pair side slots (tile, side) that
     are glued, necessarily with the same zone and opposite signs.  Corner
     j + k of a 2k-gon repeats corner j, so one per opposite pair is kept.
+    Headings and interior angles are computed as ints at D, the lcm of the
+    direction denominators, and the angle graph is built from those ints;
+    corners() yields the angles as Fractions.
     """
 
     zone_directions: tuple[Fraction, ...]
     tiles: tuple[tuple[int, ...], ...]
     adjacencies: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    # The corners() tuples, one per opposite-corner pair, set by _validate.
-    _corners: tuple[tuple[int, int, int, int, Fraction], ...] = field(
+    # Set by _validate: the lcm D of the direction denominators, and the
+    # corners() rows, one per opposite-corner pair, with D * interior angle
+    # as an int.
+    _scale: int = field(init=False, repr=False, compare=False)
+    _corners: tuple[tuple[int, int, int, int, int], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -87,9 +98,13 @@ class Tiling:
         m = len(self.zone_directions)
         if not self.tiles:
             raise InputError("tiling has no tiles")
-        heading = {}  # signed zone -> its sides' direction in [0, 360)
+        # Headings and interiors are ints in units of 1/D degree.
+        scale = math.lcm(1, *(v.denominator for v in self.zone_directions))
+        full, half = 360 * scale, 180 * scale
+        heading = {}  # signed zone -> its sides' direction in [0, full)
         for z, theta in enumerate(self.zone_directions, 1):
-            heading[z], heading[-z] = theta % 360, (theta + 180) % 360
+            theta = theta.numerator * (scale // theta.denominator)
+            heading[z], heading[-z] = theta % full, (theta + half) % full
         used = set()
         corners = []
         for t, tile in enumerate(self.tiles):
@@ -108,15 +123,16 @@ class Tiling:
                     )
                 used.add(abs(z))
             for j in range(k):  # corner j + k repeats corner j
-                turn = (heading[tile[j + 1]] - heading[tile[j]]) % 360
-                if turn >= 180:
+                turn = (heading[tile[j + 1]] - heading[tile[j]]) % full
+                if turn >= half:
                     raise InputError(
                         f"tile {t} corner {j}: interior angle "
-                        f"{180 - turn} is not positive"
+                        f"{Fraction(half - turn, scale)} is not positive"
                     )
                 corners.append(
-                    (t, j, abs(tile[j]), abs(tile[j + 1]), 180 - turn)
+                    (t, j, abs(tile[j]), abs(tile[j + 1]), half - turn)
                 )
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_corners", tuple(corners))
         if used != set(range(1, m + 1)):
             missing = sorted(set(range(1, m + 1)) - used)
@@ -171,7 +187,9 @@ class Tiling:
 
     def corners(self):
         """Yield (tile, corner, zone_a, zone_b, angle), one per opposite pair."""
-        yield from self._corners
+        scale = self._scale
+        for t, j, a, b, interior in self._corners:
+            yield t, j, a, b, Fraction(interior, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +227,13 @@ def angle_graph(tiling: Tiling) -> ParamDigraph:
     arcs to every zone; per opposite-corner pair between zones a, b with
     interior angle phi, a min-angle arc a -> b with weight phi - lambda and
     a convexity arc b -> a with weight 180 - phi."""
-    m = len(tiling.zone_directions)
-    arcs: list[tuple[int, int, Fraction, Fraction]] = []
-    for z in range(1, m + 1):
-        arcs.append((0, z, Fraction(0), Fraction(0)))
-    for _t, _j, a, b, interior in tiling.corners():
-        arcs.append((a, b, interior, Fraction(-1)))
-        arcs.append((b, a, 180 - interior, Fraction(0)))
-    return ParamDigraph(m + 1, arcs)
+    m, scale = len(tiling.zone_directions), tiling._scale
+    arcs = [(0, z, 0, 0) for z in range(1, m + 1)]
+    half = 180 * scale
+    for _t, _j, a, b, interior in tiling._corners:
+        arcs.append((a, b, interior, -scale))
+        arcs.append((b, a, half - interior, 0))
+    return ParamDigraph._from_scaled(m + 1, scale, arcs)
 
 
 @dataclass(frozen=True)
@@ -239,18 +256,23 @@ def optimize_angles(tiling: Tiling) -> AngleSolution:
     if lam is INF:
         raise AssertionError("every tile induces a cycle of min-angle arcs")
 
-    d = distances_at(g, lam)
+    # Distances, angles and lam are ints in units of 1/(D*q) degree, where
+    # lam = p/q and D is the graph's scale.
+    d, unit = _scaled_distances(g, lam)
     if d is None:
         raise AssertionError(f"threshold {lam} admits a negative cycle")
-    adjustments = tuple(d[z] for z in range(1, g.vertex_count))
+    adjustments = tuple(Fraction(d[z], unit) for z in range(1, g.vertex_count))
 
-    # The sloped arcs are (a, b, interior, -1), one per kept corner.
-    new_angles = [interior + d[a] - d[b] for a, b, interior, s in g.arcs if s]
-    if min(new_angles) != lam:
+    # The sloped arcs are (a, b, D*interior, -D), one per kept corner.
+    q = lam.denominator
+    new_angles = [i * q + d[a] - d[b] for a, b, i, s in g.scaled_arcs if s]
+    least, floor = min(new_angles), lam.numerator * g.scale
+    if least != floor:
         raise AssertionError(
-            f"smallest adjusted angle {min(new_angles)} is not the threshold {lam}"
+            f"smallest adjusted angle {Fraction(least, unit)} is not the "
+            f"threshold {lam}"
         )
-    if not all(lam <= angle <= 180 for angle in new_angles):
+    if not all(floor <= angle <= 180 * unit for angle in new_angles):
         raise AssertionError("an adjusted angle leaves [lambda, 180]")
 
     directions = tuple(
@@ -276,7 +298,11 @@ def reconstruct_positions(
     Every tile must close and every glued side must coincide (to 1e-9);
     a tiling failing that is combinatorially valid but not geometric.
     """
-    dirs = [rational(v, "angle") for v in directions]
+    # The solver's own directions are Fractions and pass uncoerced.
+    dirs = [
+        v if isinstance(v, Fraction) else rational(v, "angle")
+        for v in directions
+    ]
     if len(dirs) != (m := len(tiling.zone_directions)):
         raise InputError(f"{len(dirs)} directions for {m} zones")
     units: dict[int, tuple[float, float]] = {}
@@ -305,6 +331,9 @@ def reconstruct_positions(
         glued[sb] = sa
 
     positions: dict[int, list[tuple[float, float]]] = {}
+    # Tiles taken off the queue.  A gluing to one of them was checked when
+    # it was taken, and placed tiles never move, so it is not checked again.
+    done = set()
     for start in range(len(tiling.tiles)):
         if start in positions:
             continue
@@ -312,10 +341,11 @@ def reconstruct_positions(
         queue = [start]
         while queue:
             t = queue.pop(0)
+            done.add(t)
             n = len(tiling.tiles[t])
             for i in range(n):
                 other = glued.get((t, i))
-                if other is None:
+                if other is None or other[0] in done:
                     continue
                 s, j = other
                 # Side i of t runs from vertex i to i+1; the glued tile

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from geomgraph import parametric, verify
+from geomgraph import parametric, stars, tiling, verify
 from geomgraph.errors import InputError
 from geomgraph.graphs import (
     WeightedDigraph,
@@ -429,3 +429,51 @@ def test_param_digraph_takes_exact_values_and_int_vertex_ids():
         ParamDigraph(2, [(0, True, 0, 0)])
     g = ParamDigraph(2, [(0, 1, "0.1", "-1/3")])
     assert g.arcs == ((0, 1, Fraction(1, 10), Fraction(-1, 3)),)
+
+
+def test_solvers_build_and_solve_without_coercing_or_reading_fraction_arcs(
+    monkeypatch,
+):
+    # The solvers' graphs come from their inputs' int tables, so building
+    # and solving coerces no value and makes no Fraction arc.
+    hexagon = hexagon_tiling()
+    tilings = [load_tiling(str(p)) for p in sorted(INSTANCES.glob("*.tiling"))]
+    tilings.append(tiling.Tiling(
+        ("7/3", "45/2", "1000/7"), hexagon.tiles, hexagon.adjacencies
+    ))
+    metrics = [load_matrix(str(p)) for p in sorted(INSTANCES.glob("*.dist"))]
+    metrics.append(stars.DistanceMatrix(
+        [[0, "7/3", "5/2"], ["7/3", 0, "9/2"], ["5/2", "9/2", 0]]
+    ))
+
+    counts = {"coerced": 0, "arcs": 0}
+
+    def counting(original):
+        def wrapper(*args):
+            counts["coerced"] += 1
+            return original(*args)
+
+        return wrapper
+
+    for module in (parametric, tiling, stars):
+        for name in ("rational", "integer"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    lazy = ParamDigraph.__getattr__
+
+    def counted_getattr(self, name):
+        counts["arcs"] += name == "arcs"
+        return lazy(self, name)
+
+    monkeypatch.setattr(ParamDigraph, "__getattr__", counted_getattr)
+    for t in tilings:
+        angle_graph(t)
+        optimize_angles(t)
+    for d in metrics:
+        build_parametric_graph(d)
+        optimal_star_embedding(d)
+    assert counts == {"coerced": 0, "arcs": 0}
+    # The counters do see the public constructor's coercion and a read.
+    g = angle_graph(tilings[0])
+    ParamDigraph(g.vertex_count, g.arcs)
+    assert counts["coerced"] > 0 and counts["arcs"] == 1

@@ -7,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from geomgraph import stars
 from geomgraph.errors import InputError
+from geomgraph.graphs import bellman_ford_multi
 from geomgraph.parametric import (
+    FeasibleInterval,
+    ParamDigraph,
+    evaluate_arcs,
     feasibility_witness,
     parametric_feasible_interval,
 )
@@ -66,17 +71,37 @@ def _first_triangle_error(rows):
     return None, None
 
 
+def _rational_metric(n: int, seed: int) -> DistanceMatrix:
+    """random_metric with 1 + a seeded rational in [0, 1] added to each
+    distance.  Adding amounts between c and 2c keeps the triangle
+    inequality, and the denominators are 1, 2, 3, 7 or 45."""
+    rng = random.Random(seed)
+    rows = [list(row) for row in random_metric(n, seed).entries]
+    for p in range(n):
+        for q in range(p + 1, n):
+            den = rng.choice((1, 2, 3, 7, 45))
+            extra = 1 + Fraction(rng.randint(0, den), den)
+            rows[p][q] = rows[q][p] = rows[p][q] + extra
+    return DistanceMatrix(rows)
+
+
 def test_triangle_check_names_the_all_triples_first_violation():
     # Broken symmetric metrics: a random metric with several entries raised
-    # (on both sides of the diagonal) until some triangles fail.
+    # (on both sides of the diagonal) until some triangles fail.  The last
+    # 300 have rational entries and raise them by rational factors.
     rng = random.Random(19)
     adjacent = 0  # first violations with q == p + 1
-    for case in range(300):
+    for case in range(600):
         n = rng.randint(3, 9)
-        rows = [list(row) for row in random_metric(n, case).entries]
+        rational = case >= 300
+        base = _rational_metric(n, case) if rational else random_metric(n, case)
+        rows = [list(row) for row in base.entries]
         for _ in range(rng.randint(1, 4)):
             p, q = rng.sample(range(n), 2)
-            rows[p][q] = rows[q][p] = rows[p][q] * rng.randint(2, 9)
+            factor = rng.randint(2, 9)
+            if rational:
+                factor = Fraction(factor * 3 + rng.randint(1, 2), 3)
+            rows[p][q] = rows[q][p] = rows[p][q] * factor
         want, first = _first_triangle_error(rows)
         if want is None:
             assert DistanceMatrix(rows).n == n
@@ -123,6 +148,44 @@ def test_parametric_graph_shape_for_two_points():
     flat_neg = [(t, h, i, s) for t, h, i, s in g.arcs if s == 0 and i < 0]
     assert len(sloped) == 2 and all(s == 5 for *_ab, s in sloped)
     assert len(flat_neg) == 2 and all(i == -5 for _t, _h, i, _s in flat_neg)
+
+
+def _rational_metrics():
+    scaled_tri = [[v * Fraction(7, 3) for v in row] for row in TRI.entries]
+    return [
+        _rational_metric(n, seed) for n in range(2, 9) for seed in range(3)
+    ] + [DistanceMatrix(scaled_tri)]
+
+
+def _fraction_graph(d: DistanceMatrix) -> ParamDigraph:
+    """build_parametric_graph through the public constructor, from the
+    Fraction entries."""
+    n, arcs = d.n, []
+    for p in range(n):
+        arcs += [(0, 1 + p, 0, 0), (1 + n + p, 1 + p, 0, 0)]
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                arcs.append((1 + n + p, 1 + q, -d[p, q], 0))
+                arcs.append((1 + p, 1 + n + q, 0, d[p, q]))
+    return ParamDigraph(1 + 2 * n, arcs)
+
+
+def test_graph_from_the_int_table_equals_the_fraction_graph():
+    for d in _rational_metrics() + [TRI, cycle_metric(5)]:
+        g = build_parametric_graph(d)
+        assert g.arcs == _fraction_graph(d).arcs
+        assert g == ParamDigraph(1 + 2 * d.n, list(g.arcs))
+        # The int table is the entries at one scale, and stays out of
+        # equality, hashing and repr.
+        assert all(
+            Fraction(x, d._scale) == v
+            for row, trow in zip(d.entries, d._table)
+            for v, x in zip(row, trow)
+        )
+        twin = DistanceMatrix(d.entries)
+        assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+        assert "_table" not in repr(d)
 
 
 def test_feasibility_is_a_ray_from_the_optimum():
@@ -174,6 +237,87 @@ def test_dilation_is_scale_invariant():
     assert emb.hub_distances == tuple(
         h * scale for h in base.hub_distances
     )
+
+
+def _fraction_star(d: DistanceMatrix):
+    """The optimal dilation, hub distances and their dilation on Fraction
+    weights: a Newton walk up from 0, below every cycle root, then the
+    distances there and max (H[p] + H[q]) / D[p][q]."""
+    g = _fraction_graph(d)
+    lam = Fraction(0)
+    while True:
+        cycle = bellman_ford_multi(
+            g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count),
+            Fraction(0),
+        ).negative_cycle
+        if cycle is None:
+            break
+        lam = -sum(g.arcs[a][2] for a in cycle) / sum(g.arcs[a][3] for a in cycle)
+    dist = bellman_ford_multi(
+        g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
+    ).distances
+    n = d.n
+    hub = tuple((dist[1 + n + p] - dist[1 + p]) / 2 for p in range(n))
+    worst = max(
+        (hub[p] + hub[q]) / d[p, q] for p in range(n) for q in range(p + 1, n)
+    )
+    return lam, hub, worst
+
+
+def test_rational_optimum_matches_the_fraction_reference():
+    for d in _rational_metrics():
+        lam, hub, worst = _fraction_star(d)
+        emb = optimal_star_embedding(d)
+        assert emb.dilation == lam == worst
+        assert emb.hub_distances == hub
+        assert dilation(d, emb.hub_distances) == lam
+
+
+def test_hub_self_check_on_ints_keeps_the_dilation_messages(monkeypatch):
+    # Feed the self-check tampered distances, or the true ones with a
+    # threshold one above the optimum (same denominator, so same unit), and
+    # compare its message with `dilation` on the hub vector they give.
+    rng = random.Random(11)
+    cases = []
+    for k, d in enumerate(_rational_metrics() * 4):
+        g = build_parametric_graph(d)
+        delta = optimal_star_embedding(d).dilation
+        dist, unit = stars._scaled_distances(g, delta)
+        bent = list(dist)
+        if k % 5 == 0:
+            delta += 1
+        else:
+            for _ in range(rng.randint(1, 3)):
+                v = rng.randrange(1, len(bent))
+                bent[v] += rng.choice((-1, 1)) * rng.randint(1, 6 * unit)
+        cases.append((d, delta, bent, unit))
+    seen = set()
+    for d, delta, bent, unit in cases:
+        monkeypatch.setattr(stars, "_scaled_distances", lambda *_: (bent, unit))
+        monkeypatch.setattr(
+            stars, "parametric_feasible_interval",
+            lambda _g: FeasibleInterval(empty=False, lo=delta),
+        )
+        n = d.n
+        hub = [Fraction(bent[1 + n + p] - bent[1 + p], 2 * unit) for p in range(n)]
+        try:
+            achieved = dilation(d, hub)
+        except InputError as exc:
+            want = f"the hub vector does not embed: {exc}"
+            kind = "nonnegative" if "nonnegative" in want else "contraction"
+        else:
+            want = kind = None
+            if achieved != delta:
+                want = "the hub vector does not embed with dilation delta"
+                kind = "below" if achieved < delta else "above"
+        if want is None:
+            assert optimal_star_embedding(d) == StarEmbedding(tuple(hub), delta)
+        else:
+            with pytest.raises(AssertionError) as caught:
+                optimal_star_embedding(d)
+            assert str(caught.value) == want
+        seen.add(kind)
+    assert seen == {None, "nonnegative", "contraction", "below", "above"}
 
 
 def test_single_point_metric_cannot_be_embedded():

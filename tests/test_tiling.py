@@ -1,4 +1,6 @@
 import importlib.util
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,7 +8,8 @@ import pytest
 
 from geomgraph import tiling as tiling_module
 from geomgraph.errors import InputError
-from geomgraph.parametric import feasibility_witness
+from geomgraph.graphs import bellman_ford_multi
+from geomgraph.parametric import ParamDigraph, evaluate_arcs, feasibility_witness
 from geomgraph.tiling import (
     Tiling,
     angle_graph,
@@ -103,6 +106,25 @@ def _rhombic_tilings():
     ]
 
 
+def _rational_tilings():
+    """Seeded tilings whose directions have denominators above 1: rhombic
+    tilings with each sorted integer direction raised by less than a degree
+    (so the order and every corner's convexity stay), two hexagons and a
+    rhombus."""
+    rng = random.Random(23)
+    out = []
+    for t in _rhombic_tilings()[::3]:
+        dirs = []
+        for d in t.zone_directions:
+            den = rng.choice((1, 2, 3, 7, 45))
+            dirs.append(d + Fraction(rng.randrange(den), den))
+        out.append(Tiling(dirs, t.tiles, t.adjacencies))
+    out.append(hexagon_tiling(("7/3", "45/2", "1000/7")))
+    out.append(hexagon_tiling(("-1/6", "301/5", "121")))
+    out.append(rhombus_tiling(("7/3", "45/2")))
+    return out
+
+
 def _reference_corners(t: Tiling):
     """(tile, corner, zone_a, zone_b, interior) for all 2k corners of every
     2k-gon, from the side directions."""
@@ -117,6 +139,17 @@ def _reference_corners(t: Tiling):
     return out
 
 
+def _fraction_angle_graph(t: Tiling) -> ParamDigraph:
+    """angle_graph through the public constructor, from the first k
+    reference corners of each 2k-gon."""
+    m = len(t.zone_directions)
+    arcs = [(0, z, 0, 0) for z in range(1, m + 1)]
+    for i, j, a, b, phi in _reference_corners(t):
+        if j < len(t.tiles[i]) // 2:
+            arcs += [(a, b, phi, -1), (b, a, 180 - phi, 0)]
+    return ParamDigraph(m + 1, arcs)
+
+
 def test_corners_match_the_side_direction_reference():
     tilings = [
         load_tiling(str(p)) for p in sorted(INSTANCES.glob("*.tiling"))
@@ -126,6 +159,7 @@ def test_corners_match_the_side_direction_reference():
         hexagon_tiling(("-90", "0", "400")),
     ]
     tilings += _rhombic_tilings()
+    tilings += _rational_tilings()
     for t in tilings:
         got = list(t.corners())
         ref = _reference_corners(t)
@@ -138,8 +172,12 @@ def test_corners_match_the_side_direction_reference():
                 assert rows[j + k] == (i, j + k, *rows[j][2:])
             kept += rows[:k]
         assert got == kept
-        # Start arcs plus two arcs per kept corner.
-        assert len(angle_graph(t).arcs) == len(t.zone_directions) + 2 * len(got)
+        # Start arcs plus two arcs per kept corner, as the public
+        # constructor builds them from the reference corners.
+        g = angle_graph(t)
+        assert g.arcs == _fraction_angle_graph(t).arcs
+        assert g == ParamDigraph(g.vertex_count, list(g.arcs))
+        assert all(type(w) is Fraction for *_th, i, s in g.arcs for w in (i, s))
         assert all(type(phi) is Fraction for *_rest, phi in got)
         # The kept corners take no part in equality, hashing or repr.
         twin = Tiling(t.zone_directions, t.tiles, t.adjacencies)
@@ -247,6 +285,81 @@ def test_threshold_matches_the_cycle_ratio_oracle():
         assert status == "passed", detail
 
 
+def _fraction_threshold(g):
+    """karp_orlin_threshold and the distances there, on Fraction weights: a
+    Newton walk down from 360 degrees, above every cycle ratio."""
+    lam = Fraction(360)
+    while True:
+        cycle = bellman_ford_multi(
+            g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count),
+            Fraction(0),
+        ).negative_cycle
+        if cycle is None:
+            break
+        lam = sum(g.arcs[a][2] for a in cycle) / -sum(g.arcs[a][3] for a in cycle)
+    dist = bellman_ford_multi(
+        g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
+    ).distances
+    return lam, dist
+
+
+def test_rational_optimum_matches_the_fraction_reference():
+    for t in _rational_tilings():
+        lam, dist = _fraction_threshold(_fraction_angle_graph(t))
+        sol = optimize_angles(t)
+        assert sol.lambda_star == lam
+        assert sol.adjustments == tuple(dist[1:])
+        assert sol.directions == tuple(
+            theta + a for theta, a in zip(t.zone_directions, dist[1:])
+        )
+
+
+def test_adjusted_angle_check_on_ints_keeps_its_messages(monkeypatch):
+    # Feed the final check tampered distances and compare its message with
+    # the same check on Fractions.  The hexagon tiling plus a lone hexagon
+    # tile has lambda 60 from the rhombi, so the lone tile's corners can
+    # move to 200, 80, 80 and leave [lambda, 180] with the least angle kept.
+    lone = Tiling(
+        ("0", "60", "120", "0", "60", "120"),
+        hexagon_tiling().tiles + ((4, 5, 6, -4, -5, -6),),
+        hexagon_tiling().adjacencies,
+    )
+    rng = random.Random(5)
+    cases = []
+    for t in _rational_tilings() * 3 + [lone]:
+        g, lam = angle_graph(t), optimize_angles(t).lambda_star
+        dist, unit = tiling_module._scaled_distances(g, lam)
+        bent = list(dist)
+        if t is lone:
+            bent[5] -= 80 * unit
+            bent[6] -= 40 * unit
+        for _ in range(rng.randint(1, 3) if t is not lone else 0):
+            z = rng.randrange(1, len(bent))
+            bent[z] += rng.choice((-1, 1)) * rng.randint(1, 4 * unit)
+        cases.append((t, g, lam, bent, unit))
+    seen = set()
+    for t, g, lam, bent, unit in cases:
+        monkeypatch.setattr(
+            tiling_module, "_scaled_distances", lambda *_: (bent, unit)
+        )
+        d = [Fraction(v, unit) for v in bent]
+        new = [i + d[a] - d[b] for a, b, i, s in g.arcs if s]
+        if min(new) != lam:
+            want = f"smallest adjusted angle {min(new)} is not the threshold {lam}"
+        elif not all(lam <= angle <= 180 for angle in new):
+            want = "an adjusted angle leaves [lambda, 180]"
+        else:
+            want = None
+        if want is None:
+            optimize_angles(t)
+        else:
+            with pytest.raises(AssertionError) as caught:
+                optimize_angles(t)
+            assert str(caught.value) == want
+        seen.add(want and want[:8])
+    assert {"smallest", "an adjus"} <= seen
+
+
 def test_anything_above_the_threshold_is_infeasible():
     t = hexagon_tiling(("0", "20", "130"))
     g = angle_graph(t)
@@ -275,12 +388,35 @@ def test_reconstruction_places_glued_sides_together():
 def test_combinatorial_but_non_geometric_gluing_is_rejected():
     # Gluing the same two rhombi along two different sides forces the
     # second tile into two incompatible positions; building it fails.
-    with pytest.raises(InputError, match="not geometric"):
+    with pytest.raises(InputError) as caught:
         Tiling(
             ("0", "90"),
             ((1, 2, -1, -2), (1, 2, -1, -2)),
             (((0, 0), (1, 2)), ((0, 1), (1, 3))),
         )
+    assert str(caught.value) == (
+        "tiling is not geometric: glued sides (0,1) and (1,3) disagree by 1.41"
+    )
+
+
+def test_reconstruction_checks_each_gluing_once(monkeypatch):
+    # One closure check per tile, and one check of two points per gluing,
+    # made from whichever of its tiles leaves the queue first.
+    calls = [0]
+    hypot = math.hypot
+
+    def counted(*args):
+        calls[0] += 1
+        return hypot(*args)
+
+    tilings = [hexagon_tiling(), *_rhombic_tilings(), *_rational_tilings()]
+    monkeypatch.setattr(tiling_module.math, "hypot", counted)
+    reconstruct_positions(tilings[0], tilings[0].zone_directions)
+    assert calls[0] == 9
+    for t in tilings:
+        calls[0] = 0
+        reconstruct_positions(t, t.zone_directions)
+        assert calls[0] == len(t.tiles) + 2 * len(t.adjacencies)
 
 
 def test_reconstruction_needs_one_direction_per_zone():
