@@ -1,5 +1,6 @@
-"""Shared exception types, the exact-input coercers, and `scaled`, which
-turns pairs of Fractions into int pairs at one common scale."""
+"""Shared exception types, the exact-input coercers, and the one scaler of
+Fractions to ints at one common scale: `_scaled_values` for single values
+and `scaled` for pairs."""
 
 from __future__ import annotations
 
@@ -50,13 +51,16 @@ def integer(value, role: str) -> int:
     raise InputError(f"{type(value).__name__} {role} {value!r}; use an int")
 
 
+def _scaled_values(values, base: int = 1) -> tuple[int, list[int]]:
+    """(D, the values times D as ints), where D is the lcm of base and every
+    denominator in the values.  A positive scale keeps the sign of every
+    sum and the order of every value."""
+    scale = math.lcm(base, *(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def scaled(pairs, base: int = 1) -> tuple[int, list[tuple[int, int]]]:
-    """(D, the pairs times D as int pairs), where D is the lcm of base and
-    every denominator in the pairs.  A positive scale keeps the sign of
-    every cross product and sum, and the order of every coordinate."""
-    scale = math.lcm(base, *(c.denominator for p in pairs for c in p))
-    return scale, [
-        (x.numerator * (scale // x.denominator),
-         y.numerator * (scale // y.denominator))
-        for x, y in pairs
-    ]
+    """`_scaled_values` on pairs: (D, the pairs times D as int pairs).  A
+    positive scale also keeps the sign of every cross product."""
+    scale, flat = _scaled_values([c for p in pairs for c in p], base)
+    return scale, list(zip(flat[0::2], flat[1::2]))

@@ -122,10 +122,8 @@ def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fracti
 
 
 def _scaled_weights(g: ParamDigraph, lam) -> tuple[list[tuple[int, int, int]], int]:
-    """The arcs at lam = p/q as (tail, head, D*q*weight) in ints, and D*q.
-    The solvers' own parameters are Fractions and pass uncoerced."""
-    if not isinstance(lam, Fraction):
-        lam = rational(lam, "parameter")
+    """The arcs at lam = p/q as (tail, head, D*q*weight) in ints, and D*q."""
+    lam = rational(lam, "parameter")
     p, q = lam.numerator, lam.denominator
     arcs = [(t, h, i * q + s * p) for (t, h, i, s) in g.scaled_arcs]
     return arcs, g.scale * q

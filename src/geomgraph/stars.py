@@ -12,11 +12,11 @@ shortest-path distances there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from .errors import InputError, rational
+from .errors import InputError, _scaled_values, rational
 from .parametric import (
     ParamDigraph,
     _scaled_distances,
@@ -63,11 +63,9 @@ class DistanceMatrix:
         n = len(rows)
         if n == 0:
             raise InputError("empty distance matrix")
-        scale = math.lcm(1, *(v.denominator for row in rows for v in row))
-        table = tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in row)
-            for row in rows
-        )
+        scale, cells = _scaled_values([v for row in rows for v in row])
+        cells = iter(cells)
+        table = tuple(tuple(islice(cells, len(row))) for row in rows)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_table", table)
         for p, row in enumerate(table):
@@ -165,36 +163,24 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
 
     # The zero arc down(p) -> up(p) makes every hub distance nonnegative;
     # the -D and lambda*D arcs give non-contraction and dilation <= delta.
-    # Checked as `dilation` does, on ints.  With delta = P/Q, the table at
-    # scale D and the distances at unit D*Q, twice[p] = 2*D*Q*H[p].  So
-    # H[p] + H[q] < D[p][q] iff twice[p] + twice[q] < 2*Q*table[p][q], and
-    # that pair's ratio minus delta has the sign of twice[p] + twice[q] -
-    # 2*P*table[p][q]; the dilation is delta iff the greatest such excess
-    # is 0.
-    twice = [dist[1 + n + p] - dist[1 + p] for p in range(n)]
-    table, big_p, big_q = d._table, delta.numerator, delta.denominator
-    if any(h < 0 for h in twice):
-        raise AssertionError(
-            "the hub vector does not embed: hub distances must be nonnegative"
-        )
-    excess = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            total, dpq = twice[p] + twice[q], table[p][q]
-            if total < 2 * big_q * dpq:
-                raise AssertionError(
-                    f"the hub vector does not embed: contraction: "
-                    f"H[{p}]+H[{q}] < D[{p}][{q}]"
-                )
-            excess.append(total - 2 * big_p * dpq)
-    if max(excess) != 0:
+    hub = tuple(
+        Fraction(dist[1 + n + p] - dist[1 + p], 2 * unit) for p in range(n)
+    )
+    try:
+        achieved = dilation(d, hub)
+    except InputError as exc:
+        raise AssertionError(f"the hub vector does not embed: {exc}") from None
+    if achieved != delta:
         raise AssertionError("the hub vector does not embed with dilation delta")
-    hub = tuple(Fraction(h, 2 * unit) for h in twice)
     return StarEmbedding(hub, delta)
 
 
 def dilation(d: DistanceMatrix, hub) -> Fraction:
-    """Exact dilation of given hub distances: max (H[p]+H[q]) / D[p][q]."""
+    """Exact dilation of given hub distances: max (H[p]+H[q]) / D[p][q].
+
+    Computed on ints: with the hub vector and the distance table at one
+    common scale, the pair (p, q) has ratio (h[p] + h[q]) / table[p][q],
+    and two ratios are compared by cross-multiplying."""
     hub = tuple(rational(h, "hub distance") for h in hub)
     if len(hub) != d.n:
         raise InputError(f"expected {d.n} hub distances, got {len(hub)}")
@@ -202,17 +188,19 @@ def dilation(d: DistanceMatrix, hub) -> Fraction:
         raise InputError("need at least two points")
     if any(h < 0 for h in hub):
         raise InputError("hub distances must be nonnegative")
-    worst = None
-    for p in range(d.n):
+    scale, h = _scaled_values(hub, d._scale)
+    factor = scale // d._scale
+    num, den = 0, 1  # below every ratio, which is at least 1
+    for p, row in enumerate(d._table):
         for q in range(p + 1, d.n):
-            if hub[p] + hub[q] < d[p, q]:
+            total, dpq = h[p] + h[q], factor * row[q]
+            if total < dpq:
                 raise InputError(
                     f"contraction: H[{p}]+H[{q}] < D[{p}][{q}]"
                 )
-            ratio = (hub[p] + hub[q]) / d[p, q]
-            if worst is None or ratio > worst:
-                worst = ratio
-    return worst
+            if total * den > num * dpq:
+                num, den = total, dpq
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

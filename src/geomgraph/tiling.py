@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from .errors import InputError, integer, rational
+from .errors import InputError, _scaled_values, integer, rational
 from .graphs import components
 from .parametric import (
     INF,
@@ -99,11 +99,10 @@ class Tiling:
         if not self.tiles:
             raise InputError("tiling has no tiles")
         # Headings and interiors are ints in units of 1/D degree.
-        scale = math.lcm(1, *(v.denominator for v in self.zone_directions))
+        scale, thetas = _scaled_values(self.zone_directions)
         full, half = 360 * scale, 180 * scale
         heading = {}  # signed zone -> its sides' direction in [0, full)
-        for z, theta in enumerate(self.zone_directions, 1):
-            theta = theta.numerator * (scale // theta.denominator)
+        for z, theta in enumerate(thetas, 1):
             heading[z], heading[-z] = theta % full, (theta + half) % full
         used = set()
         corners = []
@@ -298,11 +297,7 @@ def reconstruct_positions(
     Every tile must close and every glued side must coincide (to 1e-9);
     a tiling failing that is combinatorially valid but not geometric.
     """
-    # The solver's own directions are Fractions and pass uncoerced.
-    dirs = [
-        v if isinstance(v, Fraction) else rational(v, "angle")
-        for v in directions
-    ]
+    dirs = [rational(v, "angle") for v in directions]
     if len(dirs) != (m := len(tiling.zone_directions)):
         raise InputError(f"{len(dirs)} directions for {m} zones")
     units: dict[int, tuple[float, float]] = {}

@@ -273,51 +273,31 @@ def test_rational_optimum_matches_the_fraction_reference():
         assert dilation(d, emb.hub_distances) == lam
 
 
-def test_hub_self_check_on_ints_keeps_the_dilation_messages(monkeypatch):
-    # Feed the self-check tampered distances, or the true ones with a
-    # threshold one above the optimum (same denominator, so same unit), and
-    # compare its message with `dilation` on the hub vector they give.
-    rng = random.Random(11)
-    cases = []
-    for k, d in enumerate(_rational_metrics() * 4):
-        g = build_parametric_graph(d)
-        delta = optimal_star_embedding(d).dilation
-        dist, unit = stars._scaled_distances(g, delta)
-        bent = list(dist)
-        if k % 5 == 0:
-            delta += 1
-        else:
-            for _ in range(rng.randint(1, 3)):
-                v = rng.randrange(1, len(bent))
-                bent[v] += rng.choice((-1, 1)) * rng.randint(1, 6 * unit)
-        cases.append((d, delta, bent, unit))
-    seen = set()
-    for d, delta, bent, unit in cases:
-        monkeypatch.setattr(stars, "_scaled_distances", lambda *_: (bent, unit))
-        monkeypatch.setattr(
-            stars, "parametric_feasible_interval",
-            lambda _g: FeasibleInterval(empty=False, lo=delta),
-        )
-        n = d.n
-        hub = [Fraction(bent[1 + n + p] - bent[1 + p], 2 * unit) for p in range(n)]
-        try:
-            achieved = dilation(d, hub)
-        except InputError as exc:
-            want = f"the hub vector does not embed: {exc}"
-            kind = "nonnegative" if "nonnegative" in want else "contraction"
-        else:
-            want = kind = None
-            if achieved != delta:
-                want = "the hub vector does not embed with dilation delta"
-                kind = "below" if achieved < delta else "above"
-        if want is None:
-            assert optimal_star_embedding(d) == StarEmbedding(tuple(hub), delta)
-        else:
-            with pytest.raises(AssertionError) as caught:
-                optimal_star_embedding(d)
-            assert str(caught.value) == want
-        seen.add(kind)
-    assert seen == {None, "nonnegative", "contraction", "below", "above"}
+def test_hub_self_check_refuses_a_hub_that_misses_delta(monkeypatch):
+    # The hub from the distances at the optimum has dilation delta*, so
+    # against a threshold one above it, it must be refused; a zero hub
+    # contracts, and `dilation`'s message is passed on.
+    d = cycle_metric(4)
+    delta = optimal_star_embedding(d).dilation
+    real = stars._scaled_distances
+    monkeypatch.setattr(
+        stars, "parametric_feasible_interval",
+        lambda _g: FeasibleInterval(empty=False, lo=delta + 1),
+    )
+    monkeypatch.setattr(
+        stars, "_scaled_distances", lambda g, lam: real(g, lam - 1)
+    )
+    with pytest.raises(AssertionError) as caught:
+        optimal_star_embedding(d)
+    assert str(caught.value) == "the hub vector does not embed with dilation delta"
+    monkeypatch.setattr(
+        stars, "_scaled_distances", lambda g, lam: ([0] * g.vertex_count, 1)
+    )
+    with pytest.raises(AssertionError) as caught:
+        optimal_star_embedding(d)
+    assert str(caught.value) == (
+        "the hub vector does not embed: contraction: H[0]+H[1] < D[0][1]"
+    )
 
 
 def test_single_point_metric_cannot_be_embedded():
@@ -334,6 +314,39 @@ def test_dilation_evaluates_exactly():
     assert dilation(TRI, (1, 2, 3)) == 1
     assert dilation(TRI, (2, 2, 3)) == Fraction(4, 3)
     assert dilation(TRI, ("3/2", 2, 3)) == Fraction(7, 6)
+
+
+def _fraction_dilation(d: DistanceMatrix, hub):
+    """The dilation, or the contraction message, computed on Fractions."""
+    worst = None
+    for p in range(d.n):
+        for q in range(p + 1, d.n):
+            if hub[p] + hub[q] < d[p, q]:
+                return f"contraction: H[{p}]+H[{q}] < D[{p}][{q}]"
+            ratio = (hub[p] + hub[q]) / d[p, q]
+            worst = ratio if worst is None else max(worst, ratio)
+    return worst
+
+
+def test_dilation_matches_the_fraction_reference():
+    # Rational hub vectors whose denominators differ from the metric's, on
+    # both sides of contraction.
+    rng = random.Random(11)
+    outcomes = set()
+    for d in _rational_metrics() * 3:
+        hub = [
+            Fraction(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(d.n)
+        ]
+        want = _fraction_dilation(d, hub)
+        if isinstance(want, str):
+            with pytest.raises(InputError) as caught:
+                dilation(d, hub)
+            assert str(caught.value) == want
+        else:
+            got = dilation(d, hub)
+            assert type(got) is Fraction and got == want
+        outcomes.add(isinstance(want, str))
+    assert outcomes == {False, True}
 
 
 def test_dilation_rejects_bad_hub_vectors():
