@@ -5,7 +5,12 @@ and `scaled` for pairs."""
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+
+# An ASCII integer or ratio with a nonzero denominator: Fraction(str) reads
+# these as the int quotient, so `rational` builds that directly.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 class InputError(ValueError):
@@ -30,6 +35,15 @@ def rational(value, role: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain is not None:
+            num, den = plain.groups()
+            try:
+                if den is None:
+                    return Fraction(int(num))
+                return Fraction(int(num), int(den))
+            except ValueError:  # past int's digit limit: Fraction says so below
+                pass
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

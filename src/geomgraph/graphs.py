@@ -93,8 +93,20 @@ class Graph:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InputError(f"edge ({u},{v}) out of range")
             norm.add((min(u, v), max(u, v)))
+        self._fill(vertex_count, norm)
+
+    @classmethod
+    def _from_pairs(cls, vertex_count: int, pairs):
+        """A graph from int (min, max) pairs, taken as they are.  Nothing is
+        checked: the callers build in-range, loop-free pairs from a
+        validated input."""
+        g = object.__new__(cls)
+        g._fill(vertex_count, pairs)
+        return g
+
+    def _fill(self, vertex_count: int, pairs) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges", frozenset(pairs))
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -316,40 +328,37 @@ def konig_independent_set(g: BipartiteGraph, m: Matching) -> frozenset[tuple[str
 
 def maximum_matching_general(g: Graph) -> Matching:
     """Maximum-cardinality matching in a general graph (Edmonds' blossom
-    shrinking).  Deterministic: roots and neighbors are tried in index order."""
+    shrinking).  Deterministic: roots and neighbours are tried in index
+    order, and a contraction queues the vertices it reaches in index order.
+
+    The arrays are allocated once per call, and each root's search resets
+    only the vertices the search before it touched.  The common-ancestor
+    walk marks bases with a stamp, and a contraction relabels only the
+    members of the blossoms it absorbs, kept as one list per base with the
+    smaller merged into the larger (Gabow, J. ACM 1976).  A search thus
+    costs time in the vertices it reaches, not O(n) per root and per
+    contraction; the worst case stays O(n m) over all roots.
+    """
     n = g.vertex_count
     adj = g.adjacency()
     match = [-1] * n
     p = [-1] * n
     base = list(range(n))
+    used = [False] * n
+    stamp = [0] * n  # the last walk or contraction that marked a base
+    clock = 0
+    touched: list[int] = []  # vertices with `used` or `p` set since the reset
 
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        a = base[a]
-        while True:
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = base[p[match[a]]]
-        b = base[b]
-        while not seen[b]:
-            b = base[p[match[b]]]
-        return b
-
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def find_augmenting_path(root: int) -> bool:
-        nonlocal p, base
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
+    for root in range(n):
+        if match[root] != -1:
+            continue
+        for v in touched:
+            used[v] = False
+            p[v] = -1
+            base[v] = v
+        members: dict[int, list[int]] = {}  # base -> its blossom, if not alone
         used[root] = True
+        touched = [root]
         q = deque([root])
         while q:
             v = q.popleft()
@@ -357,18 +366,50 @@ def maximum_matching_general(g: Graph) -> Matching:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
+                    clock += 1
+                    a = base[v]
+                    while True:
+                        stamp[a] = clock
+                        if match[a] == -1:
+                            break
+                        a = base[p[match[a]]]
+                    b = base[to]
+                    while stamp[b] != clock:
+                        b = base[p[match[b]]]
+                    clock += 1
+                    marked = []
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != b:
+                            for xb in (base[x], base[match[x]]):
+                                if stamp[xb] != clock:
+                                    stamp[xb] = clock
+                                    marked.append(xb)
+                            p[x] = child
+                            child = match[x]
+                            x = p[child]
+                    # b's own blossom is already all reached, so only the
+                    # absorbed blossoms are relabelled and can add to the queue.
+                    into = members.pop(b, None) or [b]
+                    reached = []
+                    for xb in marked:
+                        if xb == b:
+                            continue
+                        group = members.pop(xb, None) or [xb]
+                        for i in group:
+                            base[i] = b
                             if not used[i]:
                                 used[i] = True
-                                q.append(i)
+                                reached.append(i)
+                        if len(group) > len(into):
+                            group, into = into, group
+                        into += group
+                    members[b] = into
+                    reached.sort()
+                    touched += reached
+                    q += reached
                 elif p[to] == -1:
                     p[to] = v
+                    touched.append(to)
                     if match[to] == -1:
                         while to != -1:
                             pv = p[to]
@@ -376,14 +417,12 @@ def maximum_matching_general(g: Graph) -> Matching:
                             match[to] = pv
                             match[pv] = to
                             to = ppv
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
-
-    for v in range(n):
-        if match[v] == -1:
-            find_augmenting_path(v)
+                        q.clear()
+                        break
+                    to = match[to]
+                    used[to] = True
+                    touched.append(to)
+                    q.append(to)
 
     pairs = {(min(v, match[v]), max(v, match[v])) for v in range(n) if match[v] != -1}
     for u, v in pairs:

@@ -9,16 +9,24 @@ yields one cyclic strip over a mesh that covers the same surface, growing
 the triangle count by at most a factor of 3/2.
 
 A validated `TriMesh` holds its topology (directed-edge owners and each
-triangle's three dual neighbours), and nothing rebuilds it.  `single_strip`
-copies it, adds one incident triangle per vertex, and keeps the matching as
-a partner array with a cycle id and a position along the cycle for every
-triangle; it uses no cache and hashes no mesh.  A merge test at a vertex of
-degree k reads only its ring and counts the cycles after the swap in
-O(k log k), and a per-vertex counter rejects in O(1) the vertices around
-which the matching does not alternate; an accepted swap relabels only the
-cycles that merged, and bisections split triangles in place.  The public
-`vertex_ring`, `merge_move`, `cycle_cover_from_matching` and `bisect_pair`
-work on whole meshes and share the driver's helpers.
+triangle's three dual neighbours), and nothing rebuilds it.  Each value is
+typed once: `mesh_from_off` reads every coordinate into a `Fraction` and
+every index into an int, the public `TriMesh(...)` coerces what a caller
+passes, and both end in one private constructor that takes those tuples as
+they are and validates them; `_Topology.mesh()` ends there too, so a mesh
+that bisection changed is validated once and coerced never.
+
+`single_strip` copies the topology, adds one incident triangle per vertex,
+builds the dual `Graph` from its (min, max) pairs without coercing them,
+and keeps the matching as a partner array with a cycle id and a position
+along the cycle for every triangle; it uses no cache and hashes no mesh.
+A merge test at a vertex of degree k reads only its ring and counts the
+cycles after the swap in O(k log k), and a per-vertex counter rejects in
+O(1) the vertices around which the matching does not alternate; an
+accepted swap relabels only the cycles that merged, and bisections split
+triangles in place.  The public `vertex_ring`, `merge_move`,
+`cycle_cover_from_matching` and `bisect_pair` work on whole meshes and
+share the driver's helpers.
 """
 
 from __future__ import annotations
@@ -70,16 +78,28 @@ class TriMesh:
     triangles: tuple[tuple[int, int, int], ...]
 
     def __init__(self, vertices, triangles):
-        verts = tuple(
-            tuple(rational(c, "coordinate") for c in (x, y, z))
-            for x, y, z in vertices
+        self._fill(
+            tuple(
+                tuple(rational(c, "coordinate") for c in (x, y, z))
+                for x, y, z in vertices
+            ),
+            tuple(
+                tuple(integer(v, "vertex index") for v in (a, b, c))
+                for a, b, c in triangles
+            ),
         )
-        tris = tuple(
-            tuple(integer(v, "vertex index") for v in (a, b, c))
-            for a, b, c in triangles
-        )
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "triangles", tris)
+
+    @classmethod
+    def _from_exact(cls, vertices, triangles) -> TriMesh:
+        """A mesh from a tuple of `Fraction` coordinate triples and a tuple
+        of int index triples, taken as they are and then validated."""
+        mesh = object.__new__(cls)
+        mesh._fill(vertices, triangles)
+        return mesh
+
+    def _fill(self, vertices, triangles) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "triangles", triangles)
         self._validate()
 
     def _validate(self) -> None:
@@ -249,7 +269,7 @@ class _Topology:
             self.adj[s] = self._neighbors(s)
 
     def mesh(self) -> TriMesh:
-        return TriMesh(self.vertices, self.triangles)
+        return TriMesh._from_exact(tuple(self.vertices), tuple(self.triangles))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +569,9 @@ def single_strip(mesh: TriMesh) -> StripResult:
     """
     source = len(mesh.triangles)
     topo = _Topology(mesh)
-    pm = perfect_matching_general(Graph(source, topo.dual_edges(range(source))))
+    pm = perfect_matching_general(
+        Graph._from_pairs(source, topo.dual_edges(range(source)))
+    )
     if pm is None:
         raise AssertionError("cubic bridgeless dual must have a perfect matching")
     cover = _Cover(topo, _partner(source, pm.pairs))
@@ -580,7 +602,7 @@ def single_strip(mesh: TriMesh) -> StripResult:
     for i, t in enumerate(strip):
         if strip[i - 1] not in topo.adj[t]:
             raise AssertionError(f"strip steps {strip[i - 1]} -> {t} without a shared edge")
-    if Fraction(t_count, source) > Fraction(3, 2):
+    if 2 * t_count > 3 * source:
         raise AssertionError("growth exceeds 3/2")
     if bisections:
         mesh = topo.mesh()
@@ -670,8 +692,10 @@ def mesh_from_off(text: str) -> TriMesh:
         raise InputError(f"line {rows[1][0]}: expected 'V F E' counts")
     try:
         n_vertices, n_faces = int(counts[0]), int(counts[1])
-    except ValueError as exc:
-        raise InputError(f"line {rows[1][0]}: bad counts line") from exc
+    except ValueError:
+        n_vertices = n_faces = -1
+    if n_vertices < 0 or n_faces < 0:
+        raise InputError(f"line {rows[1][0]}: bad counts line")
     body = rows[2:]
     if len(body) != n_vertices + n_faces:
         raise InputError(
@@ -683,8 +707,13 @@ def mesh_from_off(text: str) -> TriMesh:
         parts = line.split()
         if len(parts) != 3:
             raise InputError(f"line {lineno}: expected 3 coordinates")
+        x, y, z = parts
         try:
-            vertices.append(tuple(rational(p, "coordinate") for p in parts))
+            vertices.append((
+                rational(x, "coordinate"),
+                rational(y, "coordinate"),
+                rational(z, "coordinate"),
+            ))
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
     faces = []
@@ -692,11 +721,12 @@ def mesh_from_off(text: str) -> TriMesh:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "3":
             raise InputError(f"line {lineno}: expected '3 i j k'")
+        _, i, j, k = parts
         try:
-            faces.append(tuple(int(p) for p in parts[1:]))
+            faces.append((int(i), int(j), int(k)))
         except ValueError as exc:
             raise InputError(f"line {lineno}: bad vertex index") from exc
-    return TriMesh(tuple(vertices), tuple(faces))
+    return TriMesh._from_exact(tuple(vertices), tuple(faces))
 
 
 def mesh_to_off(mesh: TriMesh) -> str:

@@ -220,6 +220,8 @@ MALFORMED_TEXT = {
     "off-no-counts": ("OFF\n", "missing OFF counts line"),
     "off-bad-counts": ("OFF\n4 four 6\n", "line 2: bad counts line"),
     "off-short-counts": ("OFF\n4 4\n", "line 2: expected 'V F E' counts"),
+    "off-negative-counts": ("\n".join(["OFF", "-4 12 6"] + TETRA[2:]),
+                            "line 2: bad counts line"),
     "off-row-count": ("\n".join(TETRA[:-1]), "expected 4 vertex and 4 face "
                       "rows, found 7"),
     "off-bad-coordinate": ("\n".join(TETRA[:3] + ["2 x 0"] + TETRA[4:]),

@@ -51,6 +51,31 @@ def test_rational_keeps_fractions_and_names_the_role():
             rational(bad, "angle")
 
 
+def test_rational_reads_every_string_as_fraction_does():
+    # Plain ASCII integers and ratios take a shortcut; every string must
+    # still give Fraction's value, or the same error for what it rejects.
+    long = "7" * 5000
+    tokens = [
+        "+3", "1_0", "\u0663", " 3", "3/0", "3/-4", "--3", "-0/5", "007/010",
+        "1e3", "0.25", "-", "12", "-37/120", "0/00", "5/0001",
+        long, "-" + long, f"1/{long}", f"{long}/3", "0" * 4999 + "1",
+        "9" * 4000 + "/" + "3" * 4000,
+    ]
+    for token in tokens:
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(InputError) as exc:
+                rational(token, "coordinate")
+            assert str(exc.value) == f"bad rational coordinate {token!r}"
+        else:
+            got = rational(token, "coordinate")
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (
+                want.numerator, want.denominator,
+            )
+
+
 def test_scaled_takes_the_lcm_over_both_coordinates_and_the_base():
     pairs = [(Fraction(1, 2), Fraction(-2, 3)), (Fraction(-5), Fraction(3, 4))]
     assert scaled(pairs) == (12, [(6, -8), (-60, 9)])

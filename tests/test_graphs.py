@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from matching_reference import reference_matching
 
 from geomgraph.errors import InputError
 from geomgraph.graphs import (
@@ -22,6 +23,7 @@ from geomgraph.graphs import (
     residual_digraph,
     verify_circulation,
 )
+from geomgraph.strips import sphere_like_mesh
 
 # ---------------------------------------------------------------------------
 # brute-force baselines
@@ -216,6 +218,43 @@ def test_general_matching_random_vs_bruteforce():
         for u, v in m.pairs:
             assert (u, v) in edges
         assert m.size == bf_general_size(n, edges)
+
+
+def _mesh_dual_edges(mesh) -> set[tuple[int, int]]:
+    """The dual edges of a closed mesh, from its triangles alone."""
+    owner = {}
+    for t, (a, b, c) in enumerate(mesh.triangles):
+        for e in ((a, b), (b, c), (c, a)):
+            owner[e] = t
+    return {(min(t, owner[(v, u)]), max(t, owner[(v, u)]))
+            for (u, v), t in owner.items()}
+
+
+def test_general_matching_equals_the_reference_pair_for_pair():
+    # The blossom keeps its arrays across roots and relabels only absorbed
+    # blossoms; it must still pick exactly the reference's matching.
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(0, 40)
+        density = 0.4 * rng.random()
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < density
+        ]
+        g = Graph(n, edges)
+        assert maximum_matching_general(g).pairs == reference_matching(g).pairs
+    for triangles, seeds in ((50, 10), (200, 6), (600, 3)):
+        for seed in range(seeds):
+            g = Graph(triangles, _mesh_dual_edges(sphere_like_mesh(seed, triangles)))
+            assert maximum_matching_general(g).pairs == reference_matching(g).pairs
+
+
+def test_blossom_matches_a_twenty_thousand_triangle_dual():
+    mesh = sphere_like_mesh(1, 20000)
+    edges = _mesh_dual_edges(mesh)
+    pm = perfect_matching_general(Graph(len(mesh.triangles), edges))
+    assert pm is not None and 2 * pm.size == len(mesh.triangles) == 20000
+    assert pm.pairs <= edges
 
 
 def test_graph_rejects_loops():

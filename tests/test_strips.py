@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from geomgraph import errors, graphs, strips
 from geomgraph.errors import InputError
 from geomgraph.graphs import Matching, components, perfect_matching_general
 from geomgraph.strips import (
@@ -435,6 +436,38 @@ def test_single_strip_hashes_no_mesh(monkeypatch):
     assert _edge_owner.cache_info().currsize == 0
 
 
+def test_single_strip_coerces_nothing_and_validates_only_a_new_mesh(monkeypatch):
+    # The topology and the dual graph come from the validated mesh as they
+    # are: no value goes through `rational` or `integer`, the matching runs
+    # once, and only a mesh that bisection changed is validated again.
+    meshes = [octahedron(), icosahedron()] + [
+        sphere_like_mesh(seed, 96) for seed in range(5)
+    ]
+    calls = {"coerce": 0, "validate": 0, "match": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (errors, graphs, strips):
+        for name in ("rational", "integer"):
+            monkeypatch.setattr(module, name, counted("coerce", getattr(module, name)))
+    monkeypatch.setattr(TriMesh, "_validate", counted("validate", TriMesh._validate))
+    monkeypatch.setattr(
+        strips, "perfect_matching_general",
+        counted("match", strips.perfect_matching_general),
+    )
+    bisections = []
+    for mesh in meshes:
+        calls.update(coerce=0, validate=0, match=0)
+        res = single_strip(mesh)
+        bisections.append(res.bisection_count)
+        assert calls == {"coerce": 0, "validate": min(res.bisection_count, 1), "match": 1}
+    assert 0 in bisections and any(bisections)
+
+
 def test_single_strip_is_deterministic():
     a = single_strip(sphere_like_mesh(5, 80))
     b = single_strip(sphere_like_mesh(5, 80))
@@ -463,6 +496,12 @@ def test_off_errors_name_the_line():
     with pytest.raises(InputError, match="expected 'V F E'"):
         mesh_from_off("OFF\n4 4\n")
     good = mesh_to_off(tetrahedron()).splitlines()
+    # Negative counts whose sum is the row count would split the rows the
+    # same way as the true counts, so they are rejected before the split.
+    for counts in ("-4 12 6", "12 -4 6", "4 -1 6"):
+        with pytest.raises(InputError) as exc:
+            mesh_from_off("\n".join(["OFF", counts] + good[2:]) + "\n")
+        assert str(exc.value) == "line 2: bad counts line"
     good[3] = "0 0"  # a vertex row loses a coordinate
     with pytest.raises(InputError, match="line 4"):
         mesh_from_off("\n".join(good) + "\n")
