@@ -11,6 +11,7 @@ from fractions import Fraction
 # An ASCII integer or ratio with a nonzero denominator: Fraction(str) reads
 # these as the int quotient, so `rational` builds that directly.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+_PLAIN_INTS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
 
 class InputError(ValueError):
@@ -63,6 +64,14 @@ def integer(value, role: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{type(value).__name__} {role} {value!r}; use an int")
+
+
+def _ascii_ints(*tokens: str) -> tuple[int, ...]:
+    """The ints of ASCII `-?[0-9]+` tokens, else ValueError; int() alone
+    also reads other Unicode digits, a leading '+' and underscores."""
+    if _PLAIN_INTS.fullmatch(" ".join(tokens)) is None:
+        raise ValueError(f"not ASCII integers: {tokens!r}")
+    return tuple(map(int, tokens))
 
 
 def _scaled_values(values, base: int = 1) -> tuple[int, list[int]]:

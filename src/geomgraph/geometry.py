@@ -2,14 +2,15 @@
 
 Coordinates are `fractions.Fraction`s and every predicate is decided by an
 exact sign, so there are no tolerance knobs anywhere in this module.  The
-public `orientation` and `segments_intersect` answer on Fractions.  The
-polygon kernel (validation, ring area, ear clipping, chord and point
-location) instead scales a polygon's coordinates once by the lcm of their
-denominators (`errors.scaled`) and decides every turn with one int cross
-product, `_cross`.  Validation sweeps the edges' bounding boxes, so only
-edges whose boxes meet get the exact test.  Floats are deliberately
-rejected at construction time — convert them to Fractions explicitly if
-you really mean the binary value.
+public `orientation` answers on Fractions.  The polygon kernel (validation,
+ring area, ear clipping, chord and point location) instead scales a
+polygon's coordinates once by the lcm of their denominators
+(`errors.scaled`) and decides every turn with one int cross product,
+`_cross`; `segments_intersect` scales its four endpoints the same way and
+takes the kind from the kernel's `_meet`.  Validation sweeps the edges'
+bounding boxes, so only edges whose boxes meet get the exact test.
+Floats are deliberately rejected at construction time — convert them to
+Fractions explicitly if you really mean the binary value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import collections
 import json
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -86,16 +86,6 @@ class Segment:
             raise InputError(f"degenerate segment: both endpoints are {self.a}")
 
 
-def _on_segment(p: Point, s: Segment) -> bool:
-    """Exact test: does p lie on the closed segment s?"""
-    if orientation(s.a, s.b, p) != 0:
-        return False
-    return (
-        min(s.a.x, s.b.x) <= p.x <= max(s.a.x, s.b.x)
-        and min(s.a.y, s.b.y) <= p.y <= max(s.a.y, s.b.y)
-    )
-
-
 @dataclass(frozen=True)
 class SegmentIntersection:
     """Classification of how two segments meet.
@@ -117,31 +107,11 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentIntersection:
     an endpoint of at least one segment; "overlap" means a collinear common
     sub-segment of positive length.
     """
-    o1 = orientation(s1.a, s1.b, s2.a)
-    o2 = orientation(s1.a, s1.b, s2.b)
-    o3 = orientation(s2.a, s2.b, s1.a)
-    o4 = orientation(s2.a, s2.b, s1.b)
-
-    if o1 == 0 and o2 == 0:
-        # Collinear: compare 1-D intervals along the dominant axis.
-        if s1.a.x == s1.b.x:
-            key = lambda p: p.y  # noqa: E731 - tiny local projection
-        else:
-            key = lambda p: p.x  # noqa: E731
-        lo1, hi1 = sorted((key(s1.a), key(s1.b)))
-        lo2, hi2 = sorted((key(s2.a), key(s2.b)))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return SegmentIntersection("disjoint")
-        if lo == hi:
-            touch = next(
-                p for p in (s1.a, s1.b, s2.a, s2.b) if key(p) == lo
-            )
-            return SegmentIntersection("endpoint_touch", touch)
-        return SegmentIntersection("overlap")
-
-    if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0 and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
-        # Proper crossing: solve s1.a + t * (s1.b - s1.a) against s2's line.
+    ends = (s1.a, s1.b, s2.a, s2.b)
+    _, (a, b, c, d) = scaled(ends)
+    kind = _meet(a, b, c, d)
+    if kind == "crossing":
+        # Solve s1.a + t * (s1.b - s1.a) against s2's line.
         d1x, d1y = s1.b.x - s1.a.x, s1.b.y - s1.a.y
         d2x, d2y = s2.b.x - s2.a.x, s2.b.y - s2.a.y
         denom = d1x * d2y - d1y * d2x
@@ -149,19 +119,11 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentIntersection:
         return SegmentIntersection(
             "crossing", Point(s1.a.x + t * d1x, s1.a.y + t * d1y)
         )
-
-    touches = set()
-    for p in (s1.a, s1.b):
-        if _on_segment(p, s2):
-            touches.add(p)
-    for p in (s2.a, s2.b):
-        if _on_segment(p, s1):
-            touches.add(p)
-    if not touches:
-        return SegmentIntersection("disjoint")
-    if len(touches) != 1:
-        raise AssertionError("non-collinear segments share at most one point")
-    return SegmentIntersection("endpoint_touch", touches.pop())
+    if kind == "endpoint_touch":
+        # The one common point: the first endpoint on the other segment.
+        on_other = (_on(a, c, d), _on(b, c, d), _on(c, a, b), _on(d, a, b))
+        return SegmentIntersection(kind, ends[on_other.index(True)])
+    return SegmentIntersection(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +227,6 @@ def _locate(p: IntPoint, ring: list[IntPoint]) -> str:
 # ---------------------------------------------------------------------------
 # polygons
 # ---------------------------------------------------------------------------
-
-
-def _ring_signed_area2(ring: Sequence[Point]) -> Fraction:
-    """Twice the signed area of a ring (positive when counterclockwise)."""
-    scale, xy = scaled(ring)
-    return Fraction(_twice_area(xy), scale * scale)
-
-
-def _ring_edges(ring: Sequence[Point]) -> list[Segment]:
-    return [Segment(p, ring[(i + 1) % len(ring)]) for i, p in enumerate(ring)]
 
 
 def _validate_ring(ring: list[IntPoint], name: str, orthogonal: bool) -> None:

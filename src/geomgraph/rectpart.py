@@ -11,10 +11,10 @@ n/2 + h - g - 1 rectangles, where g is the independent-chord count, and no
 partition does better.
 
 Every chord and cut lies on the lines through the polygon's vertex
-coordinates, so all three stages read the cell grid those lines draw: a
-chord is good when the cells on both sides of it are inside, a cut ends at
-the first grid point on a wall, and each rectangle is a flood fill of
-inside cells.
+coordinates, so all three stages read the one cell grid those lines draw
+on the polygon's int rings: a chord is good when the cells on both sides
+of it are inside, a cut ends at the first grid point on a wall, and each
+rectangle is a flood fill of inside cells.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .geometry import (
     Polygon,
     Segment,
     _cross,
-    _ring_edges,
+    _sides,
     _twice_area,
 )
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
@@ -41,6 +41,12 @@ from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matchin
 # ---------------------------------------------------------------------------
 # concave corners and the cell grid
 # ---------------------------------------------------------------------------
+
+
+def _turns(ring: list[IntPoint]) -> list[int]:
+    """The cross product at each vertex of an int ring: its turn."""
+    m = len(ring)
+    return [_cross(ring[i - 1], p, ring[(i + 1) % m]) for i, p in enumerate(ring)]
 
 
 def concave_vertices(poly: Polygon) -> tuple[int, ...]:
@@ -51,38 +57,37 @@ def concave_vertices(poly: Polygon) -> tuple[int, ...]:
     """
     if poly.kind != "orthogonal":
         raise InputError("rectangle partition expects an orthogonal polygon")
-    out: list[int] = []
-    offset = 0
-    for ring in poly._xy:
-        m = len(ring)
-        for i in range(m):
-            if _cross(ring[i - 1], ring[i], ring[(i + 1) % m]) < 0:
-                out.append(offset + i)
-        offset += m
+    turns = [t for ring in poly._xy for t in _turns(ring)]
+    out = tuple(v for v, t in enumerate(turns) if t < 0)
     if len(out) != poly.total_vertices // 2 + 2 * len(poly.holes) - 2:
         raise AssertionError("concave corners must number n/2 + 2h - 2")
-    return tuple(out)
+    return out
 
 
 class _CellGrid:
     """The cells that the lines through the polygon's vertex coordinates cut
-    its bounding box into.  Grid point (i, j) is (xs[i], ys[j]) and is the
-    lower-left corner of cell (i, j).  `walls` holds each unit side that a
-    ring edge, chord or cut covers, as its two grid points in order, and
-    `touched` every grid point on a wall.  A cell is inside when an odd
-    number of ring walls lie to its left on its row."""
+    its bounding box into, on the polygon's int rings.  Grid point (i, j) is
+    (xs[i], ys[j]) and is the lower-left corner of cell (i, j); at[v] is the
+    grid point of vertex v (an index into `poly.all_vertices`), and
+    `concave` holds the concave corners' vertex ids.  `walls` holds each
+    unit side that a ring edge, chord or cut covers, as its two grid points
+    in order, and `touched` every grid point on a wall.  A cell is inside
+    when an odd number of ring walls lie to its left on its row."""
 
     def __init__(self, poly: Polygon):
-        self.xs = sorted({p.x for p in poly.all_vertices})
-        self.ys = sorted({p.y for p in poly.all_vertices})
-        self._xi = {x: i for i, x in enumerate(self.xs)}
-        self._yi = {y: j for j, y in enumerate(self.ys)}
-        self.walls: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-        self.touched: set[tuple[int, int]] = set()
-        for ring in poly.rings:
-            for e in _ring_edges(ring):
-                self.add_wall(e.a, e.b)
-        self.inside: set[tuple[int, int]] = set()
+        self.concave = concave_vertices(poly)
+        self.xs = sorted({x for ring in poly._xy for x, _ in ring})
+        self.ys = sorted({y for ring in poly._xy for _, y in ring})
+        xi = {x: i for i, x in enumerate(self.xs)}
+        yi = {y: j for j, y in enumerate(self.ys)}
+        rings = [[(xi[x], yi[y]) for x, y in ring] for ring in poly._xy]
+        self.at = [node for ring in rings for node in ring]
+        self.walls: set[tuple[IntPoint, IntPoint]] = set()
+        self.touched: set[IntPoint] = set()
+        for ring in rings:
+            for a, b in _sides(ring):
+                self.add_wall(a, b)
+        self.inside: set[IntPoint] = set()
         for j in range(len(self.ys) - 1):
             odd = False
             for i in range(len(self.xs) - 1):
@@ -90,12 +95,9 @@ class _CellGrid:
                 if odd:
                     self.inside.add((i, j))
 
-    def node(self, p: Point) -> tuple[int, int]:
-        return self._xi[p.x], self._yi[p.y]
-
-    def add_wall(self, a: Point, b: Point) -> None:
+    def add_wall(self, a: IntPoint, b: IntPoint) -> None:
         """Cover the unit sides of the axis-parallel segment ab."""
-        (i0, j0), (i1, j1) = sorted((self.node(a), self.node(b)))
+        (i0, j0), (i1, j1) = sorted((a, b))
         if j0 == j1:
             nodes = [(i, j0) for i in range(i0, i1 + 1)]
         else:
@@ -103,11 +105,11 @@ class _CellGrid:
         self.walls.update(zip(nodes, nodes[1:]))
         self.touched.update(nodes)
 
-    def interior(self, a: Point, b: Point) -> bool:
+    def interior(self, a: IntPoint, b: IntPoint) -> bool:
         """Do the cells on both sides of the axis-parallel segment a < b lie
         inside?  Exactly then no ring edge runs along, crosses or touches
         it between its endpoints."""
-        (i0, j0), (i1, j1) = self.node(a), self.node(b)
+        (i0, j0), (i1, j1) = a, b
         if j0 == j1:
             cells = [(i, j) for i in range(i0, i1) for j in (j0 - 1, j0)]
         else:
@@ -120,52 +122,67 @@ class _CellGrid:
 # ---------------------------------------------------------------------------
 
 
-def good_diagonals(poly: Polygon) -> tuple[Segment, ...]:
-    """Axis-parallel interior chords joining two concave corners, in
-    canonical (sorted-endpoint) order."""
-    grid = _CellGrid(poly)
-    verts = poly.all_vertices
-    found: list[Segment] = []
-    for ai, bi in combinations(concave_vertices(poly), 2):
-        a, b = sorted((verts[ai], verts[bi]))
-        if (a.x == b.x or a.y == b.y) and grid.interior(a, b):
-            found.append(Segment(a, b))
-    found.sort(key=lambda s: (s.a, s.b))
-    return tuple(found)
+def _good_chords(grid: _CellGrid) -> list[tuple[int, int]]:
+    """The good diagonals as vertex-id pairs (u, v) with at[u] < at[v], in
+    order of those grid points."""
+    at = grid.at
+    # Pairs of corners in grid-point order come out in that order too.
+    corners = sorted(grid.concave, key=at.__getitem__)
+    return [
+        (u, v) for u, v in combinations(corners, 2)
+        if (at[u][0] == at[v][0] or at[u][1] == at[v][1])
+        and grid.interior(at[u], at[v])
+    ]
 
 
-def _conflicts(
-    horiz: list[Segment], vert: list[Segment]
-) -> list[tuple[int, int]]:
+def _conflicts(horiz: list, vert: list) -> list[tuple[int, int]]:
     """(i, j) for each horizontal chord horiz[i] that meets, touching
     included, vertical chord vert[j].  Closed axis-parallel segments meet
     exactly when the vertical one's x lies in the horizontal one's x-range
-    and the horizontal one's y in the vertical one's y-range; endpoints are
-    sorted, so a < b along each chord."""
+    and the horizontal one's y in the vertical one's y-range; each chord is
+    a point pair (a, b) with a < b."""
     return [
         (i, j)
-        for i, h in enumerate(horiz)
-        for j, v in enumerate(vert)
-        if h.a.x <= v.a.x <= h.b.x and v.a.y <= h.a.y <= v.b.y
+        for i, (ha, hb) in enumerate(horiz)
+        for j, (va, vb) in enumerate(vert)
+        if ha[0] <= va[0] <= hb[0] and va[1] <= ha[1] <= vb[1]
     ]
+
+
+def _independent(grid: _CellGrid, chords) -> list[tuple[int, int]]:
+    """A maximum set of pairwise non-intersecting chords, in the chords'
+    order, via bipartite matching on the horizontal/vertical conflict
+    graph and Koenig's independent set."""
+    at = grid.at
+    horiz = [(u, v) for u, v in chords if at[u][1] == at[v][1]]
+    vert = [(u, v) for u, v in chords if at[u][0] == at[v][0]]
+    graph = BipartiteGraph(len(horiz), len(vert), _conflicts(
+        [(at[u], at[v]) for u, v in horiz], [(at[u], at[v]) for u, v in vert]
+    ))
+    tags = konig_independent_set(graph, max_bipartite_matching(graph))
+    chosen = {(horiz if side == "L" else vert)[i] for side, i in tags}
+    return [c for c in chords if c in chosen]
+
+
+def _segments(poly: Polygon, chords) -> tuple[Segment, ...]:
+    verts = poly.all_vertices
+    return tuple(Segment(verts[u], verts[v]) for u, v in chords)
+
+
+def good_diagonals(poly: Polygon) -> tuple[Segment, ...]:
+    """Axis-parallel interior chords joining two concave corners, in
+    canonical (sorted-endpoint) order."""
+    return _segments(poly, _good_chords(_CellGrid(poly)))
 
 
 def independent_diagonals(
     poly: Polygon,
 ) -> tuple[tuple[Segment, ...], tuple[Segment, ...]]:
     """(chosen, all): a maximum set of pairwise non-intersecting good
-    diagonals, via bipartite matching on the horizontal/vertical conflict
-    graph and Koenig's independent set."""
-    diags = good_diagonals(poly)
-    horiz = [d for d in diags if d.a.y == d.b.y]
-    vert = [d for d in diags if d.a.x == d.b.x]
-    graph = BipartiteGraph(len(horiz), len(vert), _conflicts(horiz, vert))
-    matching = max_bipartite_matching(graph)
-    chosen_tags = konig_independent_set(graph, matching)
-    chosen = [horiz[i] for side, i in chosen_tags if side == "L"]
-    chosen += [vert[j] for side, j in chosen_tags if side == "R"]
-    chosen.sort(key=lambda s: (s.a, s.b))
-    return tuple(chosen), diags
+    diagonals, and every good diagonal, both in canonical order."""
+    grid = _CellGrid(poly)
+    chords = _good_chords(grid)
+    return _segments(poly, _independent(grid, chords)), _segments(poly, chords)
 
 
 def min_rectangle_count(poly: Polygon) -> int:
@@ -179,56 +196,46 @@ def min_rectangle_count(poly: Polygon) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _emit_cuts(
-    grid: _CellGrid, poly: Polygon, chosen: tuple[Segment, ...]
-) -> tuple[Segment, ...]:
-    """Make the chosen diagonals walls, then one axis-parallel cut from
-    every concave corner they do not resolve: it extends the shorter
-    incident edge (horizontal on ties) along its grid line to the first
-    grid point on a wall, and becomes a wall itself."""
+def _emit_cuts(grid: _CellGrid, poly: Polygon, chosen) -> list[tuple]:
+    """Make the chosen chords walls, then one axis-parallel cut from every
+    concave corner they do not resolve: it extends the shorter incident
+    edge (horizontal on ties) along its grid line to the first grid point
+    on a wall, and becomes a wall itself.  Each cut is (its corner's vertex
+    id, its far grid point)."""
+    at = grid.at
     resolved = set()
-    for s in chosen:
-        grid.add_wall(s.a, s.b)
-        resolved.update((grid.node(s.a), grid.node(s.b)))
-    ring_of = [(ring, i) for ring in poly.rings for i in range(len(ring))]
+    for u, v in chosen:
+        grid.add_wall(at[u], at[v])
+        resolved.update((at[u], at[v]))
+    ring_of = [(ring, i) for ring in poly._xy for i in range(len(ring))]
 
-    cuts: list[Segment] = []
-    for gidx in concave_vertices(poly):
-        ring, i = ring_of[gidx]
-        v = ring[i]
-        start = grid.node(v)
+    cuts = []
+    for g in grid.concave:
+        start = at[g]
         if start in resolved:
             continue  # an earlier cut already ends at this corner
+        ring, i = ring_of[g]
+        (x, y), h_end, v_end = ring[i], ring[i - 1], ring[(i + 1) % len(ring)]
         # The incident edges: exactly one is horizontal, v-h_end.
-        h_end, v_end = ring[i - 1], ring[(i + 1) % len(ring)]
-        if h_end.y != v.y:
+        if h_end[1] != y:
             h_end, v_end = v_end, h_end
-        if abs(v.x - h_end.x) <= abs(v.y - v_end.y):
-            di, dj = (1 if v.x > h_end.x else -1), 0
+        if abs(x - h_end[0]) <= abs(y - v_end[1]):
+            di, dj = (1 if x > h_end[0] else -1), 0
         else:
-            di, dj = 0, (1 if v.y > v_end.y else -1)
+            di, dj = 0, (1 if y > v_end[1] else -1)
         for k in range(1, max(len(grid.xs), len(grid.ys))):
             hit = (start[0] + k * di, start[1] + k * dj)
             if hit in grid.touched:
                 break
         else:
             raise AssertionError("cut ray escaped the polygon")
-        cut = Segment(v, Point(grid.xs[hit[0]], grid.ys[hit[1]]))
-        cuts.append(cut)
-        grid.add_wall(cut.a, cut.b)
+        cuts.append((g, hit))
+        grid.add_wall(start, hit)
         # A cut ending on another concave corner resolves that corner too
         # (an axis-parallel segment into a 270-degree corner splits it into
         # a straight angle and a right angle).
         resolved.update((start, hit))
-    return tuple(cuts)
-
-
-def _collapse_collinear(cycle: list[IntPoint]) -> list[IntPoint]:
-    m = len(cycle)
-    return [
-        p for i, p in enumerate(cycle)
-        if _cross(cycle[i - 1], p, cycle[(i + 1) % m]) != 0
-    ]
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -248,17 +255,17 @@ class RectPartition:
 def build_partition(poly: Polygon) -> RectPartition:
     """Cut the polygon into the minimum number of rectangles.
 
-    The chosen chords and the cuts become walls of the polygon's cell grid,
-    and each rectangle is a flood fill of inside cells across the cell
-    sides that no wall covers."""
-    chosen, _ = independent_diagonals(poly)
+    One cell grid serves every stage: the good chords are read off it, the
+    chosen ones and the cuts become its walls, and each rectangle is a flood
+    fill of inside cells across the cell sides that no wall covers."""
     grid = _CellGrid(poly)
+    chosen = _independent(grid, _good_chords(grid))
     cuts = _emit_cuts(grid, poly, chosen)
     xs, ys, walls, inside = grid.xs, grid.ys, grid.walls, grid.inside
 
-    rects: list[tuple[Point, Point]] = []
-    total_area = Fraction(0)
-    seen: set[tuple[int, int]] = set()
+    rects: list[tuple[IntPoint, IntPoint]] = []
+    area2 = 0
+    seen: set[IntPoint] = set()
     for start in inside:
         if start in seen:
             continue
@@ -280,16 +287,23 @@ def build_partition(poly: Polygon) -> RectPartition:
         j0, j1 = min(j for _, j in face), max(j for _, j in face) + 1
         if (i1 - i0) * (j1 - j0) != len(face):
             raise AssertionError("a face does not fill its bounding rectangle")
-        rects.append((Point(xs[i0], ys[j0]), Point(xs[i1], ys[j1])))
-        total_area += (xs[i1] - xs[i0]) * (ys[j1] - ys[j0])
+        rects.append(((i0, j0), (i1, j1)))
+        area2 += 2 * (xs[i1] - xs[i0]) * (ys[j1] - ys[j0])
 
-    if total_area != poly.area():
+    if area2 != sum(_twice_area(ring) for ring in poly._xy):
         raise AssertionError("rectangles do not tile the polygon")
     expected = poly.total_vertices // 2 + len(poly.holes) - len(chosen) - 1
     if len(rects) != expected:
         raise AssertionError(f"{len(rects)} rectangles, expected {expected}")
-    rects.sort(key=lambda r: (r[0], r[1]))
-    return RectPartition(tuple(rects), chosen, cuts)
+    fx = [Fraction(x, poly._scale) for x in xs]
+    fy = [Fraction(y, poly._scale) for y in ys]
+    verts = poly.all_vertices
+    return RectPartition(
+        tuple((Point(fx[i0], fy[j0]), Point(fx[i1], fy[j1]))
+              for (i0, j0), (i1, j1) in sorted(rects)),
+        _segments(poly, chosen),
+        tuple(Segment(verts[g], Point(fx[i], fy[j])) for g, (i, j) in cuts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +331,7 @@ def _trace_cell_boundary(cells: set[IntPoint]) -> list[list[IntPoint]]:
 
     if any(len(nbrs) != 2 for nbrs in edges.values()):
         raise AssertionError("pinched boundary")
-    loops: list[list[Point]] = []
+    loops: list[list[IntPoint]] = []
     unused = {p: list(nbrs) for p, nbrs in edges.items()}
     while unused:
         start = min(unused)
@@ -332,8 +346,7 @@ def _trace_cell_boundary(cells: set[IntPoint]) -> list[list[IntPoint]]:
             prev, cur = cur, nxt
         for p in loop:
             unused.pop(p, None)
-        corners = _collapse_collinear(loop)
-        loops.append(corners)
+        loops.append([p for p, t in zip(loop, _turns(loop)) if t])
     return loops
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .errors import InputError, _scaled_values, rational
+from .errors import InputError, _ascii_ints, _scaled_values, rational
 from .parametric import (
     ParamDigraph,
     _scaled_distances,
@@ -267,7 +267,7 @@ def matrix_from_text(text: str) -> DistanceMatrix:
     if not rows:
         raise InputError("empty distance file")
     try:
-        n = int(rows[0][1])
+        (n,) = _ascii_ints(rows[0][1])
     except ValueError as exc:
         raise InputError(f"line {rows[0][0]}: expected the point count") from exc
     if len(rows) != n + 1:

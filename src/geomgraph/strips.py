@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .errors import InputError, integer, rational
+from .errors import InputError, _ascii_ints, integer, rational
 from .graphs import Graph, Matching, perfect_matching_general
 
 __all__ = [
@@ -691,7 +691,7 @@ def mesh_from_off(text: str) -> TriMesh:
     if len(counts) != 3:
         raise InputError(f"line {rows[1][0]}: expected 'V F E' counts")
     try:
-        n_vertices, n_faces = int(counts[0]), int(counts[1])
+        n_vertices, n_faces = _ascii_ints(counts[0], counts[1])
     except ValueError:
         n_vertices = n_faces = -1
     if n_vertices < 0 or n_faces < 0:
@@ -723,7 +723,7 @@ def mesh_from_off(text: str) -> TriMesh:
             raise InputError(f"line {lineno}: expected '3 i j k'")
         _, i, j, k = parts
         try:
-            faces.append((int(i), int(j), int(k)))
+            faces.append(_ascii_ints(i, j, k))
         except ValueError as exc:
             raise InputError(f"line {lineno}: bad vertex index") from exc
     return TriMesh._from_exact(tuple(vertices), tuple(faces))

@@ -40,7 +40,6 @@ from .geometry import (
     Point,
     Polygon,
     Segment,
-    _ring_edges,
     is_interior_chord,
     point_in_polygon,
     segments_intersect,
@@ -164,14 +163,14 @@ def check_gallery(poly: Polygon, cert: GuardCertificate) -> tuple[str, str]:
 
 def check_rectpart(poly: Polygon, part: RectPartition) -> tuple[str, str]:
     concave = concave_vertices(poly)
-    edges = [e for ring in poly.rings for e in _ring_edges(ring)]
+    edges = [e for ring in poly.rings for e in zip(ring, (*ring[1:], ring[0]))]
     area = Fraction(0)
     for k, (ll, ur) in enumerate(part.rectangles):
         name = f"rectangle {k} ({ll.x}, {ll.y})-({ur.x}, {ur.y})"
         if not (ll.x < ur.x and ll.y < ur.y):
             return "failed", f"{name} has no interior"
-        for e in edges:
-            (x0, x1), (y0, y1) = sorted((e.a.x, e.b.x)), sorted((e.a.y, e.b.y))
+        for a, b in edges:
+            (x0, x1), (y0, y1) = sorted((a.x, b.x)), sorted((a.y, b.y))
             if x0 < ur.x and ll.x < x1 and y0 < ur.y and ll.y < y1:
                 return "failed", f"{name} is crossed by the polygon boundary"
         center = Point((ll.x + ur.x) / 2, (ll.y + ur.y) / 2)

@@ -222,6 +222,8 @@ MALFORMED_TEXT = {
     "off-short-counts": ("OFF\n4 4\n", "line 2: expected 'V F E' counts"),
     "off-negative-counts": ("\n".join(["OFF", "-4 12 6"] + TETRA[2:]),
                             "line 2: bad counts line"),
+    "off-plus-counts": ("\n".join(["OFF", "4 +4 6"] + TETRA[2:]),
+                        "line 2: bad counts line"),
     "off-row-count": ("\n".join(TETRA[:-1]), "expected 4 vertex and 4 face "
                       "rows, found 7"),
     "off-bad-coordinate": ("\n".join(TETRA[:3] + ["2 x 0"] + TETRA[4:]),
@@ -232,10 +234,17 @@ MALFORMED_TEXT = {
                       "line 10: bad vertex index"),
     "off-index-out-of-range": ("\n".join(TETRA[:-1] + ["3 1 2 4"]),
                                "triangle 3 references vertex 4"),
+    "off-negative-index": ("\n".join(TETRA[:-1] + ["3 -1 2 3"]),
+                           "triangle 3 references vertex -1"),
+    # The formats are ASCII: int() alone would read these as 3 1 2 3.
+    "off-unicode-index": ("\n".join(TETRA[:-1] + ["3 \u0661 +2 3"]),
+                          "line 10: bad vertex index"),
     "pts-empty": ("", "empty point set"),
     "pts-comment-only": ("# nothing here\n", "empty point set"),
     "dist-empty": ("", "empty distance file"),
     "dist-bad-count": ("two\n0 1\n1 0\n", "line 1: expected the point count"),
+    "dist-unicode-count": ("\u0663\n0 1 1\n1 0 1\n1 1 0\n",
+                           "line 1: expected the point count"),
     "dist-row-count": ("3\n0 1 1\n1 0 1\n", "expected 3 matrix rows, found 2"),
     "dist-row-length": ("2\n0 1\n1\n", "line 3: expected 2 entries"),
 }

@@ -1,8 +1,10 @@
+import collections
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from segment_reference import segments_intersect as reference_intersect
 
 from geomgraph import geometry
 from geomgraph.errors import InputError, rational, scaled
@@ -129,6 +131,57 @@ def test_segments_touch_overlap_disjoint():
     # Collinear but apart, and plainly apart.
     assert segments_intersect(base, Segment(Point(5, 0), Point(9, 0))).kind == "disjoint"
     assert segments_intersect(base, Segment(Point(0, 1), Point(4, 1))).kind == "disjoint"
+
+
+def _random_segment_pair(rng: random.Random) -> tuple[Segment, Segment]:
+    """Two segments on a small lattice, drawn so that every case is common:
+    Fraction coordinates, vertical segments, collinear overlaps and
+    touches, and shared endpoints."""
+    mode = rng.randrange(5)
+    den = rng.choice((2, 3, 6)) if mode == 1 else 1
+
+    def point():
+        return Point(Fraction(rng.randint(-4, 4), den),
+                     Fraction(rng.randint(-4, 4), den))
+
+    def segment(a):
+        b = point()
+        while b == a:
+            b = point()
+        return Segment(a, b)
+
+    if mode == 2:  # vertical, the second on the same x half the time
+        x = rng.randint(-4, 4)
+        x2 = x if rng.random() < 0.5 else rng.randint(-4, 4)
+        return (Segment(Point(x, rng.randint(-4, 0)), Point(x, rng.randint(1, 4))),
+                Segment(Point(x2, rng.randint(-4, 4)), Point(x2, rng.randint(5, 6))))
+    if mode == 3:  # both on one line: overlaps, touches and gaps
+        o = point()
+        dx, dy = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1), (1, 3)))
+        return tuple(
+            Segment(*(Point(o.x + t * dx, o.y + t * dy)
+                      for t in rng.sample(range(-3, 4), 2)))
+            for _ in range(2)
+        )
+    s1 = segment(point())
+    if mode == 4:  # a shared endpoint
+        return s1, segment(rng.choice((s1.a, s1.b)))
+    return s1, segment(point())
+
+
+def test_segments_intersect_matches_the_fraction_reference():
+    # 5,000 seeded pairs, each in both argument orders, against the case
+    # analysis on Fractions that the int kernel replaced.
+    rng = random.Random(2024)
+    kinds = collections.Counter()
+    for _ in range(5000):
+        s1, s2 = _random_segment_pair(rng)
+        for a, b in ((s1, s2), (s2, s1)):
+            got, want = segments_intersect(a, b), reference_intersect(a, b)
+            assert repr(got) == repr(want) and got == want, (a, b)
+            kinds[got.kind] += 1
+    assert min(kinds[k] for k in
+               ("disjoint", "crossing", "endpoint_touch", "overlap")) >= 500, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import collections
 import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +13,8 @@ from geomgraph.geometry import (
     Point,
     Polygon,
     Segment,
-    _ring_edges,
-    _ring_signed_area2,
     is_interior_chord,
+    load_polygon,
     orientation,
     point_in_polygon,
     segments_intersect,
@@ -35,13 +36,23 @@ from geomgraph.rectpart import (
 from geomgraph.verify import check_rectpart
 
 
+def _ring_pairs(ring):
+    """Each edge of a ring of points or int pairs as (start, end)."""
+    return list(zip(ring, [*ring[1:], ring[0]]))
+
+
+def _ring_edges(ring) -> list[Segment]:
+    return [Segment(a, b) for a, b in _ring_pairs(ring)]
+
+
+def _signed_area2(ring):
+    """Twice the signed area of a ring (positive when counterclockwise)."""
+    return sum(a[0] * b[1] - b[0] * a[1] for a, b in _ring_pairs(ring))
+
+
 def _area2(poly: Polygon) -> Fraction:
-    total = Fraction(0)
-    for ring in poly.rings:
-        for i in range(len(ring)):
-            a, b = ring[i], ring[(i + 1) % len(ring)]
-            total += a.x * b.y - b.x * a.y
-    return total  # holes are clockwise, so they subtract
+    # Holes are clockwise, so they subtract.
+    return sum((_signed_area2(ring) for ring in poly.rings), Fraction(0))
 
 
 def test_concave_vertices():
@@ -106,16 +117,21 @@ def test_partition_matches_bruteforce_on_random_polygons():
         assert status == "passed", detail
 
 
+def _segment(pair) -> Segment:
+    return Segment(*(Point(*p) for p in pair))
+
+
 def _general_conflicts(horiz, vert):
     return [
         (i, j)
         for i, h in enumerate(horiz)
         for j, v in enumerate(vert)
-        if segments_intersect(h, v).kind != "disjoint"
+        if segments_intersect(_segment(h), _segment(v)).kind != "disjoint"
     ]
 
 
 def test_chord_conflicts_match_the_general_segment_test():
+    # The solver passes chords as (a, b) grid-point pairs, so these do too.
     kinds = set()
     # Random chords on a small grid: crossings, T-junctions, shared and
     # touching endpoints all occur.
@@ -125,13 +141,16 @@ def test_chord_conflicts_match_the_general_segment_test():
         for _ in range(rng.randint(1, 5)):
             x0, x1 = sorted(rng.sample(range(6), 2))
             y = rng.randrange(6)
-            horiz.append(Segment(Point(x0, y), Point(x1, y)))
+            horiz.append((Point(x0, y), Point(x1, y)))
         for _ in range(rng.randint(1, 5)):
             y0, y1 = sorted(rng.sample(range(6), 2))
             x = rng.randrange(6)
-            vert.append(Segment(Point(x, y0), Point(x, y1)))
+            vert.append(((x, y0), (x, y1)))
         assert _conflicts(horiz, vert) == _general_conflicts(horiz, vert), seed
-        kinds.update(segments_intersect(h, v).kind for h in horiz for v in vert)
+        kinds.update(
+            segments_intersect(_segment(h), _segment(v)).kind
+            for h in horiz for v in vert
+        )
     assert kinds == {"disjoint", "crossing", "endpoint_touch"}
     # And the good diagonals of seeded polygons, as the solver splits them.
     conflicts = 0
@@ -140,11 +159,62 @@ def test_chord_conflicts_match_the_general_segment_test():
             seed, cells=24 + seed % 40, with_hole=seed % 3 == 0, max_concave=10**9
         )
         diags = good_diagonals(poly)
-        horiz = [d for d in diags if d.a.y == d.b.y]
-        vert = [d for d in diags if d.a.x == d.b.x]
+        horiz = [(d.a, d.b) for d in diags if d.a.y == d.b.y]
+        vert = [(d.a, d.b) for d in diags if d.a.x == d.b.x]
         assert _conflicts(horiz, vert) == _general_conflicts(horiz, vert), seed
         conflicts += len(_conflicts(horiz, vert))
     assert conflicts > 0
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+FIXTURES = [plus_polygon(), lshape_polygon(), annulus_polygon()] + [
+    poly for poly in map(load_polygon, sorted(map(str, INSTANCES.glob("*.poly"))))
+    if poly.kind == "orthogonal"
+]
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        lambda p: Point(p.x / 3, p.y / 3),
+        # Denominators 1, 2, 3 and 6 side by side.
+        lambda p: Point(p.x / 6 + Fraction(1, 2), p.y / 6 + Fraction(1, 3)),
+    ],
+    ids=["thirds", "sixths-shifted"],
+)
+def test_partition_of_non_integer_fixtures_is_the_integer_one_moved(move):
+    assert len(FIXTURES) == 9
+    for poly in FIXTURES:
+        moved = Polygon(
+            [move(p) for p in poly.outer],
+            holes=[[move(p) for p in h] for h in poly.holes],
+            kind="orthogonal",
+        )
+        part, got = build_partition(poly), build_partition(moved)
+        assert got == RectPartition(
+            tuple((move(ll), move(ur)) for ll, ur in part.rectangles),
+            tuple(Segment(move(s.a), move(s.b)) for s in part.diagonals),
+            tuple(Segment(move(s.a), move(s.b)) for s in part.cuts),
+        )
+        assert check_rectpart(moved, got)[0] == "passed"
+
+
+def test_build_partition_builds_one_grid_and_finds_the_corners_once(monkeypatch):
+    poly = random_orthogonal_polygon(3, cells=48, with_hole=True)
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(rectpart, "_CellGrid", counted("grid", rectpart._CellGrid))
+    monkeypatch.setattr(
+        rectpart, "concave_vertices", counted("corners", concave_vertices)
+    )
+    build_partition(poly)
+    assert calls == {"grid": 1, "corners": 1}
 
 
 def test_rejects_non_orthogonal_input():
@@ -229,11 +299,11 @@ def _carved_polygon(seed: int) -> Polygon | None:
         loops = _trace_cell_boundary(cells - carved)
     except AssertionError:  # two carved cells touch only at a corner
         return None
-    outer = max(loops, key=lambda lp: abs(_ring_signed_area2(lp)))
+    outer = max(loops, key=lambda lp: abs(_signed_area2(lp)))
     holes = [lp for lp in loops if lp is not outer]
-    if _ring_signed_area2(outer) < 0:
+    if _signed_area2(outer) < 0:
         outer = outer[::-1]
-    holes = [lp[::-1] if _ring_signed_area2(lp) > 0 else lp for lp in holes]
+    holes = [lp[::-1] if _signed_area2(lp) > 0 else lp for lp in holes]
     try:
         return Polygon(outer, holes=holes, kind="orthogonal")
     except InputError:
@@ -362,7 +432,7 @@ def _face_walk_rectangles(poly, diagonals, cuts):
             seen[e] = True
             cycle.append(micro[e][0])
             e = nxt[e]
-        if not cycle or _ring_signed_area2(cycle) <= 0:
+        if not cycle or _signed_area2(cycle) <= 0:
             continue
         m = len(cycle)
         corners = [cycle[i] for i in range(m)

@@ -55,6 +55,13 @@ def test_verify_takes_only_the_error_type_and_the_coercer_from_errors():
     assert _taken_by_verify("errors") == {"InputError", "rational"}
 
 
+def test_verify_takes_only_the_partition_type_and_the_corners_from_rectpart():
+    # check_rectpart finds its chords with the general interior-chord test,
+    # so verify.py may take the answer type and the concave corners from
+    # rectpart, and not the solver's grid or its chord helpers.
+    assert _taken_by_verify("rectpart") <= {"RectPartition", "concave_vertices"}
+
+
 def _load(path: Path):
     spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
