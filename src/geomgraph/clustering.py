@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, rational, scaled
+from .errors import InputError, integer, rational, scaled
 from .geometry import Point
 from .graphs import BipartiteGraph, konig_independent_set, max_bipartite_matching
 
@@ -172,6 +172,9 @@ def cluster_for_pair(points, p_idx: int, q_idx: int) -> tuple[int, ...]:
     """Largest cluster whose diametral pair is (points[p_idx], points[q_idx]):
     sorted indices, always containing p_idx and q_idx."""
     points = validate_points(points)
+    for idx in (p_idx, q_idx):
+        if not 0 <= integer(idx, "point index") < len(points):
+            raise InputError(f"point index {idx} out of range for {len(points)} points")
     _scale, xy, table = _distance_table(points)
     if table[p_idx][q_idx] == 0:
         raise InputError("diametral pair must be two distinct points")
@@ -211,37 +214,31 @@ def max_cluster_given_d2(points, d2) -> tuple[int, ...]:
 
 
 def min_diameter_k_cluster(points, k: int) -> ClusterResult:
-    """A k-point cluster of minimum squared diameter: binary search over the
-    sorted pairwise squared distances, then trim the winning cluster to its
-    k lowest indices.  Every probe reads the one distance table, with the
-    table's own entries as limits."""
+    """A k-point cluster of minimum squared diameter.  A cluster of diameter
+    D lies, conflict-free, in the lune of a pair at distance D, so the optimum
+    is the least pair distance whose `_pair_cluster` reaches k points."""
     points = validate_points(points)
+    k = integer(k, "cluster size")
     if not 1 <= k <= len(points):
         raise InputError(f"k must be between 1 and {len(points)}")
     scale, xy, table = _distance_table(points)
     scale2 = scale * scale
-    values = sorted({v for row in table for v in row})
-    # `cluster` is the probe at values[hi] once one has succeeded.
-    lo, hi = 0, len(values) - 1
-    cluster = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probe = _largest_cluster(xy, table, values[mid])
-        if len(probe) >= k:
-            hi = mid
-            cluster = probe
-        else:
-            lo = mid + 1
-    if cluster is None:
-        cluster = _largest_cluster(xy, table, values[lo])
+    limit, n = 0, len(xy)
+    if k > 1:
+        pairs = sorted((table[i][j], i, j) for i in range(n) for j in range(i + 1, n))
+        for limit, i, j in pairs:
+            lune = _closed_lune(table, i, j)
+            if len(lune) >= k and len(_pair_cluster(xy, table, i, j, lune)) >= k:
+                break
+    cluster = _largest_cluster(xy, table, limit)
     if len(cluster) < k:
-        raise AssertionError(f"no {k}-cluster at the largest squared distance")
+        raise AssertionError(f"no {k}-cluster at the scan's limit {limit}")
     members = cluster[:k]
     diam2 = max(table[a][b] for a in members for b in members)
-    # A smaller trimmed diameter would contradict the minimality of values[lo].
-    if diam2 != values[lo]:
+    # A smaller trimmed diameter would have a diametral pair scanned earlier.
+    if diam2 != limit:
         raise AssertionError(
             f"trimmed cluster has squared diameter {Fraction(diam2, scale2)}, "
-            f"not {Fraction(values[lo], scale2)}"
+            f"not {Fraction(limit, scale2)}"
         )
     return ClusterResult(members, Fraction(diam2, scale2))

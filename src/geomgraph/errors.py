@@ -25,11 +25,11 @@ class InputError(ValueError):
 def rational(value, role: str) -> Fraction:
     """Coerce an exact input value to `Fraction`.
 
-    Accepts a Fraction (returned as is), an int, or a string such as '3/2'
-    or '0.25'.  Floats, bools, other types, unparsable strings and zero
-    denominators raise InputError naming the value's role ("coordinate",
-    "distance", ...); convert a float explicitly if its binary value is
-    really meant.
+    Accepts a Fraction (returned as is), an int, or an ASCII string such as
+    '3/2' or '0.25'.  Floats, bools, other types, unparsable strings, strings
+    with a non-ASCII character or an underscore, and zero denominators raise
+    InputError naming the value's role ("coordinate", "distance", ...);
+    convert a float explicitly if its binary value is really meant.
     """
     if isinstance(value, Fraction):
         return value
@@ -46,9 +46,11 @@ def rational(value, role: str) -> Fraction:
             except ValueError:  # past int's digit limit: Fraction says so below
                 pass
         try:
-            return Fraction(value)
+            if value.isascii() and "_" not in value:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational {role} {value!r}") from None
+            pass
+        raise InputError(f"bad rational {role} {value!r}")
     raise InputError(
         f"{type(value).__name__} {role} {value!r}; use an int or a "
         "rational string"

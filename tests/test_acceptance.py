@@ -18,7 +18,11 @@ from geomgraph.bends import (
     region_boundary_bends,
     single_region_map,
 )
-from geomgraph.clustering import max_cluster_given_d2, random_point_set
+from geomgraph.clustering import (
+    max_cluster_given_d2,
+    min_diameter_k_cluster,
+    random_point_set,
+)
 from geomgraph.gallery import (
     comb_polygon,
     fisk_guards,
@@ -83,7 +87,7 @@ def _criterion(num: int, label: str, budget: float):
                 note = fn()
                 elapsed = time.monotonic() - start
                 assert elapsed < budget, (
-                    f"took {elapsed:.2f}s, budget {budget:.0f}s"
+                    f"took {elapsed:.2f}s, budget {budget:g}s"
                 )
             except BaseException:
                 with capsys.disabled():
@@ -93,7 +97,7 @@ def _criterion(num: int, label: str, budget: float):
             with capsys.disabled():
                 print(
                     f"PASS: criterion {num} — {label}{extra} "
-                    f"({elapsed:.2f}s, budget {budget:.0f}s)"
+                    f"({elapsed:.2f}s, budget {budget:g}s)"
                 )
 
         run.__name__ = fn.__name__
@@ -171,6 +175,13 @@ def test_criterion_3_clustering():
             status, detail = check_cluster(pts, d2, members)
             assert status == "passed", detail
     return "1500 solved instances, every lune conflict graph bipartite"
+
+
+@_criterion(3, "a minimum-diameter 45-cluster of 180 points", 2.5)
+def test_criterion_3_min_diameter_k_cluster():
+    res = min_diameter_k_cluster(random_point_set(180, 1), 45)
+    assert len(res.members) == 45 and res.diameter2 == 377
+    return "one ascending pair scan, then one largest-cluster call"
 
 
 # ---------------------------------------------------------------------------

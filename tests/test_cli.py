@@ -230,6 +230,10 @@ MALFORMED_TEXT = {
                            "line 4: bad rational coordinate 'x'"),
     "off-face-row": ("\n".join(TETRA[:-1] + ["4 1 2 3"]),
                      "line 10: expected '3 i j k'"),
+    # Here and in the .pts and .dist rows below, Fraction(str) alone would
+    # read 1_0 as 10 and \u0663 as 3.
+    "off-underscore-coordinate": ("\n".join(TETRA[:3] + ["0 0 1_0"] + TETRA[4:]),
+                                  "line 4: bad rational coordinate '1_0'"),
     "off-bad-index": ("\n".join(TETRA[:-1] + ["3 1 2 z"]),
                       "line 10: bad vertex index"),
     "off-index-out-of-range": ("\n".join(TETRA[:-1] + ["3 1 2 4"]),
@@ -241,11 +245,15 @@ MALFORMED_TEXT = {
                           "line 10: bad vertex index"),
     "pts-empty": ("", "empty point set"),
     "pts-comment-only": ("# nothing here\n", "empty point set"),
+    "pts-unicode-coordinate": ("0 0\n\u0663 1\n",
+                               "line 2: bad rational coordinate '\u0663'"),
     "dist-empty": ("", "empty distance file"),
     "dist-bad-count": ("two\n0 1\n1 0\n", "line 1: expected the point count"),
     "dist-unicode-count": ("\u0663\n0 1 1\n1 0 1\n1 1 0\n",
                            "line 1: expected the point count"),
     "dist-row-count": ("3\n0 1 1\n1 0 1\n", "expected 3 matrix rows, found 2"),
+    "dist-underscore-entry": ("2\n0 1_0\n1_0 0\n",
+                              "line 2: bad rational distance '1_0'"),
     "dist-row-length": ("2\n0 1\n1\n", "line 3: expected 2 entries"),
 }
 TEXT_COMMANDS = {"off": ["strip"], "pts": ["cluster", "--d2", "1"],

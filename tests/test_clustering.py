@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from geomgraph.clustering import (
+    ClusterResult,
     cluster_for_pair,
     max_cluster_given_d2,
     min_diameter_k_cluster,
@@ -158,7 +159,7 @@ def test_random_point_set_is_reproducible_and_distinct():
     assert len(set(a)) == 12
 
 
-def test_min_diameter_k_cluster_probes_only_in_the_binary_search(monkeypatch):
+def test_min_diameter_k_cluster_calls_largest_cluster_once(monkeypatch):
     import geomgraph.clustering as clustering
 
     probes = []
@@ -172,12 +173,35 @@ def test_min_diameter_k_cluster_probes_only_in_the_binary_search(monkeypatch):
     monkeypatch.setattr(clustering, "_largest_cluster", counted)
     pts = random_point_set(10, 4, span=25)
     res = min_diameter_k_cluster(pts, 4)
-    values = len({dist2(a, b) for a in pts for b in pts})  # with 0
-    assert len(probes) <= values.bit_length()
-    assert res.diameter2 in probes
-    # With k = 1 no probe fails, and the last one is the answer.
+    assert probes == [res.diameter2]
+    # With k = 1 the limit is 0 and no pair is scanned: no lune is read.
     probes.clear()
-    assert min_diameter_k_cluster(pts, 1).diameter2 == probes[-1] == 0
+    monkeypatch.setattr(clustering, "_closed_lune", None)
+    assert min_diameter_k_cluster(pts, 1) == ClusterResult((0,), Fraction(0))
+    assert probes == [0]
+
+
+def test_cluster_indices_and_sizes_are_ints_in_range():
+    pts = random_point_set(6, 1)
+    for p, q, message in (
+        (0, -1, "point index -1 out of range for 6 points"),
+        (0, 9, "point index 9 out of range for 6 points"),
+        (True, 2, "bool point index True; use an int"),
+        (0, 2.0, "float point index 2.0; use an int"),
+    ):
+        with pytest.raises(InputError) as exc:
+            cluster_for_pair(pts, p, q)
+        assert str(exc.value) == message
+    for k, message in (
+        (2.5, "float cluster size 2.5; use an int"),
+        ("3", "str cluster size '3'; use an int"),
+        (True, "bool cluster size True; use an int"),
+        (0, "k must be between 1 and 6"),
+        (7, "k must be between 1 and 6"),
+    ):
+        with pytest.raises(InputError) as exc:
+            min_diameter_k_cluster(pts, k)
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +335,10 @@ def test_min_diameter_reads_one_table_with_the_same_results():
             res = min_diameter_k_cluster(pts, k)
             want = _table_per_probe_min_diameter(pts, k)
             assert (res.diameter2, res.members) == want, (seed, k)
+    pts = random_point_set(45, 7)
+    for k in (2, 45 // 4, 45 // 2, 45):
+        res = min_diameter_k_cluster(pts, k)
+        assert (res.diameter2, res.members) == _table_per_probe_min_diameter(pts, k), k
 
 
 def test_a_lune_as_large_as_the_best_cluster_is_still_tried():

@@ -54,11 +54,12 @@ def test_rational_keeps_fractions_and_names_the_role():
 
 
 def test_rational_reads_every_string_as_fraction_does():
-    # Plain ASCII integers and ratios take a shortcut; every string must
-    # still give Fraction's value, or the same error for what it rejects.
+    # Plain ASCII integers and ratios take a shortcut; every other ASCII
+    # string must still give Fraction's value, or the same error for what it
+    # rejects.
     long = "7" * 5000
     tokens = [
-        "+3", "1_0", "\u0663", " 3", "3/0", "3/-4", "--3", "-0/5", "007/010",
+        "+3", " 3", "3/0", "3/-4", "--3", "-0/5", "007/010", ".5",
         "1e3", "0.25", "-", "12", "-37/120", "0/00", "5/0001",
         long, "-" + long, f"1/{long}", f"{long}/3", "0" * 4999 + "1",
         "9" * 4000 + "/" + "3" * 4000,
@@ -76,6 +77,12 @@ def test_rational_reads_every_string_as_fraction_does():
             assert (got.numerator, got.denominator) == (
                 want.numerator, want.denominator,
             )
+    # Fraction also reads underscores and other Unicode digits; the
+    # documented formats are ASCII, so these are refused.
+    for token in ("1_0", "\u0663", "1_000/3", "\u00a03"):
+        with pytest.raises(InputError) as exc:
+            rational(token, "coordinate")
+        assert str(exc.value) == f"bad rational coordinate {token!r}"
 
 
 def test_scaled_takes_the_lcm_over_both_coordinates_and_the_base():
