@@ -302,29 +302,38 @@ _GEN_OPTIONS = (
 )
 
 
-def _parser(argv) -> argparse.ArgumentParser:
-    """The parser, with arguments only for the subcommand argv names.
+def _subparser(named, **kwargs):
+    """The `parser_class` of the subcommands: a parser for the one argv
+    names (`named`), None for the others, since argparse reads only the
+    name and help of a subcommand it does not run."""
+    return argparse.ArgumentParser(**kwargs) if named else None
 
-    Every subcommand is registered, so `geomgraph -h`, the usage line and
-    the invalid-choice error stay whole, but adding every subcommand's
-    arguments would cost more than a small solve on each call.  The
-    top-level parser takes no option with a value, so the subcommand is
-    the first argv entry that does not start with '-'; if that entry names
-    none, argparse rejects it before any subcommand parses.
+
+def _parser(argv) -> argparse.ArgumentParser:
+    """The parser, with a subcommand parser only for the one argv names.
+
+    Every subcommand is registered by name and help, so `geomgraph -h`,
+    the usage line and the invalid-choice error stay whole, but building
+    a parser for each would cost more than a small solve on every call.
+    The top-level parser takes no option with a value, so the subcommand
+    is the first argv entry that does not start with '-'; if that entry
+    names none, argparse rejects it before any subcommand parses.
     """
     parser = argparse.ArgumentParser(
         prog="geomgraph",
         description="Geometry solvers built on classical graph reductions.",
     )
-    subs = parser.add_subparsers(dest="cmd", required=True)
+    subs = parser.add_subparsers(dest="cmd", required=True,
+                                 parser_class=_subparser)
     cmd = next((a for a in argv if not a.startswith("-")), None)
     for name, row in _SOLVERS.items():
-        sub = subs.add_parser(name, help=row.help)
+        sub = subs.add_parser(name, help=row.help, named=name == cmd)
         if name == cmd:
             for flag, kwargs in _OPTIONS + ((_SVG,) if row.draw else ()) + row.extra:
                 sub.add_argument(flag, **kwargs)
             sub.set_defaults(handler=_solve)
-    gen = subs.add_parser("gen", help="generate a seeded instance file")
+    gen = subs.add_parser("gen", help="generate a seeded instance file",
+                          named=cmd == "gen")
     if cmd == "gen":
         gen.add_argument("kind", choices=tuple(_KINDS))
         for flag, kwargs in _GEN_OPTIONS:

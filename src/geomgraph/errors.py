@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 # An ASCII integer or ratio with a nonzero denominator: Fraction(str) reads
@@ -27,7 +28,8 @@ def rational(value, role: str) -> Fraction:
 
     Accepts a Fraction (returned as is), an int, or an ASCII string such as
     '3/2' or '0.25'.  Floats, bools, other types, unparsable strings, strings
-    with a non-ASCII character or an underscore, and zero denominators raise
+    with a non-ASCII character or an underscore, zero denominators, and
+    values with more digits than int may print (say '1e-20000') raise
     InputError naming the value's role ("coordinate", "distance", ...);
     convert a float explicitly if its binary value is really meant.
     """
@@ -47,7 +49,10 @@ def rational(value, role: str) -> Fraction:
                 pass
         try:
             if value.isascii() and "_" not in value:
-                return Fraction(value)
+                q = Fraction(value)
+                # An exponent can make more digits than int may print.
+                if _printable(max(abs(q.numerator), q.denominator)):
+                    return q
         except (ValueError, ZeroDivisionError):
             pass
         raise InputError(f"bad rational {role} {value!r}")
@@ -55,6 +60,13 @@ def rational(value, role: str) -> Fraction:
         f"{type(value).__name__} {role} {value!r}; use an int or a "
         "rational string"
     )
+
+
+def _printable(n: int) -> bool:
+    """Whether str(n), n >= 0, is within int's string-digit limit.  10**d
+    has more than 3d bits, so only a longer n is compared with it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    return not limit or n.bit_length() <= 3 * limit or n < 10**limit
 
 
 def integer(value, role: str) -> int:

@@ -81,14 +81,23 @@ class Tiling:
 
     def __init__(self, zone_directions, tiles, adjacencies=()):
         dirs = tuple(rational(v, "angle") for v in zone_directions)
+        # A row of plain ints is kept as it is; `integer` sees only a row
+        # with another type, to raise for its first non-int (or to keep an
+        # int subclass other than bool).
         tils = tuple(
-            tuple(integer(z, "zone id") for z in tile) for tile in tiles
+            row if {*map(type, row)} <= {int}
+            else tuple(integer(z, "zone id") for z in row)
+            for row in map(tuple, tiles)
         )
 
         def slot(t, i) -> tuple[int, int]:
             return integer(t, "adjacency tile"), integer(i, "adjacency side")
 
-        adjs = tuple((slot(*sa), slot(*sb)) for sa, sb in adjacencies)
+        adjs = tuple(
+            ((a, i), (b, j)) if type(a) is type(i) is type(b) is type(j) is int
+            else (slot(a, i), slot(b, j))
+            for (a, i), (b, j) in adjacencies
+        )
         object.__setattr__(self, "zone_directions", dirs)
         object.__setattr__(self, "tiles", tils)
         object.__setattr__(self, "adjacencies", adjs)

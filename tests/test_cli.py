@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -247,6 +248,10 @@ MALFORMED_TEXT = {
     "pts-comment-only": ("# nothing here\n", "empty point set"),
     "pts-unicode-coordinate": ("0 0\n\u0663 1\n",
                                "line 2: bad rational coordinate '\u0663'"),
+    # Fraction reads this, but its denominator has 20,001 digits, more
+    # than int may print in the report.
+    "pts-huge-exponent": ("1e-20000 0\n0 0\n1 1\n",
+                          "line 1: bad rational coordinate '1e-20000'"),
     "dist-empty": ("", "empty distance file"),
     "dist-bad-count": ("two\n0 1\n1 0\n", "line 1: expected the point count"),
     "dist-unicode-count": ("\u0663\n0 1 1\n1 0 1\n1 1 0\n",
@@ -332,6 +337,92 @@ def test_parser_output_matches_golden(n, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     golden = json.loads(PARSER_GOLDEN.read_text(encoding="utf-8"))[n]
     assert _parser_outcome(PARSER_CASES[n]) == golden
+
+
+# One argv per subcommand, its exit code, and the number of ArgumentParsers
+# a main call builds for it: the top-level parser and the named
+# subcommand's.  A call that names no subcommand builds only the first.
+PARSER_COUNTS = (
+    (["gallery", "--in", path("comb12.poly")], 0, 2),
+    (["rectpart", "--in", path("plus.poly")], 0, 2),
+    (["cluster", "--in", path("points12.pts"), "--d2", "200"], 0, 2),
+    (["bends", "--in", path("grid.map")], 0, 2),
+    (["strip", "--in", path("tetrahedron.off")], 0, 2),
+    (["tiling", "--in", path("rhombus.tiling")], 0, 2),
+    (["star", "--in", path("c4.dist")], 0, 2),
+    (["gen", "points", "--seed", "1"], 0, 2),
+    (["-h"], 0, 1),
+    (["bogus"], 2, 1),
+    ([], 2, 1),
+)
+
+
+@pytest.mark.parametrize("argv, code, count", PARSER_COUNTS,
+                         ids=[" ".join(a[:1]) or "no-args"
+                              for a, _, _ in PARSER_COUNTS])
+def test_each_call_builds_the_top_parser_and_the_named_one(
+    argv, code, count, monkeypatch
+):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # A second call in the same process builds its own parsers again.
+    for _ in range(2):
+        built.clear()
+        assert _parser_outcome(argv)["code"] == code
+        assert built == ["geomgraph"] + [f"geomgraph {a}" for a in argv[:count - 1]]
+
+
+# A valid parse, attribute by attribute: for each subcommand, an argv with
+# no optional flag and one with every flag it takes.  The golden above pins
+# only help and error output.
+BASE = {"infile": "x", "verify": False, "json_mode": False,
+        "handler": cli._solve}
+NAMESPACES = {
+    "gallery": (["--svg", "g.svg", "--quads", "q"],
+                {"svg_path": None, "quads": None},
+                {"svg_path": "g.svg", "quads": "q"}),
+    "rectpart": (["--svg", "r.svg"], {"svg_path": None}, {"svg_path": "r.svg"}),
+    "cluster": (["--svg", "c.svg", "--d2", "5/2"],
+                {"svg_path": None, "d2": "1"},
+                {"svg_path": "c.svg", "d2": "5/2"}),
+    "bends": ([], {}, {}),
+    "strip": (["--svg", "s.svg"], {"svg_path": None}, {"svg_path": "s.svg"}),
+    "tiling": (["--svg", "t.svg"], {"svg_path": None}, {"svg_path": "t.svg"}),
+    "star": ([], {}, {}),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(NAMESPACES))
+def test_solver_namespace_holds_exactly_its_options(cmd):
+    flags, bare, full = NAMESPACES[cmd]
+    argv = [cmd, "--in", "x"] + (["--d2", "1"] if cmd == "cluster" else [])
+    assert vars(cli._parser(argv).parse_args(argv)) == {
+        "cmd": cmd, **BASE, **bare,
+    }
+    argv = [cmd, "--in", "x", "--verify", "--json", *flags]
+    assert vars(cli._parser(argv).parse_args(argv)) == {
+        "cmd": cmd, **BASE, "verify": True, "json_mode": True, **full,
+    }
+
+
+def test_gen_namespace_holds_exactly_its_options():
+    argv = ["gen", "mesh", "--seed", "3"]
+    assert vars(cli._parser(argv).parse_args(argv)) == {
+        "cmd": "gen", "kind": "mesh", "seed": 3, "out": None, "cells": 12,
+        "hole": False, "count": None, "triangles": 64, "handler": cli._gen,
+    }
+    argv = ["gen", "points", "--seed", "3", "--out", "o", "--cells", "5",
+            "--hole", "--count", "4", "--triangles", "8"]
+    assert vars(cli._parser(argv).parse_args(argv)) == {
+        "cmd": "gen", "kind": "points", "seed": 3, "out": "o", "cells": 5,
+        "hole": True, "count": 4, "triangles": 8, "handler": cli._gen,
+    }
 
 
 def test_verification_failure_exits_one(monkeypatch, capsys):

@@ -61,6 +61,7 @@ def test_rational_reads_every_string_as_fraction_does():
     tokens = [
         "+3", " 3", "3/0", "3/-4", "--3", "-0/5", "007/010", ".5",
         "1e3", "0.25", "-", "12", "-37/120", "0/00", "5/0001",
+        "1e-2000", "-1e4299", "1e-4299",
         long, "-" + long, f"1/{long}", f"{long}/3", "0" * 4999 + "1",
         "9" * 4000 + "/" + "3" * 4000,
     ]
@@ -77,9 +78,12 @@ def test_rational_reads_every_string_as_fraction_does():
             assert (got.numerator, got.denominator) == (
                 want.numerator, want.denominator,
             )
-    # Fraction also reads underscores and other Unicode digits; the
-    # documented formats are ASCII, so these are refused.
-    for token in ("1_0", "\u0663", "1_000/3", "\u00a03"):
+    # Fraction also reads underscores, other Unicode digits and exponent
+    # forms past int's string-digit limit.  The documented formats are
+    # ASCII, and no report could print such a value, so these are refused.
+    for token in ("1_0", "\u0663", "1_000/3", "\u00a03",
+                  "1e-20000", "1e4300", "-1e4300", "1e-4300",
+                  "0." + "0" * 4299 + "1"):
         with pytest.raises(InputError) as exc:
             rational(token, "coordinate")
         assert str(exc.value) == f"bad rational coordinate {token!r}"

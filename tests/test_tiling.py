@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import random
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,6 +61,35 @@ def test_tiling_rejects_non_integer_ids_instead_of_truncating():
         Tiling(("0", "30"), tiles, (((0, 0), (True, 2)),))
     with pytest.raises(InputError, match="float angle"):
         reconstruct_positions(rhombus_tiling(), (0.0, 30))
+
+
+def test_tiling_calls_integer_only_for_a_row_with_another_type(monkeypatch):
+    roles = []
+    integer = tiling_module.integer
+
+    def counting(value, role):
+        roles.append(role)
+        return integer(value, role)
+
+    monkeypatch.setattr(tiling_module, "integer", counting)
+    text = (INSTANCES / "hex3.tiling").read_text(encoding="utf-8")
+    til = tiling_from_json(text)
+    assert roles == [] and til == load_tiling(str(INSTANCES / "hex3.tiling"))
+    # An int subclass other than bool is kept, as the coercer keeps it.
+    zone = IntEnum("Zone", "A B C")
+    hexagon = hexagon_tiling()
+    tiles = ((zone.A, 2, -1, -2), *hexagon.tiles[1:])
+    adjacencies = (((0, zone.B), (1, 0)), *hexagon.adjacencies[1:])
+    glued = Tiling(hexagon.zone_directions, tiles, adjacencies)
+    assert glued == hexagon and type(glued.tiles[0][0]) is zone
+    assert type(glued.adjacencies[0][0][1]) is zone
+    assert roles == ["zone id"] * 4 + ["adjacency tile", "adjacency side"] * 2
+    # The first non-int of a row is the one named, after ints of any row.
+    with pytest.raises(InputError, match="str zone id '2'"):
+        Tiling(("0", "30"), ((1, 2, -1, -2), (1, "2", True, -2)))
+    with pytest.raises(InputError, match="bool adjacency side True"):
+        Tiling(("0", "30"), ((1, 2, -1, -2),) * 2,
+               (((0, 0), (1, 2)), ((0, 1), (1, True))))
 
 
 def test_tiling_rejects_bad_gluings():
