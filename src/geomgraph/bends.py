@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, _json_object
 from .graphs import FlowNetwork, components, min_cost_circulation, verify_circulation
 
 # ---------------------------------------------------------------------------
@@ -323,12 +323,7 @@ def five_region_map() -> PlaneMap:
 def map_from_json(text: str) -> PlaneMap:
     """Parse {"regions": [...], "exterior": "...", "junctions": [[...], ...],
     "adjacency": [[a, b], ...]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise InputError("line 1: expected a JSON object")
+    doc = _json_object(text, "line 1: expected a JSON object")
     for key in ("regions", "exterior", "junctions", "adjacency"):
         if key not in doc:
             raise InputError(f'line 1: missing "{key}"')

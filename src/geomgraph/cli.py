@@ -34,7 +34,7 @@ from .clustering import (
     points_to_text,
     random_point_set,
 )
-from .errors import InputError, rational
+from .errors import InputError, _digit_limit, rational
 from .gallery import fisk_guards, load_quads, orthogonal_guards
 from .geometry import dist2, load_polygon, polygon_to_json
 from .rectpart import build_partition, random_orthogonal_polygon
@@ -227,7 +227,12 @@ def _solve(args) -> int:
     row = _SOLVERS[args.cmd]
     x = row.load(args)
     r = row.solve(x)
-    summary, data = row.report(x, r)
+    try:
+        summary, data = row.report(x, r)
+    except ValueError as exc:  # str() of an int past the digit limit
+        raise InputError(
+            f"a report value has more than {_digit_limit()} digits"
+        ) from exc
     status, detail = "not-run", "verification not requested"
     if args.verify:
         status, detail = row.check(x, r)

@@ -131,20 +131,10 @@ def _pair_cluster(xy, table, p_idx: int, q_idx: int, lune) -> tuple[int, ...]:
         else:
             axis.append(i)
 
-    # Same-side and axis members can never conflict; only cross-side pairs
-    # can exceed the lune width.  These are internal guarantees of the lune
-    # geometry, checked here outright.
-    in_a, in_b = set(side_a), set(side_b)
-    member_pool = axis + side_a + side_b
-    for ii, a in enumerate(member_pool):
-        row = table[a]
-        for b in member_pool[ii + 1:]:
-            crossing = (a in in_a and b in in_b) or (a in in_b and b in in_a)
-            if not crossing and row[b] > s2:
-                raise AssertionError(
-                    "same-side lune points farther apart than the diametral pair"
-                )
-
+    # A closed half-lune has diameter |pq|, so only cross-side pairs can
+    # conflict (tests/test_clustering.py checks the lemma), and p and q, on
+    # the axis, are always members.  The member check below guards the
+    # result.
     edges = []
     for ai, a in enumerate(side_a):
         row = table[a]
@@ -157,8 +147,6 @@ def _pair_cluster(xy, table, p_idx: int, q_idx: int, lune) -> tuple[int, ...]:
     members = set(axis)
     members.update(side_a[i] for side, i in independent if side == "L")
     members.update(side_b[j] for side, j in independent if side == "R")
-    if p_idx not in members or q_idx not in members:
-        raise AssertionError("the diametral pair left the cluster")
     ordered = sorted(members)
     for ai, a in enumerate(ordered):
         row = table[a]

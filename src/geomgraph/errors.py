@@ -1,9 +1,10 @@
-"""Shared exception types, the exact-input coercers, and the one scaler of
-Fractions to ints at one common scale: `_scaled_values` for single values
-and `scaled` for pairs."""
+"""Shared exception types, the exact-input coercers, the one reader of
+JSON input files, and the one scaler of Fractions to ints at one common
+scale: `_scaled_values` for single values and `scaled` for pairs."""
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -62,10 +63,15 @@ def rational(value, role: str) -> Fraction:
     )
 
 
+def _digit_limit() -> int:
+    """The most digits str() and int() convert for an int; 0: no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
 def _printable(n: int) -> bool:
     """Whether str(n), n >= 0, is within int's string-digit limit.  10**d
     has more than 3d bits, so only a longer n is compared with it."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    limit = _digit_limit()
     return not limit or n.bit_length() <= 3 * limit or n < 10**limit
 
 
@@ -86,6 +92,26 @@ def _ascii_ints(*tokens: str) -> tuple[int, ...]:
     if _PLAIN_INTS.fullmatch(" ".join(tokens)) is None:
         raise ValueError(f"not ASCII integers: {tokens!r}")
     return tuple(map(int, tokens))
+
+
+def _json_object(text: str, not_object: str) -> dict:
+    """The JSON object that text holds.  Every failure of json.loads raises
+    InputError: a syntax error names its line, and an integer past int's
+    digit limit or nesting past the recursion limit says so.  A document
+    that is not an object raises InputError(not_object)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON (nested too deeply)") from exc
+    except ValueError as exc:  # int() of a literal past the digit limit
+        raise InputError(
+            f"invalid JSON (an integer has more than {_digit_limit()} digits)"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise InputError(not_object)
+    return doc
 
 
 def _scaled_values(values, base: int = 1) -> tuple[int, list[int]]:

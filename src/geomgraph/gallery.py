@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, integer
+from .errors import InputError, _json_object, integer
 from .geometry import (
     IntPoint,
     Point,
@@ -346,12 +346,10 @@ def staircase_with_quads() -> tuple[Polygon, tuple[tuple[int, int, int, int], ..
 
 def quads_from_json(text: str) -> tuple[tuple[int, int, int, int], ...]:
     """Parse {"quads": [[a,b,c,d], ...]} with vertex indices."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict) or "quads" not in doc:
-        raise InputError('line 1: expected an object with a "quads" key')
+    expected = 'line 1: expected an object with a "quads" key'
+    doc = _json_object(text, expected)
+    if "quads" not in doc:
+        raise InputError(expected)
     quads = doc["quads"]
     if not isinstance(quads, list):
         raise InputError('line 1: "quads" must be a list')

@@ -181,14 +181,6 @@ class FeasibleInterval:
     hi_witness: tuple[int, ...] | None = None
     empty_certificate: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def lo_closed(self) -> bool:
-        return self.lo is not None
-
-    @property
-    def hi_closed(self) -> bool:
-        return self.hi is not None
-
     def contains(self, lam: Fraction) -> bool:
         if self.empty:
             return False

@@ -168,7 +168,7 @@ def strip_svg(result: StripResult) -> str:
 def tiling_svg(tiling: Tiling, solution: AngleSolution) -> str:
     """Input tiling on the left, optimized angles on the right."""
     before = reconstruct_positions(tiling, tiling.zone_directions)
-    after = solution.tile_vertices
+    after = reconstruct_positions(tiling, solution.directions)
     hi_before = max(x for tile in before for x, _ in tile)
     lo_before = min(x for tile in before for x, _ in tile)
     lo_after = min(x for tile in after for x, _ in tile)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from .errors import InputError, _scaled_values, integer, rational
+from .errors import InputError, _json_object, _scaled_values, integer, rational
 from .graphs import components
 from .parametric import (
     INF,
@@ -248,13 +248,12 @@ def angle_graph(tiling: Tiling) -> ParamDigraph:
 class AngleSolution:
     """lambda_star: the best possible minimum interior angle (rational
     degrees); adjustments[i]: rotation added to zone i+1; directions: the
-    adjusted zone directions; tile_vertices: reconstructed coordinates per
-    tile (floats, presentation only)."""
+    adjusted zone directions.  Tiles are not placed: `reconstruct_positions`
+    on the directions does that, for a drawing or a check."""
 
     lambda_star: Fraction
     adjustments: tuple[Fraction, ...]
     directions: tuple[Fraction, ...]
-    tile_vertices: tuple[tuple[tuple[float, float], ...], ...]
 
 
 def optimize_angles(tiling: Tiling) -> AngleSolution:
@@ -287,8 +286,7 @@ def optimize_angles(tiling: Tiling) -> AngleSolution:
         theta + dz
         for theta, dz in zip(tiling.zone_directions, adjustments)
     )
-    vertices = reconstruct_positions(tiling, directions)
-    return AngleSolution(lam, adjustments, directions, vertices)
+    return AngleSolution(lam, adjustments, directions)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +403,7 @@ def hexagon_tiling(directions=("0", "60", "120")) -> Tiling:
 
 
 def tiling_from_json(text: str) -> Tiling:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad tiling JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("tiling JSON must be an object")
+    data = _json_object(text, "tiling JSON must be an object")
     try:
         directions = data["directions"]
         tiles = data["tiles"]

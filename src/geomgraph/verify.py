@@ -336,11 +336,11 @@ def check_tiling(tiling: Tiling, sol: AngleSolution | Fraction) -> tuple[str, st
 
     At any size, each zone's direction must be its input direction plus its
     adjustment, and the tiling rebuilt on those directions (which rejects a
-    corner whose interior angle is not positive) must have λ as its least
-    corner angle.  Within the zone bound, λ must also be the exhaustive
-    least cycle ratio of the angle graph.  A bare λ in place of the
-    solution, as perfbench/test_perfbench.py passes, gets only that last
-    check.
+    corner whose interior angle is not positive, and tiles that do not fit
+    together in the plane) must have λ as its least corner angle.  Within
+    the zone bound, λ must also be the exhaustive least cycle ratio of the
+    angle graph.  A bare λ in place of the solution, as
+    perfbench/test_perfbench.py passes, gets only that last check.
     """
     lam = sol
     if isinstance(sol, AngleSolution):

@@ -260,9 +260,28 @@ MALFORMED_TEXT = {
     "dist-underscore-entry": ("2\n0 1_0\n1_0 0\n",
                               "line 2: bad rational distance '1_0'"),
     "dist-row-length": ("2\n0 1\n1\n", "line 3: expected 2 entries"),
+    # json.loads raises ValueError for an int literal of more digits than
+    # int may read, and RecursionError for deep nesting.
+    **{
+        f"{suffix}-{case}": (text, phrase)
+        for suffix, huge in (
+            ("poly", '{"outer": [[0, 0], [%s, 0], [0, 1]]}'),
+            ("quads", '{"quads": [[0, 1, 2, %s]]}'),
+            ("map", '{"regions": ["A", %s]}'),
+            ("tiling", '{"directions": [%s], "tiles": [[1, 1, -1, -1]]}'),
+        )
+        for case, text, phrase in (
+            ("huge-integer", huge % ("1" * 5001),
+             "error: invalid JSON (an integer has more than 4300 digits)"),
+            ("deep-nesting", "[" * 200_000, "error: invalid JSON (nested too deeply)"),
+        )
+    },
 }
-TEXT_COMMANDS = {"off": ["strip"], "pts": ["cluster", "--d2", "1"],
-                 "dist": ["star"]}
+# Each command line ends with the flag that takes the malformed file.
+TEXT_COMMANDS = {"off": ["strip", "--in"], "pts": ["cluster", "--d2", "1", "--in"],
+                 "dist": ["star", "--in"], "poly": ["gallery", "--in"],
+                 "quads": ["gallery", "--in", path("annulus.poly"), "--quads"],
+                 "map": ["bends", "--in"], "tiling": ["tiling", "--in"]}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
@@ -271,8 +290,39 @@ def test_malformed_text_exits_two_with_one_error_line(case, tmp_path, capsys):
     suffix = case.split("-")[0]
     bad = tmp_path / f"bad.{suffix}"
     bad.write_text(text, encoding="utf-8")
-    argv = [TEXT_COMMANDS[suffix][0], "--in", str(bad), *TEXT_COMMANDS[suffix][1:]]
-    assert phrase in _the_error_line(argv, capsys)
+    assert phrase in _the_error_line([*TEXT_COMMANDS[suffix], str(bad)], capsys)
+
+
+# Valid inputs whose reports hold a value of more digits than int may
+# print: a diameter2 with a 6,000-digit denominator, and hub distances over
+# the lcm of three coprime 1,501-digit denominators.
+LONG_REPORTS = {
+    "cluster-ratio": ("pts", f"1/{'3' * 3000} 0\n0 0\n", ["cluster", "--d2", "1"]),
+    "cluster-exponent": ("pts", "1e-3000 0\n0 0\n", ["cluster", "--d2", "1"]),
+    "star-denominators": (
+        "dist",
+        "3\n0 {0} {1}\n{0} 0 {2}\n{1} {2} 0\n".format(
+            *(f"{10**1500 + c + 1}/{10**1500 + c}" for c in (1, 3, 7))
+        ),
+        ["star"],
+    ),
+}
+
+
+@pytest.mark.parametrize("json_mode", [[], ["--json"]], ids=["summary", "json"])
+@pytest.mark.parametrize("case", sorted(LONG_REPORTS))
+def test_a_report_value_past_the_digit_limit_exits_two(case, json_mode, tmp_path,
+                                                      capsys):
+    suffix, text, argv = LONG_REPORTS[case]
+    instance = tmp_path / f"long.{suffix}"
+    instance.write_text(text, encoding="utf-8")
+    assert main([*argv, "--in", str(instance), *json_mode]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [line for line in out.err.splitlines()
+            if not line.startswith("elapsed:")] == [
+        "error: a report value has more than 4300 digits"
+    ]
 
 
 def test_unsupported_flags_exit_two(capsys):

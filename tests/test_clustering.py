@@ -6,6 +6,7 @@ import pytest
 
 from geomgraph.clustering import (
     ClusterResult,
+    _distance_table,
     cluster_for_pair,
     max_cluster_given_d2,
     min_diameter_k_cluster,
@@ -41,6 +42,27 @@ def test_cluster_for_pair_collects_the_lune():
     for i in members:
         for j in members:
             assert dist2(validate_points(pts)[i], validate_points(pts)[j]) <= s2
+
+
+def test_lune_points_off_opposite_open_sides_are_within_the_pair_distance():
+    # The lemma that makes the conflict graph bipartite, which
+    # `_pair_cluster` relies on without checking it: a closed half-lune
+    # (one open side plus the axis) has diameter |pq|.  Sides come from the
+    # Fraction `lune_contains`, distances from the solver's int table.
+    sets = [random_point_set(12, seed, span=6) for seed in range(40)]
+    sets += [_seeded_case(seed)[0] for seed in range(200)]
+    opposite = {"in_open_side_A", "in_open_side_B"}
+    for pts in sets:
+        table = _distance_table(pts)[2]
+        for p in range(len(pts)):
+            for q in range(p + 1, len(pts)):
+                where = [(i, lune_contains(pts[p], pts[q], x))
+                         for i, x in enumerate(pts)]
+                lune = [(i, w) for i, w in where if w != "outside"]
+                for a, (i, wi) in enumerate(lune):
+                    for j, wj in lune[a + 1:]:
+                        if {wi, wj} != opposite:
+                            assert table[i][j] <= table[p][q], (pts, p, q, i, j)
 
 
 def test_cluster_for_pair_must_keep_its_anchors():

@@ -192,7 +192,7 @@ def test_feasibility_is_a_ray_from_the_optimum():
     g = build_parametric_graph(TRI)
     interval = parametric_feasible_interval(g)
     assert not interval.empty
-    assert interval.lo == 1 and interval.lo_closed
+    assert interval.lo == 1
     assert interval.hi is None
     assert feasibility_witness(g, Fraction(1)) is None
     below = feasibility_witness(g, 1 - Fraction(1, 1024))
