@@ -5,8 +5,8 @@ the solver's reduction, and returns (status, detail) where status is
 "passed", "failed", or "not-run" (instance too large for the oracle).
 Size guards: rectangle partition <= 14 concave corners, clustering <= 12
 points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
-`check_rectpart`, `check_cluster`, `check_tiling` and `check_star` check
-the returned certificate itself at any size, before the guard.  `check_cluster` takes
+`check_rectpart`, `check_cluster`, `check_bends`, `check_tiling` and
+`check_star` check the returned certificate itself at any size.  `check_cluster` takes
 the largest cluster as the maximum independent set of the far pairs, the
 same branch and bound that prices `check_rectpart`'s chord conflicts.
 
@@ -18,20 +18,20 @@ end, slope sum).  How a path may close depends on that state alone, so the
 least path gives the least cycle of every slope sum, and the extreme ratio
 over every simple cycle is exact without listing the cycles.
 
-`check_bends` uses neither the flow network nor `graphs`.  Starting from
-minus each region's owed units, it folds the junctions in one at a time
-into the set of region balance vectors their unit choices reach, then
-prices each distinct vector once by an exact transport over
-border-crossing distances.  Within its bound a map has
-R <= 7 regions, J <= 2R - 4 = 10 junctions and at most 4J = 40 units.
+`check_bends` uses neither the flow network nor `graphs`.  Its certificate
+is the layout: junction units, border bends, each region's corner count and
+the total.  For the optimum it folds the junctions in one at a time into
+the set of region balance vectors (units put in less units owed) that their
+unit choices reach, then prices every reachable vector by an exact
+transport over border-crossing distances, through one memo over balance
+vectors that they all share.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .bends import BendAssignment, PlaneMap
 from .errors import InputError, rational
@@ -241,35 +241,6 @@ def check_cluster(points, d2, members: tuple[int, ...]) -> tuple[str, str]:
     return "failed", f"size {len(members)}, exhaustive maximum {best}"
 
 
-def _junction_unit_choices(degree: int) -> list[tuple[int, ...]]:
-    """Quarter-turn units, 1..3 per region, that fill one junction's 360."""
-    return [u for u in product((1, 2, 3), repeat=degree) if sum(u) == 4]
-
-
-def _transport_cost(balance: tuple[int, ...], dist: list[list[int]]) -> int:
-    """Exact cheapest way to cancel surpluses against deficits.
-
-    Each surplus unit in turn goes to some deficit.  The deficits left fix
-    how many units are placed, so they alone key the memo.  The recursion
-    is as deep as the surplus: a map in the oracle's bound has R <= 7
-    regions, so J <= 2R - 4 = 10 junctions and at most 4J = 40 units.
-    """
-    units = [r for r, b in enumerate(balance) for _ in range(b)]
-    sinks = [r for r, b in enumerate(balance) if b < 0]
-
-    @cache
-    def cheapest(left: tuple[int, ...]) -> int:
-        if not any(left):
-            return 0
-        src = units[len(units) - sum(left)]
-        return min(
-            dist[src][s] + cheapest(left[:k] + (n - 1,) + left[k + 1:])
-            for k, (s, n) in enumerate(zip(sinks, left)) if n
-        )
-
-    return cheapest(tuple(-balance[s] for s in sinks))
-
-
 def _border_distances(pmap: PlaneMap) -> list[list[int]]:
     """All-pairs cheapest border-crossing cost by Floyd-Warshall, indexed
     like pmap.regions: exterior borders free, interior borders one."""
@@ -288,32 +259,97 @@ def _border_distances(pmap: PlaneMap) -> list[list[int]]:
     return dist
 
 
-def check_bends(pmap: PlaneMap, sol: BendAssignment) -> tuple[str, str]:
-    interior = [r for r in pmap.regions if r != pmap.exterior]
-    if len(interior) > 6:
-        return "not-run", f"{len(interior)} regions exceed oracle bound 6"
-    at = {r: i for i, r in enumerate(pmap.regions)}
+def _balance_costs(pmap: PlaneMap, at: dict[str, int]):
+    """The region balance vectors (units put in less units owed, indexed by
+    `at`) that the junctions' unit choices reach, and one memo of exact
+    transport costs over border-crossing distances that prices them all.
+
+    Each slot takes one unit and a degree-3 junction gives its fourth to any
+    slot, as a junction's units are 1..3 and sum to 4.  A balance's first
+    surplus unit goes to each deficit in turn, and the balance left over is
+    priced through the same memo, as deep as the surplus: within the bound a
+    map has R <= 7 regions, J <= 2R - 4 = 10 junctions and 4J <= 40 units.
+    """
     reach = {tuple(
-        -(2 * pmap.junction_count(r) + (4 if r == pmap.exterior else -4))
+        (-4 if r == pmap.exterior else 4) - pmap.junction_count(r)
         for r in pmap.regions
     )}
     for rot in pmap.junctions:
-        slots, choices = [at[r] for r in rot], _junction_unit_choices(len(rot))
-        folded = set()
-        for balance in reach:
-            for units in choices:
-                row = list(balance)
-                for r, u in zip(slots, units):
-                    row[r] += u
-                folded.add(tuple(row))
-        reach = folded
+        if len(rot) == 3:
+            reach = {b[:k] + (b[k] + 1,) + b[k + 1:]
+                     for b in reach for k in map(at.get, rot)}
     if any(sum(balance) for balance in reach):
         raise AssertionError("angle units and owed corners do not balance")
-    dist = _border_distances(pmap)
-    best = min(_transport_cost(balance, dist) for balance in reach)
-    if sol.total_bends == best:
-        return "passed", f"total matches exhaustive optimum {best}"
-    return "failed", f"total {sol.total_bends}, exhaustive optimum {best}"
+    dist, priced = _border_distances(pmap), {(0,) * len(at): 0}
+
+    def price(balance: tuple[int, ...]) -> int:
+        src = 0
+        while balance[src] <= 0:
+            src += 1
+        left, costs = list(balance), []
+        left[src] -= 1
+        for k, b in enumerate(balance):
+            if b < 0:
+                left[k] = b + 1
+                rest = tuple(left)
+                left[k] = b
+                cost = priced.get(rest)
+                costs.append(dist[src][k] + (price(rest) if cost is None else cost))
+        priced[balance] = min(costs)
+        return priced[balance]
+
+    for balance in reach:
+        if balance not in priced:
+            price(balance)
+    return reach, priced
+
+
+def check_bends(pmap: PlaneMap, sol: BendAssignment) -> tuple[str, str]:
+    at = {r: i for i, r in enumerate(pmap.regions)}
+    # The certificate, at any size.  A unit of 1 is a convex corner and 3 a
+    # concave one, and a border bend is convex on its first region's side:
+    # turn[i] counts region i's convex minus concave corners.
+    turn = [0] * len(at)
+    for j, rot in enumerate(pmap.junctions):
+        units = [sol.junction_units.get((j, r)) for r in rot]
+        for r, u in zip(rot, units):
+            if type(u) is not int or not 1 <= u <= 3:
+                return "failed", f"junction {j} region {r}: units {u!r} not in 1..3"
+            turn[at[r]] += 2 - u
+        if sum(units) != 4:
+            return "failed", f"junction {j}: units sum to {sum(units)}, not 4"
+    slots = sum(map(len, pmap.junctions))
+    if len(sol.junction_units) != slots:
+        return "failed", (f"{len(sol.junction_units)} junction units for "
+                          f"{slots} rotation slots")
+    borders = {*pmap.adjacency, *((b, a) for a, b in pmap.adjacency)}
+    charged = 0
+    for key, bends in sol.border_bends.items():
+        if key not in borders:
+            return "failed", f"border bends key {key!r} is not a border of the map"
+        if type(bends) is not int or bends < 0:
+            return "failed", f"border {key}: bends {bends!r} not a nonnegative int"
+        turn[at[key[0]]] += bends
+        turn[at[key[1]]] -= bends
+        charged += 0 if pmap.exterior in key else bends
+    for r, t in zip(pmap.regions, turn):
+        want = -4 if r == pmap.exterior else 4
+        if t != want:
+            return "failed", f"region {r}: convex - concave corners {t}, expected {want}"
+    # Inside the bound a total off the optimum is named as such, before the
+    # layout's own count is compared with it.
+    regions, best = len(at) - 1, None
+    if regions <= 6:
+        reach, costs = _balance_costs(pmap, at)
+        best = min(costs[balance] for balance in reach)
+        if sol.total_bends != best:
+            return "failed", f"total {sol.total_bends}, exhaustive optimum {best}"
+    if sol.total_bends != charged:
+        return "failed", (f"total {sol.total_bends}, but interior borders "
+                          f"carry {charged} bends")
+    if best is None:
+        return "not-run", f"{regions} regions exceed oracle bound 6"
+    return "passed", f"total matches exhaustive optimum {best}"
 
 
 def check_strip(result: StripResult) -> tuple[str, str]:

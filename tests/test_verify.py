@@ -7,8 +7,9 @@ and steps aside above its size bound.
 
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
-from geomgraph.bends import PlaneMap, min_bend_assignment
+from geomgraph.bends import PlaneMap, five_region_map, load_map, min_bend_assignment
 from geomgraph.clustering import max_cluster_given_d2, random_point_set
 from geomgraph.gallery import orthogonal_comb
 from geomgraph.geometry import Point, Polygon
@@ -23,6 +24,8 @@ from geomgraph.stars import (
 from geomgraph.strips import StripResult, octahedron, single_strip
 from geomgraph.tiling import Tiling, optimize_angles
 from geomgraph.verify import (
+    _balance_costs,
+    _border_distances,
     check_bends,
     check_cluster,
     check_rectpart,
@@ -30,6 +33,10 @@ from geomgraph.verify import (
     check_strip,
     check_tiling,
 )
+from test_bends import _seeded_grid_map, pie_map, wheel_map
+from transport_reference import transport_cost
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 # ---------------------------------------------------------------------------
 # not-run above each size bound
@@ -87,8 +94,11 @@ def test_star_oracle_steps_aside_above_7_points():
 def test_bends_oracle_steps_aside_above_6_regions():
     assert check_bends(_row_map(6), min_bend_assignment(_row_map(6)))[0] == "passed"
     pmap = _row_map(7)
-    assert check_bends(pmap, min_bend_assignment(pmap)) == (
-        "not-run", "7 regions exceed oracle bound 6"
+    sol = min_bend_assignment(pmap)
+    assert check_bends(pmap, sol) == ("not-run", "7 regions exceed oracle bound 6")
+    # The certificate is still checked above the bound.
+    assert check_bends(pmap, replace(sol, total_bends=1)) == (
+        "failed", "total 1, but interior borders carry 0 bends"
     )
 
 
@@ -192,3 +202,79 @@ def test_star_oracle_fails_a_scaled_hub_vector():
     assert check_star(d, nudged) == (
         "failed", f"dilation {nudged.dilation} vs cycle bound {emb.dilation}"
     )
+
+
+def _retouched(sol, units=None, bends=None, **fields):
+    """sol with some junction units and border bends overwritten; a value
+    of None drops the key."""
+    def merged(old, new):
+        out = {**old, **(new or {})}
+        return {k: v for k, v in out.items() if v is not None}
+    return replace(sol, junction_units=merged(sol.junction_units, units),
+                   border_bends=merged(sol.border_bends, bends), **fields)
+
+
+def test_bends_oracle_checks_the_junction_units():
+    pmap = five_region_map()  # junction 0 is (ext, NL, DE) with units 2 1 1
+    sol = min_bend_assignment(pmap)
+    for units, detail in (
+        ({(0, "NL"): 0}, "junction 0 region NL: units 0 not in 1..3"),
+        ({(0, "ext"): 4}, "junction 0 region ext: units 4 not in 1..3"),
+        ({(0, "NL"): 1.0}, "junction 0 region NL: units 1.0 not in 1..3"),
+        ({(0, "DE"): None}, "junction 0 region DE: units None not in 1..3"),
+        ({(0, "NL"): 2}, "junction 0: units sum to 5, not 4"),
+        ({(8, "NL"): 1}, "25 junction units for 24 rotation slots"),
+    ):
+        assert check_bends(pmap, _retouched(sol, units)) == ("failed", detail)
+
+
+def test_bends_oracle_checks_the_border_bends():
+    pmap = five_region_map()  # NL and FR do not touch
+    sol = min_bend_assignment(pmap)
+    for bends, detail in (
+        ({("NL", "FR"): 0}, "border bends key ('NL', 'FR') is not a border of the map"),
+        ({"NL": 0}, "border bends key 'NL' is not a border of the map"),
+        ({("NL", "BE"): -1}, "border ('NL', 'BE'): bends -1 not a nonnegative int"),
+        ({("BE", "NL"): 0.5}, "border ('BE', 'NL'): bends 0.5 not a nonnegative int"),
+    ):
+        assert check_bends(pmap, _retouched(sol, bends=bends)) == ("failed", detail)
+
+
+def test_bends_oracle_checks_each_regions_corners_and_the_total():
+    pmap = five_region_map()
+    sol = min_bend_assignment(pmap)
+    # A unit moved from ext to NL at junction 0 still sums to 4.
+    moved = _retouched(sol, {(0, "ext"): 1, (0, "NL"): 2})
+    assert check_bends(pmap, moved) == (
+        "failed", "region NL: convex - concave corners 3, expected 4"
+    )
+    outline = _retouched(sol, bends={("NL", "ext"): 2})
+    assert check_bends(pmap, outline) == (
+        "failed", "region NL: convex - concave corners 5, expected 4"
+    )
+    # One bend each way on the NL-DE border leaves every corner count
+    # whole, but the layout now has three bends where the total says one.
+    both_ways = _retouched(sol, bends={("NL", "DE"): 1, ("DE", "NL"): 1})
+    assert check_bends(pmap, both_ways) == (
+        "failed", "total 1, but interior borders carry 3 bends"
+    )
+    # A total off the optimum is named as such first.
+    assert check_bends(pmap, _retouched(both_ways, total_bends=3)) == (
+        "failed", "total 3, exhaustive optimum 1"
+    )
+
+
+# ---------------------------------------------------------------------------
+# differential: the shared transport memo against a memo per balance
+# ---------------------------------------------------------------------------
+
+
+def test_bends_transport_costs_match_a_memo_per_balance():
+    maps = [load_map(str(path)) for path in sorted(INSTANCES.glob("*.map"))]
+    maps += [_row_map(k) for k in range(1, 7)] + [pie_map(), wheel_map()]
+    maps += [_seeded_grid_map(seed) for seed in range(300)]
+    for pmap in maps:
+        reach, costs = _balance_costs(pmap, {r: i for i, r in enumerate(pmap.regions)})
+        dist = _border_distances(pmap)
+        for balance in reach:
+            assert costs[balance] == transport_cost(balance, dist), (pmap, balance)
