@@ -13,6 +13,12 @@ the benchmark patches names here: perfbench/worker.py replaces
 `single_strip` to keep each strip for its check, and perfbench/tracer.py
 wraps the loaders whose spans make up `cli.load.s`.  A row that held the
 function object would miss both patches.
+
+For the same harness this module imports every solver, `verify` and `svg`
+at module level, although one call runs one solver.  The worker times
+only `main`, so a first-use import would compile a module inside the
+timed region of every pass, and it patches the names bound here.  Cold
+start of a CLI call is ROADMAP item 4's later step.
 """
 
 from __future__ import annotations

@@ -360,6 +360,8 @@ def random_orthogonal_polygon(
     Retries until the concave-corner count is at most max_concave (keeping
     brute-force cross-checks tractable), and gives up with InputError after
     MAX_SAMPLES samples."""
+    if cells < 1:
+        raise InputError("need at least one cell")
     if with_hole and cells < 9:
         raise InputError(
             f"a hole needs a fully surrounded cell, impossible with "

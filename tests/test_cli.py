@@ -565,6 +565,17 @@ def test_gen_exits_two_when_no_sample_qualifies(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("cells", ["0", "-2"])
+def test_gen_exits_two_for_an_orthogonal_polygon_of_no_cells(
+    cells, tmp_path, capsys
+):
+    out = tmp_path / "none.poly"
+    argv = ["gen", "orth-polygon", "--seed", "1", "--cells", cells,
+            "--out", str(out)]
+    assert _the_error_line(argv, capsys) == "error: need at least one cell"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the shipped corpus stays verified
 # ---------------------------------------------------------------------------

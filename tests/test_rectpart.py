@@ -238,6 +238,12 @@ def test_random_orthogonal_polygon_gives_up_with_the_size(monkeypatch):
         random_orthogonal_polygon(0, cells=96)
 
 
+@pytest.mark.parametrize("cells", [0, -3])
+def test_random_orthogonal_polygon_needs_a_cell(cells):
+    with pytest.raises(InputError, match="need at least one cell"):
+        random_orthogonal_polygon(0, cells=cells)
+
+
 def test_hole_requests_need_enough_cells():
     # A unit hole needs a fully surrounded cell, so fewer than 9 cells
     # can never satisfy the request.

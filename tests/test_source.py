@@ -1,7 +1,12 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "geomgraph"
@@ -88,3 +93,73 @@ def test_benchmark_harness_names_still_resolve():
     for cached in (strips.dual_graph, strips._edge_owner):
         assert callable(getattr(cached, "cache_info", None)), cached
     assert callable(cli.single_strip)
+
+
+def _in_fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter that imports geomgraph from src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    return done.stdout
+
+
+_LOADED = (
+    "import sys; print(' '.join(sorted(m for m in sys.modules"
+    " if m == 'geomgraph' or m.startswith('geomgraph.'))))"
+)
+
+
+def test_importing_the_package_loads_no_solver():
+    assert _in_fresh_python(f"import geomgraph; {_LOADED}").split() == [
+        "geomgraph"
+    ]
+
+
+def test_importing_one_solver_loads_only_its_dependencies():
+    loaded = _in_fresh_python(f"import geomgraph.stars; {_LOADED}").split()
+    assert set(loaded) == {
+        "geomgraph", "geomgraph.errors", "geomgraph.graphs",
+        "geomgraph.parametric", "geomgraph.stars",
+    }
+
+
+def test_star_import_binds_every_public_name_to_its_definition():
+    # In a fresh interpreter, so each name is resolved by the lazy lookup.
+    wrong = _in_fresh_python(
+        "import importlib\n"
+        "from geomgraph import *\n"
+        "from geomgraph import __all__\n"
+        "found = {n: globals().get(n) for n in __all__}\n"
+        "print(*(n for n, v in found.items() if n != '__version__' and\n"
+        "        v is not getattr(importlib.import_module(v.__module__), n,\n"
+        "                         None)))\n"
+    )
+    assert wrong.split() == []
+    import geomgraph
+
+    assert geomgraph.__all__ == [
+        "__version__", "InputError", "Point", "Segment", "Polygon",
+        "fisk_guards", "orthogonal_guards", "verify_guard_certificate",
+        "build_partition", "min_rectangle_count", "max_cluster_given_d2",
+        "min_diameter_k_cluster", "PlaneMap", "min_bend_assignment",
+        "TriMesh", "single_strip", "Tiling", "optimize_angles",
+        "DistanceMatrix", "optimal_star_embedding",
+    ]
+
+
+def test_dir_lists_every_public_name_before_its_first_use():
+    missing = _in_fresh_python(
+        "import geomgraph\n"
+        "print(*(set(geomgraph.__all__) - set(dir(geomgraph))))\n"
+    )
+    assert missing.split() == []
+
+
+def test_an_unknown_package_name_raises_the_standard_error():
+    import geomgraph
+
+    with pytest.raises(AttributeError) as caught:
+        geomgraph.nope
+    assert str(caught.value) == "module 'geomgraph' has no attribute 'nope'"
