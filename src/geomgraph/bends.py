@@ -251,70 +251,6 @@ def min_bend_assignment(pmap: PlaneMap) -> BendAssignment:
     return BendAssignment(result.total_cost, border_bends, junction_units)
 
 
-def region_boundary_bends(assignment: BendAssignment, region: str) -> int:
-    """Total bends (either orientation) on a region's borders."""
-    return sum(
-        f
-        for (a, b), f in assignment.border_bends.items()
-        if region in (a, b)
-    )
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-# ---------------------------------------------------------------------------
-
-
-def single_region_map() -> PlaneMap:
-    """One region inside the exterior, no junctions: four forced outline
-    corners on its only border, zero charged bends."""
-    return PlaneMap(("A", "ext"), "ext", (), (("A", "ext"),))
-
-
-def grid_map() -> PlaneMap:
-    """A 2x2 grid of regions: one degree-4 center junction and four
-    degree-3 boundary junctions."""
-    return PlaneMap(
-        ("A", "B", "C", "D", "ext"),
-        "ext",
-        (
-            ("A", "B", "ext"),  # top boundary junction
-            ("B", "D", "ext"),  # right
-            ("D", "C", "ext"),  # bottom
-            ("C", "A", "ext"),  # left
-            ("A", "B", "D", "C"),  # center
-        ),
-        (
-            ("A", "B"), ("B", "D"), ("D", "C"), ("C", "A"),
-            ("A", "ext"), ("B", "ext"), ("C", "ext"), ("D", "ext"),
-        ),
-    )
-
-
-def five_region_map() -> PlaneMap:
-    """Five interior regions around a 3-junction pocket; minimum is one
-    bend, on the pocket's boundary."""
-    return PlaneMap(
-        ("NL", "BE", "DE", "LU", "FR", "ext"),
-        "ext",
-        (
-            ("ext", "NL", "DE"),
-            ("NL", "BE", "DE"),
-            ("ext", "BE", "NL"),
-            ("ext", "FR", "BE"),
-            ("BE", "DE", "LU"),
-            ("DE", "FR", "LU"),
-            ("FR", "BE", "LU"),
-            ("ext", "DE", "FR"),
-        ),
-        (
-            ("NL", "ext"), ("NL", "DE"), ("DE", "ext"), ("NL", "BE"),
-            ("BE", "DE"), ("BE", "ext"), ("FR", "ext"), ("FR", "BE"),
-            ("DE", "LU"), ("BE", "LU"), ("DE", "FR"), ("FR", "LU"),
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # map file format (.map)
 # ---------------------------------------------------------------------------

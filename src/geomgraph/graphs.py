@@ -12,9 +12,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InputError, integer, rational
+from .errors import InputError, integer
 
 # ---------------------------------------------------------------------------
 # graph types
@@ -116,26 +115,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-
-@dataclass(frozen=True)
-class WeightedDigraph:
-    """Directed graph with exact rational arc weights; parallel arcs and
-    loops are allowed.  Arcs are addressed by their index."""
-
-    vertex_count: int
-    arcs: tuple[tuple[int, int, Fraction], ...]
-
-    def __init__(self, vertex_count: int, arcs):
-        vertex_count = integer(vertex_count, "vertex count")
-        norm = []
-        for t, h, w in arcs:
-            t, h = integer(t, "vertex id"), integer(h, "vertex id")
-            if not (0 <= t < vertex_count and 0 <= h < vertex_count):
-                raise InputError(f"arc ({t},{h}) out of range")
-            norm.append((t, h, rational(w, "arc weight")))
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "arcs", tuple(norm))
 
 
 @dataclass(frozen=True)
@@ -530,14 +509,6 @@ def _predecessor_cycle(arcs, pred: list[int], zero) -> tuple[int, ...] | None:
     return None
 
 
-def negative_cycle_anywhere(g: WeightedDigraph) -> tuple[int, ...] | None:
-    """A negative cycle anywhere in the graph (arc indices), or None."""
-    res = bellman_ford_multi(
-        g.vertex_count, g.arcs, range(g.vertex_count), Fraction(0)
-    )
-    return res.negative_cycle
-
-
 # ---------------------------------------------------------------------------
 # min-cost circulation with lower bounds
 # ---------------------------------------------------------------------------
@@ -673,19 +644,3 @@ def verify_circulation(net: FlowNetwork, flow) -> tuple[bool, str]:
         if b != 0:
             return False, f"vertex {v}: net flow {b} != 0"
     return True, "ok"
-
-
-def residual_digraph(net: FlowNetwork, flow) -> WeightedDigraph:
-    """The cost-weighted residual graph of a circulation.
-
-    Contains an arc per unsaturated forward direction (cost) and per
-    reducible backward direction (-cost).  A circulation is min-cost exactly
-    when this graph has no negative cycle.
-    """
-    arcs = []
-    for k, (t, h, lo, up, c) in enumerate(net.arcs):
-        if flow[k] < up:
-            arcs.append((t, h, Fraction(c)))
-        if flow[k] > lo:
-            arcs.append((h, t, Fraction(-c)))
-    return WeightedDigraph(net.vertex_count, arcs)

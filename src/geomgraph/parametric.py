@@ -116,11 +116,6 @@ class ParamDigraph:
         return arcs
 
 
-def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fraction]]:
-    """The arcs' exact weights at lam, as (tail, head, weight)."""
-    return [(t, h, i + s * lam) for (t, h, i, s) in g.arcs]
-
-
 def _scaled_weights(g: ParamDigraph, lam) -> tuple[list[tuple[int, int, int]], int]:
     """The arcs at lam = p/q as (tail, head, D*q*weight) in ints, and D*q."""
     lam = rational(lam, "parameter")
@@ -135,10 +130,6 @@ def feasibility_witness(g: ParamDigraph, lam: Fraction) -> tuple[int, ...] | Non
     return bellman_ford_multi(
         g.vertex_count, arcs, range(g.vertex_count), 0
     ).negative_cycle
-
-
-def is_feasible(g: ParamDigraph, lam: Fraction) -> bool:
-    return feasibility_witness(g, lam) is None
 
 
 def _scaled_distances(

@@ -450,37 +450,3 @@ def random_orthogonal_polygon(
         f"{' with a hole' if with_hole else ''} and at most {max_concave} "
         f"concave corners in {MAX_SAMPLES} samples (seed {seed})"
     )
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-# ---------------------------------------------------------------------------
-
-
-def plus_polygon() -> Polygon:
-    """Plus sign: four concave corners whose chords pair up into two
-    independent families, so three rectangles suffice."""
-    return Polygon(
-        [
-            (1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (2, 2),
-            (2, 3), (1, 3), (1, 2), (0, 2), (0, 1), (1, 1),
-        ],
-        kind="orthogonal",
-    )
-
-
-def lshape_polygon() -> Polygon:
-    """L shape: a single concave corner, no chords, two rectangles."""
-    return Polygon(
-        [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], kind="orthogonal"
-    )
-
-
-def annulus_polygon() -> Polygon:
-    """Square ring: four concave corners on the hole, no axis-aligned chords
-    between them, four rectangles."""
-    return Polygon(
-        [(0, 0), (3, 0), (3, 3), (0, 3)],
-        holes=[[(1, 1), (1, 2), (2, 2), (2, 1)]],
-        kind="orthogonal",
-    )

@@ -30,8 +30,6 @@ __all__ = [
     "optimal_star_embedding",
     "dilation",
     "random_metric",
-    "cycle_metric",
-    "uniform_metric",
     "matrix_from_text",
     "matrix_to_text",
     "load_matrix",
@@ -208,29 +206,6 @@ def dilation(d: DistanceMatrix, hub) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def uniform_metric(n: int, value=2) -> DistanceMatrix:
-    v = rational(value, "distance")
-    return DistanceMatrix(
-        tuple(
-            tuple(v if p != q else Fraction(0) for q in range(n))
-            for p in range(n)
-        )
-    )
-
-
-def cycle_metric(n: int) -> DistanceMatrix:
-    """Hop distances around an n-cycle with unit sides."""
-    return DistanceMatrix(
-        tuple(
-            tuple(
-                Fraction(min(abs(p - q), n - abs(p - q)))
-                for q in range(n)
-            )
-            for p in range(n)
-        )
-    )
-
-
 def random_metric(n: int, seed: int, span: int = 20) -> DistanceMatrix:
     """Shortest-path closure of a random complete graph with integer edge
     weights in 1..span; always a metric."""
@@ -268,8 +243,10 @@ def matrix_from_text(text: str) -> DistanceMatrix:
         raise InputError("empty distance file")
     try:
         (n,) = _ascii_ints(rows[0][1])
-    except ValueError as exc:
-        raise InputError(f"line {rows[0][0]}: expected the point count") from exc
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise InputError(f"line {rows[0][0]}: expected the point count")
     if len(rows) != n + 1:
         raise InputError(f"expected {n} matrix rows, found {len(rows) - 1}")
     entries = []

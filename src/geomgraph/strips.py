@@ -285,10 +285,6 @@ class CycleCover:
     matching: Matching
     cycles: tuple[tuple[int, ...], ...]
 
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
 
 def _partner(t_count: int, pairs) -> list[int]:
     """Matched pairs as an array: partner[t] is t's mate, or -1."""
@@ -653,6 +649,8 @@ def sphere_like_mesh(seed: int, triangles: int = 100) -> TriMesh:
     result is validated once."""
     import random
 
+    if triangles < 1:
+        raise InputError("need at least one triangle")
     rng = random.Random(seed)
     topo = _Topology(octahedron())
     edges = sorted(topo.dual_edges(range(len(topo.triangles))))

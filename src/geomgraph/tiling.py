@@ -14,12 +14,35 @@ a negative cycle, and the adjustments are shortest-path distances there.
 A `Tiling` is fully checked once, when it is built (zone closure and
 geometry included): `zones` only reports, and `reconstruct_positions`
 places tiles from one unit vector per signed zone.
+
+The angle constraints have corner rows only, so they alone do not say
+that new directions place the tiles.  Closure lemma: the sides glued to
+nothing form boundary cycles, and going once around one, its side vectors
+sum to sum_z n_z * u_z, where n_z is the net signed count of zone z's
+sides on it and u_z the zone's unit vector.  That sum is zero for every
+choice of directions exactly when every n_z is 0.  Every loop in the tiled
+region is a sum of tile boundaries, which close because tiles are
+centrally symmetric, and boundary cycles.  So when every boundary cycle
+has all n_z = 0, any directions that keep the corners convex place the
+tiles, and the optimum is an answer.
+
+Zones with parallel directions share one unit vector (a reversed one its
+negation), so the same holds with n_z summed over each set of parallel
+zones.  A hole that cuts a row of a grid into two zones leaves n_z = +1
+and -1 on the two pieces, which cancel while the pieces stay parallel.
+So a `Tiling` with a boundary cycle whose counts do not cancel over its
+parallel input zones (a triangular hole, say) is refused, and
+`optimize_angles` refuses an optimum whose directions stop such a cycle's
+counts from cancelling.  A closed gluing, one with no boundary, has loops
+around its handles as well; it is out of scope when such a loop's side
+vectors sum to zero only at the input directions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -41,8 +64,6 @@ __all__ = [
     "angle_graph",
     "optimize_angles",
     "reconstruct_positions",
-    "rhombus_tiling",
-    "hexagon_tiling",
     "tiling_from_json",
     "tiling_to_json",
     "load_tiling",
@@ -76,6 +97,11 @@ class Tiling:
     # as an int.
     _scale: int = field(init=False, repr=False, compare=False)
     _corners: tuple[tuple[int, int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    # Set by _validate: each boundary cycle whose zones cancel only with
+    # the zones parallel to them, as (first slot, zone -> net side count).
+    _split_cycles: tuple[tuple[tuple[int, int], dict[int, int]], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -173,9 +199,9 @@ class Tiling:
             for t, tile in enumerate(self.tiles)
             for i in range(len(tile) // 2)
         )
-        glued = (
+        glued = [
             (start[a] + i, start[b] + j) for (a, i), (b, j) in self.adjacencies
-        )
+        ]
         labels = components(start[-1], chain(opposite, glued))
         class_of_zone: dict[int, int] = {}
         for t, tile in enumerate(self.tiles):
@@ -188,16 +214,68 @@ class Tiling:
                     )
         reconstruct_positions(self, self.zone_directions)
 
-    def side_direction(self, t: int, i: int) -> Fraction:
-        z = self.tiles[t][i]
-        base = self.zone_directions[abs(z) - 1]
-        return (base + (180 if z < 0 else 0)) % 360
+        # Each boundary cycle must close under every direction (see the
+        # module docstring).  The walk leaves an unglued side for the next
+        # side of its tile, crossing each gluing to the next side of the
+        # glued tile, until it meets an unglued side.  A slot is glued at
+        # most once, so the steps visit distinct slots and end.  Slots are
+        # numbered start[t] + i, as in the union-find above.
+        partner = dict(glued)  # side slot -> the slot glued to it
+        partner.update((b, a) for a, b in glued)
+        after = [*range(1, start[-1] + 1)]  # the next side of the same tile
+        for begin, end in zip(start, start[1:]):
+            after[end - 1] = begin
+        zone_of = [*chain.from_iterable(self.tiles)]
+        walked, split = set(), []
+        for first in sorted(set(range(start[-1])).difference(partner)):
+            if first in walked:
+                continue
+            net: dict[int, int] = {}  # zone -> signed side count
+            s = first
+            while s not in walked:
+                walked.add(s)
+                z = zone_of[s]
+                net[abs(z)] = net.get(abs(z), 0) + (1 if z > 0 else -1)
+                s = after[s]
+                while s in partner:
+                    s = after[partner[s]]
+            net = {z: n for z, n in net.items() if n}
+            if not net:
+                continue
+            t = bisect_right(start, first) - 1  # first is side slot (t, i)
+            i = first - start[t]
+            found = _open_zone(net, self.zone_directions)
+            if found is not None:
+                raise InputError(
+                    f"boundary cycle from slot ({t},{i}) does not close "
+                    f"under every direction: zone {found[0]} has net side "
+                    f"count {found[1]}"
+                )
+            split.append(((t, i), net))
+        object.__setattr__(self, "_split_cycles", tuple(split))
 
     def corners(self):
         """Yield (tile, corner, zone_a, zone_b, angle), one per opposite pair."""
         scale = self._scale
         for t, j, a, b, interior in self._corners:
             yield t, j, a, b, Fraction(interior, scale)
+
+
+def _open_zone(net: dict[int, int], directions) -> tuple[int, int] | None:
+    """The least zone of `net` (zone -> net signed side count on one
+    boundary cycle) whose sides, counted with those of every zone parallel
+    to it under `directions` (a reversed one with the opposite sign), do not
+    cancel, and that net count; None when every such count is 0."""
+    heading = {z: directions[z - 1] % 360 for z in net}
+    line: dict[Fraction, int] = {}  # heading mod 180 -> net count along it
+    for z, n in net.items():
+        key = heading[z] % 180
+        line[key] = line.get(key, 0) + (n if heading[z] < 180 else -n)
+    for z in sorted(net):
+        count = line[heading[z] % 180]
+        if count:
+            return z, count if heading[z] < 180 else -count
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +364,16 @@ def optimize_angles(tiling: Tiling) -> AngleSolution:
         theta + dz
         for theta, dz in zip(tiling.zone_directions, adjustments)
     )
+    # A cycle whose zones cancel only with their parallel zones stays
+    # closed while they stay parallel; the angle rows do not see that.
+    for (t, i), net in tiling._split_cycles:
+        found = _open_zone(net, directions)
+        if found is not None:
+            raise InputError(
+                f"the adjusted directions may open the boundary cycle from "
+                f"slot ({t},{i}): zone {found[0]} has net side count "
+                f"{found[1]}"
+            )
     return AngleSolution(lam, adjustments, directions)
 
 
@@ -370,30 +458,6 @@ def reconstruct_positions(
                     )
     return tuple(
         tuple(positions[t]) for t in range(len(tiling.tiles))
-    )
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-# ---------------------------------------------------------------------------
-
-
-def rhombus_tiling(directions=("0", "30")) -> Tiling:
-    """A single rhombus on two zones; its optimum is always the square."""
-    return Tiling(directions, ((1, 2, -1, -2),))
-
-
-def hexagon_tiling(directions=("0", "60", "120")) -> Tiling:
-    """Three rhombi tiling a hexagon around an interior vertex (the
-    classic cube-corner picture); optimal minimum angle 60."""
-    return Tiling(
-        directions,
-        ((1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -3)),
-        (
-            ((0, 2), (1, 0)),
-            ((0, 3), (2, 0)),
-            ((1, 3), (2, 1)),
-        ),
     )
 
 

@@ -12,11 +12,8 @@ from pathlib import Path
 
 from geomgraph.bends import (
     PlaneMap,
-    five_region_map,
-    grid_map,
+    load_map,
     min_bend_assignment,
-    region_boundary_bends,
-    single_region_map,
 )
 from geomgraph.clustering import (
     max_cluster_given_d2,
@@ -24,12 +21,11 @@ from geomgraph.clustering import (
     random_point_set,
 )
 from geomgraph.gallery import (
-    comb_polygon,
     fisk_guards,
-    orthogonal_comb,
     orthogonal_guards,
     verify_guard_certificate,
 )
+from geomgraph.geometry import load_polygon
 from geomgraph.graphs import (
     BipartiteGraph,
     FlowNetwork,
@@ -37,23 +33,17 @@ from geomgraph.graphs import (
     konig_independent_set,
     max_bipartite_matching,
     min_cost_circulation,
-    negative_cycle_anywhere,
     perfect_matching_general,
-    residual_digraph,
     verify_circulation,
 )
 from geomgraph.parametric import feasibility_witness
 from geomgraph.rectpart import (
-    annulus_polygon,
     build_partition,
     concave_vertices,
-    lshape_polygon,
-    plus_polygon,
     random_orthogonal_polygon,
 )
 from geomgraph.stars import (
     DistanceMatrix,
-    cycle_metric,
     optimal_star_embedding,
     random_metric,
 )
@@ -73,6 +63,14 @@ from geomgraph.verify import (
     check_strip,
     check_tiling,
 )
+from fixtures import (
+    comb_polygon,
+    cycle_metric,
+    orthogonal_comb,
+    region_boundary_bends,
+)
+from graph_reference import negative_cycle_anywhere, residual_digraph
+from test_cli import path
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -138,9 +136,9 @@ def test_criterion_1_gallery():
 @_criterion(2, "rectangle partitions are minimum on 200 random polygons", 30.0)
 def test_criterion_2_rectpart():
     for poly, want in (
-        (plus_polygon(), 3),
-        (annulus_polygon(), 4),
-        (lshape_polygon(), 2),
+        (load_polygon(path("plus.poly")), 3),
+        (load_polygon(path("annulus.poly")), 4),
+        (load_polygon(path("lshape.poly")), 2),
     ):
         assert build_partition(poly).count == want
 
@@ -209,19 +207,22 @@ def _pie_map() -> PlaneMap:
 
 @_criterion(4, "bend counts: outline, pie slices, five regions", 5.0)
 def test_criterion_4_bends():
-    pmap = single_region_map()
-    sol = min_bend_assignment(pmap)
+    single, grid, five = (
+        load_map(path(name))
+        for name in ("single_region.map", "grid.map", "five_regions.map")
+    )
+    sol = min_bend_assignment(single)
     assert sol.total_bends == 0
-    assert sol.outline_corners(pmap.exterior) == 4
+    assert sol.outline_corners(single.exterior) == 4
 
     pie = _pie_map()
     sol = min_bend_assignment(pie)
     for region in ("A", "B", "C"):
         assert region_boundary_bends(sol, region) >= 1
 
-    assert min_bend_assignment(five_region_map()).total_bends == 1
+    assert min_bend_assignment(five).total_bends == 1
 
-    for pmap in (single_region_map(), grid_map(), five_region_map(), pie):
+    for pmap in (single, grid, five, pie):
         sol = min_bend_assignment(pmap)
         sums = {}
         for (j, _region), u in sol.junction_units.items():

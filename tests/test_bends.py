@@ -5,17 +5,19 @@ import pytest
 
 from geomgraph.bends import (
     PlaneMap,
-    five_region_map,
-    grid_map,
     load_map,
     map_from_json,
     map_to_json,
     min_bend_assignment,
-    region_boundary_bends,
-    single_region_map,
 )
 from geomgraph.errors import InputError
 from geomgraph.verify import check_bends
+from fixtures import region_boundary_bends
+from test_cli import path
+
+SINGLE_REGION = load_map(path("single_region.map"))
+GRID = load_map(path("grid.map"))
+FIVE_REGIONS = load_map(path("five_regions.map"))
 
 
 def pie_map() -> PlaneMap:
@@ -101,14 +103,14 @@ def test_map_validation_checks_junction_end_parity():
 
 
 def test_single_region_needs_only_the_four_outline_corners():
-    pmap = single_region_map()
+    pmap = SINGLE_REGION
     sol = min_bend_assignment(pmap)
     assert sol.total_bends == 0
     assert sol.outline_corners(pmap.exterior) == 4
 
 
 def test_grid_map_lays_out_with_no_interior_bends():
-    pmap = grid_map()
+    pmap = GRID
     sol = min_bend_assignment(pmap)
     assert sol.total_bends == 0
     assert sol.outline_corners(pmap.exterior) == 4
@@ -121,7 +123,7 @@ def test_grid_map_lays_out_with_no_interior_bends():
 
 
 def test_five_region_map_needs_exactly_one_bend():
-    pmap = five_region_map()
+    pmap = FIVE_REGIONS
     sol = min_bend_assignment(pmap)
     assert sol.total_bends == 1
     status, detail = check_bends(pmap, sol)
@@ -140,20 +142,20 @@ def test_three_junction_regions_force_a_boundary_bend():
 
 
 def test_solutions_match_bruteforce_on_all_fixtures():
-    for pmap in (single_region_map(), grid_map(), five_region_map(), pie_map()):
+    for pmap in (SINGLE_REGION, GRID, FIVE_REGIONS, pie_map()):
         sol = min_bend_assignment(pmap)
         status, detail = check_bends(pmap, sol)
         assert status == "passed", detail
 
 
 def test_outline_corners_never_fall_below_four():
-    for pmap in (single_region_map(), grid_map(), five_region_map(), pie_map()):
+    for pmap in (SINGLE_REGION, GRID, FIVE_REGIONS, pie_map()):
         sol = min_bend_assignment(pmap)
         assert sol.outline_corners(pmap.exterior) >= 4
 
 
 def test_check_bends_fails_a_total_off_the_optimum():
-    for pmap in (single_region_map(), grid_map(), five_region_map(), pie_map()):
+    for pmap in (SINGLE_REGION, GRID, FIVE_REGIONS, pie_map()):
         sol = min_bend_assignment(pmap)
         best = sol.total_bends
         for total in (best - 1, best + 1):
@@ -167,7 +169,7 @@ def test_check_bends_does_not_depend_on_where_rotations_start():
     # Whichever region a rotation lists first, every unit choice at that
     # junction stays open: the wheel needs no bend at any shift.
     assert min_bend_assignment(wheel_map()).total_bends == 0
-    for pmap in (grid_map(), five_region_map(), pie_map(), wheel_map()):
+    for pmap in (GRID, FIVE_REGIONS, pie_map(), wheel_map()):
         best = min_bend_assignment(pmap).total_bends
         for shift in range(3):
             turned = PlaneMap(
@@ -242,7 +244,7 @@ def test_check_bends_agrees_with_the_circulation_on_grid_maps():
 
 
 def test_map_json_round_trip(tmp_path):
-    pmap = five_region_map()
+    pmap = FIVE_REGIONS
     again = map_from_json(map_to_json(pmap))
     assert again.regions == pmap.regions
     assert again.exterior == pmap.exterior

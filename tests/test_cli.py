@@ -257,6 +257,7 @@ MALFORMED_TEXT = {
     "dist-unicode-count": ("\u0663\n0 1 1\n1 0 1\n1 1 0\n",
                            "line 1: expected the point count"),
     "dist-row-count": ("3\n0 1 1\n1 0 1\n", "expected 3 matrix rows, found 2"),
+    "dist-negative-count": ("-1\n", "line 1: expected the point count"),
     "dist-underscore-entry": ("2\n0 1_0\n1_0 0\n",
                               "line 2: bad rational distance '1_0'"),
     "dist-row-length": ("2\n0 1\n1\n", "line 3: expected 2 entries"),
@@ -574,6 +575,32 @@ def test_gen_exits_two_for_an_orthogonal_polygon_of_no_cells(
             "--out", str(out)]
     assert _the_error_line(argv, capsys) == "error: need at least one cell"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_gen_exits_two_for_a_mesh_of_no_triangles(count, tmp_path, capsys):
+    out = tmp_path / "none.off"
+    argv = ["gen", "mesh", "--seed", "1", "--triangles", count, "--out", str(out)]
+    assert _the_error_line(argv, capsys) == "error: need at least one triangle"
+    assert not out.exists()
+
+
+HOLES = {
+    # The hole's sides lie in three zones of three directions.
+    "triangle_hole.tiling": "error: boundary cycle from slot (0,2) does not "
+    "close under every direction: zone 4 has net side count -1",
+    # The optimum turns apart two parallel zones that a hole cuts.
+    "split_hole.tiling": "error: the adjusted directions may open the "
+    "boundary cycle from slot (0,0): zone 5 has net side count -1",
+}
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify"]])
+@pytest.mark.parametrize("name", sorted(HOLES))
+def test_a_tiling_whose_hole_may_not_close_exits_two(name, extra, capsys):
+    fixture = str(Path(__file__).resolve().parent / name)
+    argv = ["tiling", "--in", fixture, *extra]
+    assert _the_error_line(argv, capsys) == HOLES[name]
 
 
 # ---------------------------------------------------------------------------

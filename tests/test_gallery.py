@@ -6,14 +6,10 @@ import pytest
 from geomgraph import gallery
 from geomgraph.errors import InputError
 from geomgraph.gallery import (
-    comb_polygon,
     fisk_guards,
     load_quads,
-    orthogonal_comb,
     orthogonal_guards,
     quads_from_json,
-    quads_to_json,
-    staircase_with_quads,
     verify_guard_certificate,
 )
 from geomgraph.geometry import (
@@ -23,6 +19,12 @@ from geomgraph.geometry import (
     point_in_polygon,
     random_simple_polygon,
     segments_intersect,
+)
+from fixtures import (
+    comb_polygon,
+    orthogonal_comb,
+    quads_to_json,
+    staircase_with_quads,
 )
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from segment_reference import segments_intersect as reference_intersect
 
 from geomgraph import geometry
 from geomgraph.errors import InputError, rational, scaled
-from geomgraph.gallery import orthogonal_comb
 from geomgraph.geometry import (
     Point,
     Polygon,
@@ -25,6 +24,7 @@ from geomgraph.geometry import (
     triangulate,
 )
 from geomgraph.rectpart import random_orthogonal_polygon
+from fixtures import orthogonal_comb
 
 
 def test_point_is_exact_and_rejects_floats():

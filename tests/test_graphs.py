@@ -11,19 +11,21 @@ from geomgraph.graphs import (
     FlowNetwork,
     Graph,
     Matching,
-    WeightedDigraph,
     bellman_ford_multi,
     components,
     konig_independent_set,
     max_bipartite_matching,
     maximum_matching_general,
     min_cost_circulation,
-    negative_cycle_anywhere,
     perfect_matching_general,
-    residual_digraph,
     verify_circulation,
 )
 from geomgraph.strips import sphere_like_mesh
+from graph_reference import (
+    WeightedDigraph,
+    negative_cycle_anywhere,
+    residual_digraph,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force baselines

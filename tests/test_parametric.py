@@ -8,18 +8,12 @@ import pytest
 
 from geomgraph import parametric, stars, tiling, verify
 from geomgraph.errors import InputError
-from geomgraph.graphs import (
-    WeightedDigraph,
-    bellman_ford_multi,
-    negative_cycle_anywhere,
-)
+from geomgraph.graphs import bellman_ford_multi
 from geomgraph.parametric import (
     INF,
     ParamDigraph,
     distances_at,
-    evaluate_arcs,
     feasibility_witness,
-    is_feasible,
     karp_orlin_threshold,
     parametric_feasible_interval,
 )
@@ -31,13 +25,18 @@ from geomgraph.stars import (
 )
 from geomgraph.tiling import (
     angle_graph,
-    hexagon_tiling,
     load_tiling,
     optimize_angles,
 )
 from geomgraph.verify import max_cycle_bound, min_cycle_ratio
 
 from cycle_reference import least_cycle_sums, simple_cycle_sums
+from graph_reference import (
+    WeightedDigraph,
+    evaluate_arcs,
+    is_feasible,
+    negative_cycle_anywhere,
+)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -196,7 +195,7 @@ def _oracle_graphs():
         yield _random_sloped_graph(rng)
     for path in sorted(INSTANCES.glob("*.tiling")):
         yield angle_graph(load_tiling(str(path)))
-    yield angle_graph(hexagon_tiling())
+    yield angle_graph(load_tiling(str(INSTANCES / "hex3.tiling")))
     for n in range(3, 6):
         for seed in range(20):
             yield build_parametric_graph(random_metric(n, seed))
@@ -437,7 +436,7 @@ def test_solvers_build_and_solve_without_coercing_or_reading_fraction_arcs(
     # The solvers' graphs come from their inputs' int tables, so building
     # and solving coerces no value and makes no Fraction arc.  `rational`
     # returns a Fraction as is, so only its other arguments are counted.
-    hexagon = hexagon_tiling()
+    hexagon = load_tiling(str(INSTANCES / "hex3.tiling"))
     tilings = [load_tiling(str(p)) for p in sorted(INSTANCES.glob("*.tiling"))]
     tilings.append(tiling.Tiling(
         ("7/3", "45/2", "1000/7"), hexagon.tiles, hexagon.adjacencies

@@ -23,17 +23,19 @@ from geomgraph.rectpart import (
     RectPartition,
     _conflicts,
     _trace_cell_boundary,
-    annulus_polygon,
     build_partition,
     concave_vertices,
     good_diagonals,
     independent_diagonals,
-    lshape_polygon,
     min_rectangle_count,
-    plus_polygon,
     random_orthogonal_polygon,
 )
 from geomgraph.verify import check_rectpart
+from test_cli import path
+
+PLUS = load_polygon(path("plus.poly"))
+LSHAPE = load_polygon(path("lshape.poly"))
+ANNULUS = load_polygon(path("annulus.poly"))
 
 
 def _ring_pairs(ring):
@@ -56,9 +58,9 @@ def _area2(poly: Polygon) -> Fraction:
 
 
 def test_concave_vertices():
-    assert len(concave_vertices(plus_polygon())) == 4
-    assert len(concave_vertices(lshape_polygon())) == 1
-    assert len(concave_vertices(annulus_polygon())) == 4  # the hole corners
+    assert len(concave_vertices(PLUS)) == 4
+    assert len(concave_vertices(LSHAPE)) == 1
+    assert len(concave_vertices(ANNULUS)) == 4  # the hole corners
     square = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)], kind="orthogonal")
     assert concave_vertices(square) == ()
 
@@ -66,31 +68,31 @@ def test_concave_vertices():
 def test_good_diagonals_plus_and_annulus():
     # The plus has four chords between its inner corners, pairwise
     # conflicting around the center square.
-    diags = good_diagonals(plus_polygon())
+    diags = good_diagonals(PLUS)
     assert len(diags) == 4
     # The annulus has none: its concave corners only pair up along the
     # hole's own edges.
-    assert good_diagonals(annulus_polygon()) == ()
-    assert good_diagonals(lshape_polygon()) == ()
+    assert good_diagonals(ANNULUS) == ()
+    assert good_diagonals(LSHAPE) == ()
 
 
 def test_independent_diagonals_on_the_plus():
-    chosen, every = independent_diagonals(plus_polygon())
+    chosen, every = independent_diagonals(PLUS)
     assert len(every) == 4
     assert len(chosen) == 2  # the two parallel chords
 
 
 def test_min_rectangle_count_fixtures():
-    assert min_rectangle_count(plus_polygon()) == 3
-    assert min_rectangle_count(lshape_polygon()) == 2
-    assert min_rectangle_count(annulus_polygon()) == 4
+    assert min_rectangle_count(PLUS) == 3
+    assert min_rectangle_count(LSHAPE) == 2
+    assert min_rectangle_count(ANNULUS) == 4
 
 
 def test_build_partition_tiles_the_fixtures():
     for poly, want in (
-        (plus_polygon(), 3),
-        (lshape_polygon(), 2),
-        (annulus_polygon(), 4),
+        (PLUS, 3),
+        (LSHAPE, 2),
+        (ANNULUS, 4),
     ):
         part = build_partition(poly)
         assert part.count == want == min_rectangle_count(poly)
@@ -167,7 +169,7 @@ def test_chord_conflicts_match_the_general_segment_test():
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-FIXTURES = [plus_polygon(), lshape_polygon(), annulus_polygon()] + [
+FIXTURES = [PLUS, LSHAPE, ANNULUS] + [
     poly for poly in map(load_polygon, sorted(map(str, INSTANCES.glob("*.poly"))))
     if poly.kind == "orthogonal"
 ]
@@ -339,17 +341,17 @@ def _partition(*rects) -> RectPartition:
     "poly, part, why",
     [
         (
-            plus_polygon(),
+            PLUS,
             _partition(((0, 1), (3, 2)), ((1, 0), (2, 3)), ((2, 1), (3, 2))),
             "rectangle 1 (1, 0)-(2, 3) overlaps rectangle 0",
         ),
         (
-            plus_polygon(),
+            PLUS,
             _partition(((1, 0), (2, 2)), ((0, 1), (1, 2)), ((2, 1), (3, 2))),
             "rectangles cover area 4, the polygon 5",
         ),
         (
-            annulus_polygon(),
+            ANNULUS,
             _partition(
                 ((0, 0), (3, 1)), ((0, 1), (3, 2)), ((0, 2), (3, 3)),
                 ((1, 1), (2, 2)),
@@ -357,7 +359,7 @@ def _partition(*rects) -> RectPartition:
             "rectangle 1 (0, 1)-(3, 2) is crossed by the polygon boundary",
         ),
         (
-            annulus_polygon(),
+            ANNULUS,
             _partition(
                 ((0, 0), (3, 1)), ((0, 1), (1, 2)), ((2, 1), (3, 2)),
                 ((1, 1), (2, 2)),
@@ -365,7 +367,7 @@ def _partition(*rects) -> RectPartition:
             "rectangle 3 (1, 1)-(2, 2) lies outside the polygon",
         ),
         (
-            lshape_polygon(),
+            LSHAPE,
             _partition(((0, 0), (2, 1)), ((1, 2), (0, 1))),
             "rectangle 1 (1, 2)-(0, 1) has no interior",
         ),
@@ -564,7 +566,7 @@ def test_chords_touching_a_hole_are_not_good(hole):
 
 
 def test_check_rectpart_does_not_reuse_the_solvers_diagonals(monkeypatch):
-    poly = plus_polygon()
+    poly = PLUS
     part = build_partition(poly)
     for name, module in list(sys.modules.items()):
         if name.startswith("geomgraph") and (

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,54 @@ def test_verify_takes_only_the_partition_type_and_the_corners_from_rectpart():
     # so verify.py may take the answer type and the concave corners from
     # rectpart, and not the solver's grid or its chord helpers.
     assert _taken_by_verify("rectpart") <= {"RectPartition", "concave_vertices"}
+
+
+def _unreached_public_names() -> list[str]:
+    """Public top-level defs and classes of the package that nothing but
+    the tests reaches.  A name is reached by an AST reference in another
+    top-level statement of the package (not its own definition, and not
+    an `__all__` string), a key of `__init__._HOME`, a word of the README,
+    or a word of a `perfbench/*.py` file."""
+    referenced = set()  # (module, top-level statement index, name)
+    defined = {}  # name -> [(module, statement index)]
+    home = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for index, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("_"):
+                    defined.setdefault(stmt.name, []).append((path.stem, index))
+            if path.stem == "__init__" and isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_HOME" for t in stmt.targets
+            ):
+                home |= set(ast.literal_eval(stmt.value))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    referenced.add((path.stem, index, node.id))
+                elif isinstance(node, ast.Attribute):
+                    referenced.add((path.stem, index, node.attr))
+                elif isinstance(node, ast.alias):
+                    name = node.name.rsplit(".", 1)[-1]
+                    referenced.add((path.stem, index, name))
+    text = (ROOT / "README.md").read_text(encoding="utf-8") + "".join(
+        p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
+    )
+    words = set(re.findall(r"\w+", text)) | home
+    by_name = {}
+    for module, index, name in referenced:
+        by_name.setdefault(name, set()).add((module, index))
+    return sorted(
+        f"{module}.{name}"
+        for name, homes in defined.items()
+        for module, index in homes
+        if name not in words and not by_name.get(name, set()) - {(module, index)}
+    )
+
+
+def test_every_public_name_is_reached_from_outside_the_tests():
+    # Fixtures and references that only tests use live in tests/, so the
+    # package ships only program code.
+    assert _unreached_public_names() == []
 
 
 def _load(path: Path):

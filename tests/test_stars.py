@@ -13,7 +13,6 @@ from geomgraph.graphs import bellman_ford_multi
 from geomgraph.parametric import (
     FeasibleInterval,
     ParamDigraph,
-    evaluate_arcs,
     feasibility_witness,
     parametric_feasible_interval,
 )
@@ -21,16 +20,16 @@ from geomgraph.stars import (
     DistanceMatrix,
     StarEmbedding,
     build_parametric_graph,
-    cycle_metric,
     dilation,
     load_matrix,
     matrix_from_text,
     matrix_to_text,
     optimal_star_embedding,
     random_metric,
-    uniform_metric,
 )
 from geomgraph.verify import check_star
+from fixtures import cycle_metric, uniform_metric
+from graph_reference import evaluate_arcs
 
 TRI = DistanceMatrix([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
 

@@ -100,6 +100,15 @@ def test_fixture_meshes_are_valid_and_duals_are_cubic():
         assert all(len(nbrs) == 3 for nbrs in adj)
 
 
+@pytest.mark.parametrize("count", [0, -4])
+def test_sphere_like_mesh_needs_at_least_one_triangle(count):
+    with pytest.raises(InputError) as caught:
+        sphere_like_mesh(1, count)
+    assert str(caught.value) == "need at least one triangle"
+    # One triangle asked for: the octahedron it grows from already has 8.
+    assert sphere_like_mesh(1, 1) == octahedron()
+
+
 def _checked_meshes():
     yield from (tetrahedron(), octahedron(), icosahedron())
     for size in (8, 24, 96, 500):
@@ -301,7 +310,7 @@ def _reference_strip(mesh):
     merges = bisections = 0
     while True:
         progress = True
-        while progress and cover.cycle_count > 1:
+        while progress and len(cover.cycles) > 1:
             progress = False
             for v in range(len(mesh.vertices)):
                 moved = merge_move(mesh, cover, v)
@@ -309,9 +318,9 @@ def _reference_strip(mesh):
                     cover = moved
                     merges += 1
                     progress = True
-                    if cover.cycle_count == 1:
+                    if len(cover.cycles) == 1:
                         break
-        if cover.cycle_count == 1:
+        if len(cover.cycles) == 1:
             return mesh, cover.cycles[0], merges, bisections
         cycle_of = {t: i for i, cycle in enumerate(cover.cycles) for t in cycle}
         t1, t2 = min(
@@ -326,7 +335,7 @@ def _reference_strip(mesh):
         }
         before = cycle_cover_from_matching(mesh, Matching(pairs))
         cover = merge_move(mesh, before, len(mesh.vertices) - 1)
-        assert cover.cycle_count == before.cycle_count - 1
+        assert len(cover.cycles) == len(before.cycles) - 1
         merges += 1
 
 
@@ -354,7 +363,7 @@ def test_merge_move_reports_only_merges():
         if moved is None:
             continue
         merging += 1
-        assert moved.cycle_count < cover.cycle_count
+        assert len(moved.cycles) < len(cover.cycles)
         # Only the ring's dual edges change hands.
         ring_edges = {
             (min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])
@@ -451,8 +460,13 @@ def test_single_strip_coerces_nothing_and_validates_only_a_new_mesh(monkeypatch)
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (errors, graphs, strips):
-        for name in ("rational", "integer"):
+    # graphs takes only `integer`: it has no rational weights to coerce.
+    for module, names in (
+        (errors, ("rational", "integer")),
+        (graphs, ("integer",)),
+        (strips, ("rational", "integer")),
+    ):
+        for name in names:
             monkeypatch.setattr(module, name, counted("coerce", getattr(module, name)))
     monkeypatch.setattr(TriMesh, "_validate", counted("validate", TriMesh._validate))
     monkeypatch.setattr(

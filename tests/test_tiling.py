@@ -10,22 +10,31 @@ import pytest
 from geomgraph import tiling as tiling_module
 from geomgraph.errors import InputError
 from geomgraph.graphs import bellman_ford_multi
-from geomgraph.parametric import ParamDigraph, evaluate_arcs, feasibility_witness
+from geomgraph.parametric import ParamDigraph, feasibility_witness
 from geomgraph.tiling import (
     Tiling,
     angle_graph,
-    hexagon_tiling,
     load_tiling,
     optimize_angles,
     reconstruct_positions,
-    rhombus_tiling,
     tiling_from_json,
     tiling_to_json,
     zones,
 )
 from geomgraph.verify import check_tiling
+from graph_reference import evaluate_arcs
+from test_cli import path
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+HEX3 = load_tiling(path("hex3.tiling"))
+RHOMBUS = load_tiling(path("rhombus.tiling"))
+
+
+def side_direction(t: Tiling, i: int, j: int) -> Fraction:
+    """The heading of side j of tile i, in degrees in [0, 360)."""
+    z = t.tiles[i][j]
+    return (t.zone_directions[abs(z) - 1] + (180 if z < 0 else 0)) % 360
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -60,7 +69,7 @@ def test_tiling_rejects_non_integer_ids_instead_of_truncating():
     with pytest.raises(InputError, match="bool adjacency tile"):
         Tiling(("0", "30"), tiles, (((0, 0), (True, 2)),))
     with pytest.raises(InputError, match="float angle"):
-        reconstruct_positions(rhombus_tiling(), (0.0, 30))
+        reconstruct_positions(RHOMBUS, (0.0, 30))
 
 
 def test_tiling_calls_integer_only_for_a_row_with_another_type(monkeypatch):
@@ -77,7 +86,7 @@ def test_tiling_calls_integer_only_for_a_row_with_another_type(monkeypatch):
     assert roles == [] and til == load_tiling(str(INSTANCES / "hex3.tiling"))
     # An int subclass other than bool is kept, as the coercer keeps it.
     zone = IntEnum("Zone", "A B C")
-    hexagon = hexagon_tiling()
+    hexagon = HEX3
     tiles = ((zone.A, 2, -1, -2), *hexagon.tiles[1:])
     adjacencies = (((0, zone.B), (1, 0)), *hexagon.adjacencies[1:])
     glued = Tiling(hexagon.zone_directions, tiles, adjacencies)
@@ -114,11 +123,11 @@ def test_tiling_rejects_nonpositive_interior_angles():
 
 
 def test_side_directions_and_corner_angles():
-    t = rhombus_tiling(("0", "30"))
-    assert t.side_direction(0, 0) == 0
-    assert t.side_direction(0, 1) == 30
-    assert t.side_direction(0, 2) == 180
-    assert t.side_direction(0, 3) == 210
+    t = RHOMBUS
+    assert side_direction(t, 0, 0) == 0
+    assert side_direction(t, 0, 1) == 30
+    assert side_direction(t, 0, 2) == 180
+    assert side_direction(t, 0, 3) == 210
     # Corners 2 and 3 repeat corners 0 and 1, so only the first two are kept.
     interiors = [phi for *_rest, phi in t.corners()]
     assert interiors == [150, 30]
@@ -149,9 +158,9 @@ def _rational_tilings():
             den = rng.choice((1, 2, 3, 7, 45))
             dirs.append(d + Fraction(rng.randrange(den), den))
         out.append(Tiling(dirs, t.tiles, t.adjacencies))
-    out.append(hexagon_tiling(("7/3", "45/2", "1000/7")))
-    out.append(hexagon_tiling(("-1/6", "301/5", "121")))
-    out.append(rhombus_tiling(("7/3", "45/2")))
+    out.append(Tiling(("7/3", "45/2", "1000/7"), HEX3.tiles, HEX3.adjacencies))
+    out.append(Tiling(("-1/6", "301/5", "121"), HEX3.tiles, HEX3.adjacencies))
+    out.append(Tiling(("7/3", "45/2"), RHOMBUS.tiles))
     return out
 
 
@@ -162,8 +171,8 @@ def _reference_corners(t: Tiling):
     for i, tile in enumerate(t.tiles):
         k = len(tile)
         for j in range(k):
-            cur = t.side_direction(i, j)
-            nxt = t.side_direction(i, (j + 1) % k)
+            cur = side_direction(t, i, j)
+            nxt = side_direction(t, i, (j + 1) % k)
             phi = 180 - (nxt - cur) % 360
             out.append((i, j, abs(tile[j]), abs(tile[(j + 1) % k]), phi))
     return out
@@ -185,8 +194,8 @@ def test_corners_match_the_side_direction_reference():
         load_tiling(str(p)) for p in sorted(INSTANCES.glob("*.tiling"))
     ]
     tilings += [
-        rhombus_tiling(("-20", "350")),
-        hexagon_tiling(("-90", "0", "400")),
+        Tiling(("-20", "350"), RHOMBUS.tiles),
+        Tiling(("-90", "0", "400"), HEX3.tiles, HEX3.adjacencies),
     ]
     tilings += _rhombic_tilings()
     tilings += _rational_tilings()
@@ -221,7 +230,7 @@ def test_corners_match_the_side_direction_reference():
 
 
 def test_zones_reports_slots_per_zone():
-    report = zones(hexagon_tiling())
+    report = zones(HEX3)
     assert report.zone_count == 3
     assert report.members[0] == ((0, 0), (0, 2), (1, 0), (1, 2))
     assert all(len(m) == 4 for m in report.members)
@@ -240,7 +249,7 @@ def test_zone_labels_must_form_one_connected_class():
 
 
 def test_angle_graph_shape():
-    g = angle_graph(rhombus_tiling())
+    g = angle_graph(RHOMBUS)
     assert g.vertex_count == 3  # start + one per zone
     # start arcs + two arcs per kept corner, one per opposite-corner pair
     assert len(g.arcs) == 2 + 2 * 2
@@ -255,24 +264,24 @@ def test_angle_graph_shape():
 
 
 def test_rhombus_optimum_is_the_square():
-    sol = optimize_angles(rhombus_tiling(("0", "30")))
+    sol = optimize_angles(RHOMBUS)
     assert sol.lambda_star == 90
     assert sol.adjustments == (-60, 0)
     assert sol.directions == (-60, 30)
     # An already-square rhombus needs no adjustment.
-    square = optimize_angles(rhombus_tiling(("0", "90")))
+    square = optimize_angles(Tiling(("0", "90"), RHOMBUS.tiles))
     assert square.lambda_star == 90
     assert square.adjustments == (0, 0)
 
 
 def test_hexagon_optimum_is_sixty_degrees():
-    sol = optimize_angles(hexagon_tiling())
+    sol = optimize_angles(HEX3)
     assert sol.lambda_star == 60
     assert sol.adjustments == (0, 0, 0)
 
 
 def test_skewed_hexagon_is_rebalanced():
-    sol = optimize_angles(hexagon_tiling(("0", "20", "130")))
+    sol = optimize_angles(Tiling(("0", "20", "130"), HEX3.tiles, HEX3.adjacencies))
     assert sol.lambda_star == 60
     assert sol.adjustments == (-40, 0, -50)
     assert sol.directions == (-40, 20, 80)
@@ -291,9 +300,9 @@ def test_glued_strip_of_two_rhombi():
 
 def test_new_angles_reach_the_threshold_and_stay_convex():
     for t in (
-        rhombus_tiling(("0", "17")),
-        hexagon_tiling(("0", "20", "130")),
-        hexagon_tiling(("0", "50", "100")),
+        Tiling(("0", "17"), RHOMBUS.tiles),
+        Tiling(("0", "20", "130"), HEX3.tiles, HEX3.adjacencies),
+        Tiling(("0", "50", "100"), HEX3.tiles, HEX3.adjacencies),
     ):
         sol = optimize_angles(t)
         new = [
@@ -306,9 +315,9 @@ def test_new_angles_reach_the_threshold_and_stay_convex():
 
 def test_threshold_matches_the_cycle_ratio_oracle():
     for t in (
-        rhombus_tiling(("0", "30")),
-        hexagon_tiling(),
-        hexagon_tiling(("0", "20", "130")),
+        RHOMBUS,
+        HEX3,
+        Tiling(("0", "20", "130"), HEX3.tiles, HEX3.adjacencies),
     ):
         sol = optimize_angles(t)
         status, detail = check_tiling(t, sol)
@@ -351,8 +360,8 @@ def test_adjusted_angle_check_on_ints_keeps_its_messages(monkeypatch):
     # move to 200, 80, 80 and leave [lambda, 180] with the least angle kept.
     lone = Tiling(
         ("0", "60", "120", "0", "60", "120"),
-        hexagon_tiling().tiles + ((4, 5, 6, -4, -5, -6),),
-        hexagon_tiling().adjacencies,
+        HEX3.tiles + ((4, 5, 6, -4, -5, -6),),
+        HEX3.adjacencies,
     )
     rng = random.Random(5)
     cases = []
@@ -391,7 +400,7 @@ def test_adjusted_angle_check_on_ints_keeps_its_messages(monkeypatch):
 
 
 def test_anything_above_the_threshold_is_infeasible():
-    t = hexagon_tiling(("0", "20", "130"))
+    t = Tiling(("0", "20", "130"), HEX3.tiles, HEX3.adjacencies)
     g = angle_graph(t)
     sol = optimize_angles(t)
     assert feasibility_witness(g, sol.lambda_star) is None
@@ -405,7 +414,7 @@ def test_anything_above_the_threshold_is_infeasible():
 
 
 def test_reconstruction_places_glued_sides_together():
-    t = hexagon_tiling()
+    t = HEX3
     coords = reconstruct_positions(t, t.zone_directions)
     assert len(coords) == 3
     assert all(len(tile) == 4 for tile in coords)
@@ -439,7 +448,7 @@ def test_reconstruction_checks_each_gluing_once(monkeypatch):
         calls[0] += 1
         return hypot(*args)
 
-    tilings = [hexagon_tiling(), *_rhombic_tilings(), *_rational_tilings()]
+    tilings = [HEX3, *_rhombic_tilings(), *_rational_tilings()]
     monkeypatch.setattr(tiling_module.math, "hypot", counted)
     reconstruct_positions(tilings[0], tilings[0].zone_directions)
     assert calls[0] == 9
@@ -450,7 +459,7 @@ def test_reconstruction_checks_each_gluing_once(monkeypatch):
 
 
 def test_reconstruction_needs_one_direction_per_zone():
-    t = hexagon_tiling()
+    t = HEX3
     with pytest.raises(InputError, match="2 directions for 3 zones"):
         reconstruct_positions(t, ("0", "60"))
     with pytest.raises(InputError, match="4 directions for 3 zones"):
@@ -461,7 +470,7 @@ def test_optimize_angles_places_no_tiles_and_does_not_recheck_zones(
     monkeypatch,
 ):
     # Placing the adjusted tiles is left to the drawing and the oracle.
-    t = hexagon_tiling(("0", "20", "130"))
+    t = Tiling(("0", "20", "130"), HEX3.tiles, HEX3.adjacencies)
     calls = {"zones": 0, "reconstruct_positions": 0}
 
     def counted(name):
@@ -524,13 +533,55 @@ def test_the_oracle_places_every_adjusted_annular_grid():
         assert status != "failed", (seed, detail)
 
 
+# A lozenge tiling of the side-7 triangle with a unit triangle inside
+# removed: the hole's three sides belong to three zones of different
+# directions, so the hole closes only at the input directions.
+TRIANGLE_HOLE = str(Path(__file__).resolve().parent / "triangle_hole.tiling")
+# A 3 x 3 grid around a one-cell hole beside a cube-corner hexagon: the
+# hexagon holds the optimum at 60, and the optimum turns apart the two
+# pieces of a row that the hole cuts.
+SPLIT_HOLE = str(Path(__file__).resolve().parent / "split_hole.tiling")
+
+
+def test_a_hole_that_closes_only_at_the_input_directions_is_refused():
+    with pytest.raises(InputError) as caught:
+        load_tiling(TRIANGLE_HOLE)
+    assert str(caught.value) == (
+        "boundary cycle from slot (0,2) does not close under every "
+        "direction: zone 4 has net side count -1"
+    )
+
+
+def test_an_optimum_that_turns_a_cut_zone_apart_is_refused():
+    t = load_tiling(SPLIT_HOLE)  # the two pieces of each cut row are parallel
+    with pytest.raises(InputError) as caught:
+        optimize_angles(t)
+    assert str(caught.value) == (
+        "the adjusted directions may open the boundary cycle from slot "
+        "(0,0): zone 5 has net side count -1"
+    )
+
+
+def test_a_cut_zone_counts_with_its_parallel_pieces():
+    t = _annular_grid(0)
+    (first, net), *_rest = t._split_cycles
+    assert first == (0, 0) and net == {3: 1, 11: 1, 13: -1, 10: -1}
+    assert tiling_module._open_zone(net, t.zone_directions) is None
+    turned = list(t.zone_directions)
+    turned[13 - 1] += 1
+    assert tiling_module._open_zone(net, turned) == (3, 1)
+    # A reversed parallel zone counts with the opposite sign.
+    turned[13 - 1] += 179
+    assert tiling_module._open_zone(net, turned) == (3, 2)
+
+
 # ---------------------------------------------------------------------------
 # files
 # ---------------------------------------------------------------------------
 
 
 def test_tiling_json_round_trip(tmp_path):
-    t = hexagon_tiling(("0", "20", "130"))
+    t = Tiling(("0", "20", "130"), HEX3.tiles, HEX3.adjacencies)
     text = tiling_to_json(t)
     again = tiling_from_json(text)
     assert again.zone_directions == t.zone_directions

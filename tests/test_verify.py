@@ -9,9 +9,8 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from geomgraph.bends import PlaneMap, five_region_map, load_map, min_bend_assignment
+from geomgraph.bends import PlaneMap, load_map, min_bend_assignment
 from geomgraph.clustering import max_cluster_given_d2, random_point_set
-from geomgraph.gallery import orthogonal_comb
 from geomgraph.geometry import Point, Polygon
 from geomgraph.rectpart import build_partition
 from geomgraph.stars import (
@@ -33,7 +32,8 @@ from geomgraph.verify import (
     check_strip,
     check_tiling,
 )
-from test_bends import _seeded_grid_map, pie_map, wheel_map
+from fixtures import orthogonal_comb
+from test_bends import FIVE_REGIONS, _seeded_grid_map, pie_map, wheel_map
 from transport_reference import transport_cost
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -215,7 +215,7 @@ def _retouched(sol, units=None, bends=None, **fields):
 
 
 def test_bends_oracle_checks_the_junction_units():
-    pmap = five_region_map()  # junction 0 is (ext, NL, DE) with units 2 1 1
+    pmap = FIVE_REGIONS  # junction 0 is (ext, NL, DE) with units 2 1 1
     sol = min_bend_assignment(pmap)
     for units, detail in (
         ({(0, "NL"): 0}, "junction 0 region NL: units 0 not in 1..3"),
@@ -229,7 +229,7 @@ def test_bends_oracle_checks_the_junction_units():
 
 
 def test_bends_oracle_checks_the_border_bends():
-    pmap = five_region_map()  # NL and FR do not touch
+    pmap = FIVE_REGIONS  # NL and FR do not touch
     sol = min_bend_assignment(pmap)
     for bends, detail in (
         ({("NL", "FR"): 0}, "border bends key ('NL', 'FR') is not a border of the map"),
@@ -241,7 +241,7 @@ def test_bends_oracle_checks_the_border_bends():
 
 
 def test_bends_oracle_checks_each_regions_corners_and_the_total():
-    pmap = five_region_map()
+    pmap = FIVE_REGIONS
     sol = min_bend_assignment(pmap)
     # A unit moved from ext to NL at junction 0 still sums to 4.
     moved = _retouched(sol, {(0, "ext"): 1, (0, "NL"): 2})
