@@ -29,8 +29,8 @@ positive scale keeps every sum and comparison, so the probe relaxes the
 same arcs and returns the same negative cycle as one on Fractions would;
 :func:`distances_at` divides its distances back by D*q.  The scaling starts
 at load: `stars.DistanceMatrix` and `tiling.Tiling` keep their values as
-ints at one D per input, the solvers build their graphs from those ints,
-and the Fraction arcs are made only when something reads them.
+ints at one D per input, and the solvers build their graphs from those
+ints, so no Fraction arc is ever made.
 
 - :func:`parametric_feasible_interval` walks up to the lower endpoint from
   below every cycle root, and down to the upper endpoint from above them.
@@ -64,13 +64,13 @@ class ParamDigraph:
     scale is a common denominator D of every intercept and slope (their
     lcm when built from Fractions), and scaled_arcs holds each arc as
     (tail, head, D*intercept, D*slope) in ints; the probes run on those.
-    The Fraction arcs are made from them on first read."""
+    Two graphs are equal when their arcs have the same exact weights, at
+    whatever scales they are held."""
 
     vertex_count: int
-    arcs: tuple[tuple[int, int, Fraction, Fraction], ...]
-    scale: int = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False)
     scaled_arcs: tuple[tuple[int, int, int, int], ...] = field(
-        init=False, repr=False, compare=False
+        init=False, repr=False
     )
 
     def __init__(self, vertex_count: int, arcs):
@@ -103,17 +103,22 @@ class ParamDigraph:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "scaled_arcs", scaled_arcs)
 
-    def __getattr__(self, name: str):
-        # Runs only for attributes not yet set: the arcs before first read.
-        if name != "arcs":
-            raise AttributeError(name)
-        scale = self.scale
-        arcs = tuple(
-            (t, h, Fraction(i, scale), Fraction(s, scale))
-            for t, h, i, s in self.scaled_arcs
+    def _key(self):
+        """The graph at its least scale, the lcm of the weights'
+        denominators: equal exact weights give equal keys."""
+        arcs = self.scaled_arcs
+        unit = math.gcd(self.scale, *(w for arc in arcs for w in arc[2:]))
+        return self.vertex_count, self.scale // unit, tuple(
+            (t, h, i // unit, s // unit) for t, h, i, s in arcs
         )
-        object.__setattr__(self, "arcs", arcs)
-        return arcs
+
+    def __eq__(self, other):
+        if not isinstance(other, ParamDigraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _scaled_weights(g: ParamDigraph, lam) -> tuple[list[tuple[int, int, int]], int]:
@@ -171,13 +176,6 @@ class FeasibleInterval:
     lo_witness: tuple[int, ...] | None = None
     hi_witness: tuple[int, ...] | None = None
     empty_certificate: tuple[tuple[int, ...], ...] | None = None
-
-    def contains(self, lam: Fraction) -> bool:
-        if self.empty:
-            return False
-        return (self.lo is None or lam >= self.lo) and (
-            self.hi is None or lam <= self.hi
-        )
 
 
 def _cycle_sums(g: ParamDigraph, cycle) -> tuple[int, int]:

@@ -3,6 +3,10 @@
 Each function re-derives the answer by exhaustive search, independent of
 the solver's reduction, and returns (status, detail) where status is
 "passed", "failed", or "not-run" (instance too large for the oracle).
+`check_star` is the exception: it probes the solver's own reduction for
+feasibility, at the claimed dilation's point on the grid a 1e-12 bisection
+walks and at as few other points as bracket the least feasible one, and
+below 6 points it also checks the exhaustive cycle bound.
 Size guards: rectangle partition <= 14 concave corners, clustering <= 12
 points, star metrics <= 7 points, tilings <= 6 zones, maps <= 6 regions.
 `check_rectpart`, `check_cluster`, `check_bends`, `check_tiling` and
@@ -411,6 +415,55 @@ def check_tiling(tiling: Tiling, sol: AngleSolution | Fraction) -> tuple[str, st
     return "failed", f"threshold {lam}, exhaustive cycle ratio {want}"
 
 
+def _bisection_end(g: ParamDigraph, top: Fraction, claim) -> Fraction:
+    """Where bisecting [0, top] on feasibility down to width 1e-12 ends, its
+    upper end hi, found by a search that starts at the claim.
+
+    The bisection keeps both ends on the grid step*j, step = top / 2^K, K the
+    least k with top / 2^k <= 1e-12, and ends at hi = step*j*: j* is the
+    least j in 1..2^K whose probe is feasible, where j = 0 counts as
+    infeasible and j = 2^K as feasible, since it never probes either end.
+    Every slope is >= 0, so no cycle's weight falls as lam grows and
+    feasibility can only turn on: the feasible j are j* and all above, so
+    any order of probes that brackets j* finds the same j*.  The search
+    probes the claim's
+    grid point first, doubles its gap outward (the unbounded search of
+    Bentley and Yao, 1976) until an infeasible j and a feasible one bracket
+    j*, and bisects between them: at most two probes when the claim is the
+    optimum, and about 2 log2 of its distance from j* otherwise.
+    """
+    if any(s < 0 for _t, _h, _i, s in g.scaled_arcs):
+        raise AssertionError("a negative slope breaks monotone feasibility")
+    k = (math.ceil(top * 10**12) - 1).bit_length()
+    last = 1 << k
+    step = top / last
+
+    def feasible(j: int) -> bool:
+        return j >= last or (j > 0 and feasibility_witness(g, step * j) is None)
+
+    j = min(max(math.ceil(claim / step), 1), last)
+    gap = 1
+    if feasible(j):
+        lo, hi = j - 1, j
+        while feasible(lo):
+            hi, gap = lo, 2 * gap
+            lo = hi - gap
+        lo = max(lo, 0)
+    else:
+        lo, hi = j, j + 1
+        while not feasible(hi):
+            lo, gap = hi, 2 * gap
+            hi = lo + gap
+        hi = min(hi, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return step * hi
+
+
 def check_star(d: DistanceMatrix, emb: StarEmbedding) -> tuple[str, str]:
     try:
         achieved = dilation(d, emb.hub_distances)
@@ -420,17 +473,10 @@ def check_star(d: DistanceMatrix, emb: StarEmbedding) -> tuple[str, str]:
         return "failed", f"hub distances give dilation {achieved}, not {emb.dilation}"
     if d.n > 7:
         return "not-run", f"{d.n} points exceed oracle bound 7"
+    top = 2 * max(max(row) for row in d.entries)
+    top = top / min(v for row in d.entries for v in row if v > 0) + 1
     g = build_parametric_graph(d)
-
-    hi = 2 * max(max(row) for row in d.entries)
-    hi = hi / min(v for row in d.entries for v in row if v > 0) + 1
-    lo = Fraction(0)
-    while hi - lo > Fraction(1, 10**12):
-        mid = (lo + hi) / 2
-        if feasibility_witness(g, mid) is None:
-            hi = mid
-        else:
-            lo = mid
+    hi = _bisection_end(g, top, emb.dilation)
     if abs(hi - emb.dilation) >= Fraction(1, 10**9):
         return "failed", f"dilation {emb.dilation} vs bisection {hi}"
 

@@ -4,7 +4,9 @@ The solvers run Bellman–Ford on scaled ints and never need a general
 rational digraph.  These keep the Fraction forms, so the tests can check
 the int paths against exact weights: a digraph with rational arc weights,
 a negative-cycle search over all of it, the residual graph of a
-circulation, and a parametric graph's arcs at one value of lambda.
+circulation, a parametric graph's arcs as Fractions and at one value of
+lambda, membership in a feasible interval, and the fixed-width feasibility
+bisection that `verify.check_star` must reproduce.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,8 @@ from fractions import Fraction
 
 from geomgraph.errors import InputError, integer, rational
 from geomgraph.graphs import FlowNetwork, bellman_ford_multi
-from geomgraph.parametric import ParamDigraph, feasibility_witness
+from geomgraph.parametric import FeasibleInterval, ParamDigraph, feasibility_witness
+from geomgraph.stars import DistanceMatrix, build_parametric_graph
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,42 @@ def residual_digraph(net: FlowNetwork, flow) -> WeightedDigraph:
     return WeightedDigraph(net.vertex_count, arcs)
 
 
+def fraction_arcs(g: ParamDigraph) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
+    """The arcs as (tail, head, intercept, slope) in exact Fractions."""
+    scale = g.scale
+    return tuple(
+        (t, h, Fraction(i, scale), Fraction(s, scale)) for t, h, i, s in g.scaled_arcs
+    )
+
+
 def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fraction]]:
     """The arcs' exact weights at lam, as (tail, head, weight)."""
-    return [(t, h, i + s * lam) for (t, h, i, s) in g.arcs]
+    return [(t, h, i + s * lam) for (t, h, i, s) in fraction_arcs(g)]
 
 
 def is_feasible(g: ParamDigraph, lam: Fraction) -> bool:
     return feasibility_witness(g, lam) is None
+
+
+def interval_contains(box: FeasibleInterval, lam: Fraction) -> bool:
+    """Whether lam lies in the (closed) feasible interval."""
+    if box.empty:
+        return False
+    return (box.lo is None or lam >= box.lo) and (box.hi is None or lam <= box.hi)
+
+
+def bisection_hi(d: DistanceMatrix) -> Fraction:
+    """The upper end of bisecting the dilation on [0, top] down to width
+    1e-12, top = 2 max D / min D + 1: a probe that finds no negative cycle
+    lowers hi, any other raises lo."""
+    g = build_parametric_graph(d)
+    hi = 2 * max(max(row) for row in d.entries)
+    hi = hi / min(v for row in d.entries for v in row if v > 0) + 1
+    lo = Fraction(0)
+    while hi - lo > Fraction(1, 10**12):
+        mid = (lo + hi) / 2
+        if is_feasible(g, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -69,7 +69,7 @@ from fixtures import (
     orthogonal_comb,
     region_boundary_bends,
 )
-from graph_reference import negative_cycle_anywhere, residual_digraph
+from graph_reference import fraction_arcs, negative_cycle_anywhere, residual_digraph
 from test_cli import path
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -274,9 +274,8 @@ def test_criterion_6_tiling():
         above = sol.lambda_star + Fraction(1, 1024)
         witness = feasibility_witness(g, above)
         assert witness is not None
-        total = sum(
-            g.arcs[i][2] + g.arcs[i][3] * above for i in witness
-        )
+        arcs = fraction_arcs(g)
+        total = sum(arcs[i][2] + arcs[i][3] * above for i in witness)
         assert total < 0
 
 

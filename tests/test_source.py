@@ -69,44 +69,55 @@ def test_verify_takes_only_the_partition_type_and_the_corners_from_rectpart():
 
 
 def _unreached_public_names() -> list[str]:
-    """Public top-level defs and classes of the package that nothing but
-    the tests reaches.  A name is reached by an AST reference in another
-    top-level statement of the package (not its own definition, and not
-    an `__all__` string), a key of `__init__._HOME`, a word of the README,
-    or a word of a `perfbench/*.py` file."""
-    referenced = set()  # (module, top-level statement index, name)
-    defined = {}  # name -> [(module, statement index)]
+    """Public top-level defs and classes of the package, and public methods
+    of its classes, that nothing but the tests reaches.  A name is reached
+    by an AST reference in the package outside its own definition (a
+    method's own def, or a top-level name's whole statement), and not an
+    `__all__` string; by a key of `__init__._HOME`; by a word of the
+    README; or by a word of a `perfbench/*.py` file."""
+    referenced = {}  # name -> {(module, statement index, member index)}
+    defined = []  # (dotted name, name, where its definition sits)
     home = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for index, stmt in enumerate(tree.body):
+            where = (path.stem, index)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 if not stmt.name.startswith("_"):
-                    defined.setdefault(stmt.name, []).append((path.stem, index))
+                    defined.append((f"{path.stem}.{stmt.name}", stmt.name, where))
             if path.stem == "__init__" and isinstance(stmt, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "_HOME" for t in stmt.targets
             ):
                 home |= set(ast.literal_eval(stmt.value))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    referenced.add((path.stem, index, node.id))
-                elif isinstance(node, ast.Attribute):
-                    referenced.add((path.stem, index, node.attr))
-                elif isinstance(node, ast.alias):
-                    name = node.name.rsplit(".", 1)[-1]
-                    referenced.add((path.stem, index, name))
+            parts = [(where, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                parts = [(where, n) for n in stmt.bases + stmt.decorator_list]
+                parts += [(where + (k,), m) for k, m in enumerate(stmt.body)]
+                defined += [
+                    (f"{path.stem}.{stmt.name}.{m.name}", m.name, where + (k,))
+                    for k, m in enumerate(stmt.body)
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+            for part_where, part in parts:
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    elif isinstance(node, ast.alias):
+                        name = node.name.rsplit(".", 1)[-1]
+                    else:
+                        continue
+                    referenced.setdefault(name, set()).add(part_where)
     text = (ROOT / "README.md").read_text(encoding="utf-8") + "".join(
         p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
     )
     words = set(re.findall(r"\w+", text)) | home
-    by_name = {}
-    for module, index, name in referenced:
-        by_name.setdefault(name, set()).add((module, index))
     return sorted(
-        f"{module}.{name}"
-        for name, homes in defined.items()
-        for module, index in homes
-        if name not in words and not by_name.get(name, set()) - {(module, index)}
+        dotted
+        for dotted, name, where in defined
+        if name not in words
+        and all(at[: len(where)] == where for at in referenced.get(name, ()))
     )
 
 

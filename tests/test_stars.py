@@ -29,7 +29,7 @@ from geomgraph.stars import (
 )
 from geomgraph.verify import check_star
 from fixtures import cycle_metric, uniform_metric
-from graph_reference import evaluate_arcs
+from graph_reference import evaluate_arcs, fraction_arcs
 
 TRI = DistanceMatrix([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
 
@@ -142,9 +142,9 @@ def test_parametric_graph_shape_for_two_points():
     d = DistanceMatrix([[0, 5], [5, 0]])
     g = build_parametric_graph(d)
     assert g.vertex_count == 5
-    assert len(g.arcs) == 8
-    sloped = [(t, h, i, s) for t, h, i, s in g.arcs if s != 0]
-    flat_neg = [(t, h, i, s) for t, h, i, s in g.arcs if s == 0 and i < 0]
+    assert len(fraction_arcs(g)) == 8
+    sloped = [(t, h, i, s) for t, h, i, s in fraction_arcs(g) if s != 0]
+    flat_neg = [(t, h, i, s) for t, h, i, s in fraction_arcs(g) if s == 0 and i < 0]
     assert len(sloped) == 2 and all(s == 5 for *_ab, s in sloped)
     assert len(flat_neg) == 2 and all(i == -5 for _t, _h, i, _s in flat_neg)
 
@@ -173,8 +173,8 @@ def _fraction_graph(d: DistanceMatrix) -> ParamDigraph:
 def test_graph_from_the_int_table_equals_the_fraction_graph():
     for d in _rational_metrics() + [TRI, cycle_metric(5)]:
         g = build_parametric_graph(d)
-        assert g.arcs == _fraction_graph(d).arcs
-        assert g == ParamDigraph(1 + 2 * d.n, list(g.arcs))
+        assert fraction_arcs(g) == fraction_arcs(_fraction_graph(d))
+        assert g == ParamDigraph(1 + 2 * d.n, list(fraction_arcs(g)))
         # The int table is the entries at one scale, and stays out of
         # equality, hashing and repr.
         assert all(
@@ -243,6 +243,7 @@ def _fraction_star(d: DistanceMatrix):
     weights: a Newton walk up from 0, below every cycle root, then the
     distances there and max (H[p] + H[q]) / D[p][q]."""
     g = _fraction_graph(d)
+    arcs = fraction_arcs(g)
     lam = Fraction(0)
     while True:
         cycle = bellman_ford_multi(
@@ -251,7 +252,7 @@ def _fraction_star(d: DistanceMatrix):
         ).negative_cycle
         if cycle is None:
             break
-        lam = -sum(g.arcs[a][2] for a in cycle) / sum(g.arcs[a][3] for a in cycle)
+        lam = -sum(arcs[a][2] for a in cycle) / sum(arcs[a][3] for a in cycle)
     dist = bellman_ford_multi(
         g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
     ).distances

@@ -22,7 +22,7 @@ from geomgraph.tiling import (
     zones,
 )
 from geomgraph.verify import check_tiling
-from graph_reference import evaluate_arcs
+from graph_reference import evaluate_arcs, fraction_arcs
 from test_cli import path
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -214,9 +214,11 @@ def test_corners_match_the_side_direction_reference():
         # Start arcs plus two arcs per kept corner, as the public
         # constructor builds them from the reference corners.
         g = angle_graph(t)
-        assert g.arcs == _fraction_angle_graph(t).arcs
-        assert g == ParamDigraph(g.vertex_count, list(g.arcs))
-        assert all(type(w) is Fraction for *_th, i, s in g.arcs for w in (i, s))
+        assert fraction_arcs(g) == fraction_arcs(_fraction_angle_graph(t))
+        assert g == ParamDigraph(g.vertex_count, list(fraction_arcs(g)))
+        assert all(
+            type(w) is Fraction for *_th, i, s in fraction_arcs(g) for w in (i, s)
+        )
         assert all(type(phi) is Fraction for *_rest, phi in got)
         # The kept corners take no part in equality, hashing or repr.
         twin = Tiling(t.zone_directions, t.tiles, t.adjacencies)
@@ -252,8 +254,8 @@ def test_angle_graph_shape():
     g = angle_graph(RHOMBUS)
     assert g.vertex_count == 3  # start + one per zone
     # start arcs + two arcs per kept corner, one per opposite-corner pair
-    assert len(g.arcs) == 2 + 2 * 2
-    slopes = sorted(s for *_rest, s in g.arcs)
+    assert len(fraction_arcs(g)) == 2 + 2 * 2
+    slopes = sorted(s for *_rest, s in fraction_arcs(g))
     assert slopes.count(-1) == 2  # one min-angle arc per kept corner
     assert slopes.count(0) == 4
 
@@ -327,6 +329,7 @@ def test_threshold_matches_the_cycle_ratio_oracle():
 def _fraction_threshold(g):
     """karp_orlin_threshold and the distances there, on Fraction weights: a
     Newton walk down from 360 degrees, above every cycle ratio."""
+    arcs = fraction_arcs(g)
     lam = Fraction(360)
     while True:
         cycle = bellman_ford_multi(
@@ -335,7 +338,7 @@ def _fraction_threshold(g):
         ).negative_cycle
         if cycle is None:
             break
-        lam = sum(g.arcs[a][2] for a in cycle) / -sum(g.arcs[a][3] for a in cycle)
+        lam = sum(arcs[a][2] for a in cycle) / -sum(arcs[a][3] for a in cycle)
     dist = bellman_ford_multi(
         g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
     ).distances
@@ -382,7 +385,7 @@ def test_adjusted_angle_check_on_ints_keeps_its_messages(monkeypatch):
             tiling_module, "_scaled_distances", lambda *_: (bent, unit)
         )
         d = [Fraction(v, unit) for v in bent]
-        new = [i + d[a] - d[b] for a, b, i, s in g.arcs if s]
+        new = [i + d[a] - d[b] for a, b, i, s in fraction_arcs(g) if s]
         if min(new) != lam:
             want = f"smallest adjusted angle {min(new)} is not the threshold {lam}"
         elif not all(lam <= angle <= 180 for angle in new):

@@ -2,20 +2,27 @@
 
 The solvers' own tests show that each oracle passes a right answer; these
 show that each one turns down a wrong answer with its own detail string,
-and steps aside above its size bound.
+and steps aside above its size bound.  `check_star`'s search from the
+claimed dilation must also end where the fixed-width bisection it replaces
+ends, on any claim.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from geomgraph import verify
 from geomgraph.bends import PlaneMap, load_map, min_bend_assignment
 from geomgraph.clustering import max_cluster_given_d2, random_point_set
 from geomgraph.geometry import Point, Polygon
+from geomgraph.parametric import ParamDigraph
 from geomgraph.rectpart import build_partition
 from geomgraph.stars import (
     DistanceMatrix,
     StarEmbedding,
+    build_parametric_graph,
     dilation,
     optimal_star_embedding,
     random_metric,
@@ -24,6 +31,7 @@ from geomgraph.strips import StripResult, octahedron, single_strip
 from geomgraph.tiling import Tiling, optimize_angles
 from geomgraph.verify import (
     _balance_costs,
+    _bisection_end,
     _border_distances,
     check_bends,
     check_cluster,
@@ -33,6 +41,7 @@ from geomgraph.verify import (
     check_tiling,
 )
 from fixtures import orthogonal_comb
+from graph_reference import bisection_hi
 from test_bends import FIVE_REGIONS, _seeded_grid_map, pie_map, wheel_map
 from transport_reference import transport_cost
 
@@ -193,15 +202,97 @@ def test_star_oracle_fails_a_scaled_hub_vector():
     d = random_metric(5, 2)
     emb = optimal_star_embedding(d)
     doubled = _scaled_hub(d, emb, 2)
-    status, detail = check_star(d, doubled)
-    assert status == "failed"
-    assert detail.startswith(f"dilation {doubled.dilation} vs bisection ")
+    assert check_star(d, doubled) == (
+        "failed",
+        f"dilation {doubled.dilation} vs bisection 14660155037017/8796093022208",
+    )
     # Off by a factor of 1 + 1e-12: within the bisection's 1e-9, so only
     # the exact cycle bound (n <= 5) sees it.
     nudged = _scaled_hub(d, emb, 1 + Fraction(1, 10**12))
     assert check_star(d, nudged) == (
         "failed", f"dilation {nudged.dilation} vs cycle bound {emb.dilation}"
     )
+
+
+@pytest.mark.parametrize("n, bisection", [
+    (6, "5497558138881/2199023255552"),
+    (7, "2134346100977/1099511627776"),
+])
+def test_star_oracle_names_the_bisection_end_for_a_doubled_hub_vector(n, bisection):
+    d = random_metric(n, 2)
+    doubled = _scaled_hub(d, optimal_star_embedding(d), 2)
+    assert check_star(d, doubled) == (
+        "failed", f"dilation {doubled.dilation} vs bisection {bisection}"
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_star_oracle_passes_a_hub_vector_just_above_the_optimum(n):
+    # Above the optimum by less than 1e-9, and past the exact cycle bound's
+    # n <= 5, so only the feasibility bisection looks at it.
+    d = random_metric(n, 2)
+    emb = optimal_star_embedding(d)
+    nudged = _scaled_hub(d, emb, 1 + Fraction(1, 10**11))
+    assert emb.dilation < nudged.dilation < emb.dilation + Fraction(1, 10**9)
+    assert check_star(d, nudged) == (
+        "passed", "matches feasibility bisection within 1e-9"
+    )
+
+
+def _bisection_grid(d: DistanceMatrix) -> tuple[Fraction, Fraction]:
+    """The bisection's start top and its last width, the grid step."""
+    top = 2 * max(max(row) for row in d.entries)
+    top = top / min(v for row in d.entries for v in row if v > 0) + 1
+    step = top
+    while step > Fraction(1, 10**12):
+        step /= 2
+    return top, step
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_star_search_ends_where_the_bisection_does(n):
+    metrics = [random_metric(n, seed) for seed in range(2)]
+    if n == 3:
+        metrics.append(DistanceMatrix(
+            [[0, "7/3", "5/2"], ["7/3", 0, "9/2"], ["5/2", "9/2", 0]]
+        ))
+    for d in metrics:
+        g = build_parametric_graph(d)
+        top, step = _bisection_grid(d)
+        want = bisection_hi(d)
+        best = optimal_star_embedding(d).dilation
+        claims = [
+            0, 1, best / 2, best - Fraction(1, 10**10), best - step, best,
+            best + Fraction(1, 10**13), best + Fraction(1, 10**6), 2 * best,
+            want, want - step, want + step / 2, want + step,
+            top - step, top, top + 1, 10**6,
+        ]
+        for claim in claims:
+            assert _bisection_end(g, top, claim) == want, (d, claim)
+
+
+def test_star_oracle_probes_at_most_three_times_on_solver_answers(monkeypatch):
+    probes = []
+    probe = verify.feasibility_witness
+
+    def counted(g, lam):
+        probes.append(lam)
+        return probe(g, lam)
+
+    monkeypatch.setattr(verify, "feasibility_witness", counted)
+    for n in range(2, 8):
+        for seed in range(5):
+            d = random_metric(n, seed)
+            emb = optimal_star_embedding(d)
+            probes.clear()
+            assert check_star(d, emb)[0] == "passed"
+            assert len(probes) <= 3, (n, seed, probes)
+
+
+def test_star_search_refuses_a_graph_with_a_negative_slope():
+    g = ParamDigraph(2, [(0, 1, 1, -1), (1, 0, 0, 0)])
+    with pytest.raises(AssertionError, match="negative slope"):
+        _bisection_end(g, Fraction(4), Fraction(2))
 
 
 def _retouched(sol, units=None, bends=None, **fields):
