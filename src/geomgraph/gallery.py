@@ -120,7 +120,9 @@ def _dual_tree_coloring(
     endpoints of the diagonal it shares with its parent) and gives its other
     vertices the least unused colors in face order; for a triangle that is
     the one missing color.  Colored vertices of one face can clash only in
-    a user-supplied quadrilateralization, so that raises InputError.
+    a user-supplied quadrilateralization, so that raises InputError.  A
+    vertex on no reached face keeps -1, an out-of-range color that
+    `verify_guard_certificate` rejects.
     """
     coloring = [-1] * vertex_count
     seen = [False] * len(faces)
@@ -142,8 +144,6 @@ def _dual_tree_coloring(
             if not seen[u]:
                 seen[u] = True
                 queue.append(u)
-    if -1 in coloring:
-        raise AssertionError("a vertex lies on no face of the decomposition")
     return tuple(coloring)
 
 

@@ -55,17 +55,6 @@ def orientation(a: Point, b: Point, c: Point) -> Fraction:
     ax, ay = a
     bx, by = b
     cx, cy = c
-    if (
-        ax.denominator == ay.denominator == bx.denominator
-        == by.denominator == cx.denominator == cy.denominator == 1
-    ):
-        # Integer coordinates (every shipped fixture and generator): the same
-        # exact product on plain ints, without a Fraction per operation.
-        ax, ay = ax.numerator, ay.numerator
-        return Fraction(
-            (bx.numerator - ax) * (cy.numerator - ay)
-            - (by.numerator - ay) * (cx.numerator - ax)
-        )
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 

@@ -432,26 +432,26 @@ class BellmanFordResult:
     negative_cycle: tuple[int, ...] | None
 
 
-def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordResult:
+def bellman_ford_multi(vertex_count: int, arcs, sources) -> BellmanFordResult:
     """Bellman–Ford from a set of sources, stopping at the first negative cycle.
 
     arcs is a sequence of (tail, head, weight); the weights are ints or
-    Fractions, and `zero` is the sources' distance.  The arcs are grouped
-    by tail, each tail's in arc-index order.  A round scans the tails in
-    vertex order and relaxes the arcs of only those whose distance fell
-    since their last scan (at the start, the sources).  After each round
-    that lowered a distance, an O(n) walk of the predecessor links looks
-    for a cycle; every such cycle is negative (Cherkassky and Goldberg,
-    1999), and one found is re-verified by summing its arc weights and
-    returned.  Without a negative cycle the distances are final after
-    n - 1 rounds, and a relaxation in round n leaves a predecessor cycle,
-    so the worst case stays O(n m).
+    Fractions, and the sources start at int 0, which keeps either exact.
+    The arcs are grouped by tail, each tail's in arc-index order.  A round
+    scans the tails in vertex order and relaxes the arcs of only those
+    whose distance fell since their last scan (at the start, the
+    sources).  After each round that lowered a distance, an O(n) walk of
+    the predecessor links looks for a cycle; every such cycle is negative
+    (Cherkassky and Goldberg, 1999), and one found is re-verified by
+    summing its arc weights and returned.  Without a negative cycle the
+    distances are final after n - 1 rounds, and a relaxation in round n
+    leaves a predecessor cycle, so the worst case stays O(n m).
     """
     n = vertex_count
     dist = [None] * n
     pred = [-1] * n
     for s in sources:
-        dist[s] = zero
+        dist[s] = 0
     if n == 0:
         return BellmanFordResult((), None)
     out: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
@@ -476,13 +476,13 @@ def bellman_ford_multi(vertex_count: int, arcs, sources, zero) -> BellmanFordRes
                     changed = True
         if not changed:
             return BellmanFordResult(tuple(dist), None)
-        cycle = _predecessor_cycle(arcs, pred, zero)
+        cycle = _predecessor_cycle(arcs, pred)
         if cycle is not None:
             return BellmanFordResult(None, cycle)
     raise AssertionError("relaxation in final round but no negative cycle found")
 
 
-def _predecessor_cycle(arcs, pred: list[int], zero) -> tuple[int, ...] | None:
+def _predecessor_cycle(arcs, pred: list[int]) -> tuple[int, ...] | None:
     """The first predecessor cycle whose weights sum below zero (arc
     indices in traversal order), or None; one O(n) pass, since each walk
     stops at the first vertex an earlier walk (or itself) has visited."""
@@ -504,7 +504,7 @@ def _predecessor_cycle(arcs, pred: list[int], zero) -> tuple[int, ...] | None:
             if cur == v:
                 break
         cycle.reverse()
-        if sum((arcs[a][2] for a in cycle), zero) < zero:
+        if sum(arcs[a][2] for a in cycle) < 0:
             return tuple(cycle)
     return None
 

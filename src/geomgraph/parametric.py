@@ -133,7 +133,7 @@ def feasibility_witness(g: ParamDigraph, lam: Fraction) -> tuple[int, ...] | Non
     """None when lam is feasible, else a negative cycle (arc indices)."""
     arcs, _unit = _scaled_weights(g, lam)
     return bellman_ford_multi(
-        g.vertex_count, arcs, range(g.vertex_count), 0
+        g.vertex_count, arcs, range(g.vertex_count)
     ).negative_cycle
 
 
@@ -142,7 +142,7 @@ def _scaled_distances(
 ) -> tuple[list[int | None] | None, int]:
     """distances_at's distances times the unit D*q, as ints, and that unit."""
     arcs, unit = _scaled_weights(g, lam)
-    return bellman_ford_multi(g.vertex_count, arcs, (0,), 0).distances, unit
+    return bellman_ford_multi(g.vertex_count, arcs, (0,)).distances, unit
 
 
 def distances_at(g: ParamDigraph, lam: Fraction) -> tuple[Fraction | None, ...] | None:

@@ -152,9 +152,9 @@ def optimal_star_embedding(d: DistanceMatrix) -> StarEmbedding:
     if interval.hi is not None:
         raise AssertionError("feasibility is upward closed in lambda")
     delta = interval.lo
-    if delta < 1:
-        raise AssertionError(f"dilation {delta} is below 1")
 
+    # Below the optimum a negative cycle is left, and s reaches it as it
+    # reaches every vertex; at the optimum, `dilation` is at least 1.
     dist, unit = _scaled_distances(g, delta)
     if dist is None or any(v is None for v in dist):
         raise AssertionError("every auxiliary vertex must be reachable at delta")

@@ -40,9 +40,7 @@ class WeightedDigraph:
 
 def negative_cycle_anywhere(g: WeightedDigraph) -> tuple[int, ...] | None:
     """A negative cycle anywhere in the graph (arc indices), or None."""
-    res = bellman_ford_multi(
-        g.vertex_count, g.arcs, range(g.vertex_count), Fraction(0)
-    )
+    res = bellman_ford_multi(g.vertex_count, g.arcs, range(g.vertex_count))
     return res.negative_cycle
 
 

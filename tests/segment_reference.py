@@ -9,10 +9,8 @@ exact `Fraction` coordinates, so the tests can compare kind and point.
 from geomgraph.geometry import Point, Segment, SegmentIntersection, orientation
 
 
-def _on_segment(p: Point, s: Segment) -> bool:
-    """Exact test: does p lie on the closed segment s?"""
-    if orientation(s.a, s.b, p) != 0:
-        return False
+def _in_box(p: Point, s: Segment) -> bool:
+    """Does p lie in s's closed bounding box?  On s's line, that is on s."""
     return (
         min(s.a.x, s.b.x) <= p.x <= max(s.a.x, s.b.x)
         and min(s.a.y, s.b.y) <= p.y <= max(s.a.y, s.b.y)
@@ -57,13 +55,9 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentIntersection:
             "crossing", Point(s1.a.x + t * d1x, s1.a.y + t * d1y)
         )
 
-    touches = set()
-    for p in (s1.a, s1.b):
-        if _on_segment(p, s2):
-            touches.add(p)
-    for p in (s2.a, s2.b):
-        if _on_segment(p, s1):
-            touches.add(p)
+    # An endpoint with a zero turn lies on the other segment's line.
+    ends = ((s1.a, o3, s2), (s1.b, o4, s2), (s2.a, o1, s1), (s2.b, o2, s1))
+    touches = {p for p, turn, s in ends if turn == 0 and _in_box(p, s)}
     if not touches:
         return SegmentIntersection("disjoint")
     if len(touches) != 1:

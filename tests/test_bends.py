@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from geomgraph import bends
 from geomgraph.bends import (
     PlaneMap,
+    build_flow_network,
     load_map,
     map_from_json,
     map_to_json,
@@ -186,17 +188,18 @@ def test_check_bends_does_not_depend_on_where_rotations_start():
 _STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _seeded_grid_map(seed: int) -> PlaneMap:
-    """A k x k grid of cells grown into 3-6 regions from seeded cells.
+def _seeded_grid_map(seed: int, sizes=(3, 4), counts=(3, 6)) -> PlaneMap:
+    """A k x k grid of cells, k in `sizes`, grown into one region per
+    seeded cell, their number in `counts`.
 
     Cells off the grid belong to the exterior.  The junctions are the grid
     points where three or more regions meet, each rotation read
     counterclockwise, and two regions are adjacent when they share a cell
     side."""
     rng = random.Random(seed)
-    k = rng.randint(3, 4)
+    k = rng.randint(*sizes)
     cells = {(x, y) for x in range(k) for y in range(k)}
-    seeds = rng.sample(sorted(cells), rng.randint(3, 6))
+    seeds = rng.sample(sorted(cells), rng.randint(*counts))
     owner = {cell: f"R{i}" for i, cell in enumerate(seeds)}
     while len(owner) < len(cells):
         x, y = rng.choice(sorted(owner))
@@ -236,6 +239,58 @@ def test_check_bends_agrees_with_the_circulation_on_grid_maps():
         ), seed
         totals.append(sol.total_bends)
     assert max(totals) >= 1
+
+
+def test_layout_rules_hold_past_the_oracle_bound():
+    # No exhaustive optimum runs past 6 regions, but check_bends still
+    # checks every junction sum, region corner count and the charged total,
+    # which the decode takes from the circulation check alone.
+    seen = set()
+    for seed in range(60):
+        pmap = _seeded_grid_map(seed, sizes=(6, 8), counts=(8, 20))
+        regions = len(pmap.regions) - 1
+        seen.add(regions)
+        assert check_bends(pmap, min_bend_assignment(pmap)) == (
+            "not-run", f"{regions} regions exceed oracle bound 6"
+        ), seed
+    assert min(seen) <= 10 and max(seen) >= 18
+
+
+def _tamper_solver(monkeypatch, tamper):
+    """Route min_bend_assignment through a circulation whose flow `tamper`
+    edits in place."""
+    real = bends.min_cost_circulation
+
+    def solve(net):
+        result = real(net)
+        flow = list(result.flow)
+        tamper(flow)
+        return dataclasses.replace(result, flow=tuple(flow))
+
+    monkeypatch.setattr(bends, "min_cost_circulation", solve)
+
+
+def test_circulation_check_catches_a_slot_unit_moved_or_dropped(monkeypatch):
+    # A degree-3 junction's units are 2, 1, 1.  Moving a unit between its
+    # slots keeps the junction sum at 4 but breaks two region corner counts;
+    # dropping one breaks the junction sum.  The decode re-derives neither,
+    # so the one circulation check must refuse both.
+    _net, legend = build_flow_network(FIVE_REGIONS)
+    j = next(i for i, rot in enumerate(FIVE_REGIONS.junctions) if len(rot) == 3)
+    slots = [arc for i, _r, arc in legend.slot_arcs if i == j]
+
+    def move(flow):
+        two = next(a for a in slots if flow[a] == 2)
+        one = next(a for a in slots if flow[a] == 1)
+        flow[two], flow[one] = 1, 2
+
+    def drop(flow):
+        flow[next(a for a in slots if flow[a] == 2)] = 1
+
+    for tamper in (move, drop):
+        _tamper_solver(monkeypatch, tamper)
+        with pytest.raises(AssertionError, match=r"^circulation check: vertex \d+: "):
+            min_bend_assignment(FIVE_REGIONS)
 
 
 # ---------------------------------------------------------------------------

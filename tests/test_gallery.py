@@ -19,6 +19,7 @@ from geomgraph.geometry import (
     point_in_polygon,
     random_simple_polygon,
     segments_intersect,
+    triangulate,
 )
 from fixtures import (
     comb_polygon,
@@ -256,6 +257,22 @@ def test_verify_rejects_tampered_certificates():
     big = tuple(v for v, c in enumerate(cert.coloring) if c == pair)
     assert verify_guard_certificate(square, replace(cert, guards=big)) == (
         False, "2 guards exceed floor(4/3)"
+    )
+
+
+def test_guard_certificate_refuses_a_vertex_left_uncolored():
+    # A dual tree that reaches only face 0 leaves every other vertex at -1;
+    # the certificate check refuses that color, so the coloring keeps no
+    # guard of its own for it.
+    poly = comb_polygon(3)
+    tri = triangulate(poly)
+    with pytest.raises(AssertionError) as caught:
+        gallery._guard_certificate(
+            poly, "triangulation", tri.triangles, [[] for _ in tri.triangles]
+        )
+    assert str(caught.value) == (
+        "triangulation coloring is not a guard certificate: "
+        "coloring uses an out-of-range color"
     )
 
 

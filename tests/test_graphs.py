@@ -292,23 +292,23 @@ def test_graph_constructors_take_ints_and_exact_weights_only():
 def test_bellman_ford_exact_distances():
     arcs = [(0, 1, Fraction(5)), (0, 2, Fraction(2)), (2, 1, Fraction(1)),
             (1, 3, Fraction(-4)), (2, 3, Fraction(10))]
-    res = bellman_ford_multi(4, arcs, (0,), Fraction(0))
+    res = bellman_ford_multi(4, arcs, (0,))
     assert res.negative_cycle is None
     assert res.distances == (Fraction(0), Fraction(3), Fraction(2), Fraction(-1))
 
 
 def test_bellman_ford_unreachable_and_multi_source():
     arcs = [(0, 1, Fraction(1))]
-    res = bellman_ford_multi(3, arcs, (0,), Fraction(0))
+    res = bellman_ford_multi(3, arcs, (0,))
     assert res.distances == (Fraction(0), Fraction(1), None)
-    res = bellman_ford_multi(3, arcs, (0, 2), Fraction(0))
+    res = bellman_ford_multi(3, arcs, (0, 2))
     assert res.distances == (Fraction(0), Fraction(1), Fraction(0))
 
 
 def test_bellman_ford_negative_cycle_is_real():
     arcs = [(0, 1, Fraction(2)), (1, 2, Fraction(-3)), (2, 0, Fraction(-1)),
             (0, 2, Fraction(9))]
-    res = bellman_ford_multi(3, arcs, (0,), Fraction(0))
+    res = bellman_ford_multi(3, arcs, (0,))
     assert res.distances is None
     cyc = res.negative_cycle
     assert cyc is not None
@@ -393,7 +393,7 @@ def test_bellman_ford_matches_the_round_based_driver():
     for seed in range(1500):
         n, arcs, sources, zero = _seeded_digraph(seed)
         want_dist, want_cycle = _round_based_bellman_ford(n, arcs, sources, zero)
-        res = bellman_ford_multi(n, arcs, sources, zero)
+        res = bellman_ford_multi(n, arcs, sources)
         assert (res.distances is None) == (want_dist is None), seed
         assert res.distances == want_dist, seed
         if res.negative_cycle is None:
@@ -443,7 +443,7 @@ def test_infeasible_probe_relaxes_fewer_arcs_than_n_rounds():
         assert _round_based_bellman_ford(n, arcs, range(n), zero)[1] is not None
         assert adds[0] >= n * m
         adds[0] = 0
-        cyc = bellman_ford_multi(n, arcs, range(n), zero).negative_cycle
+        cyc = bellman_ford_multi(n, arcs, range(n)).negative_cycle
         assert cyc is not None and sum(arcs[a][2] for a in cyc) < 0
         # 1,388 and 552 additions against n * m = 7,020 when this test was
         # written: the far probe stops after its first round.

@@ -303,13 +303,13 @@ def test_threshold_matches_cycle_enumeration_on_random_graphs():
 
 def _reference_witness(g, lam):
     return bellman_ford_multi(
-        g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count), Fraction(0)
+        g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count)
     ).negative_cycle
 
 
 def _reference_distances(g, lam):
     return bellman_ford_multi(
-        g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
+        g.vertex_count, evaluate_arcs(g, lam), (0,)
     ).distances
 
 
@@ -372,7 +372,8 @@ def test_integer_probes_match_the_fraction_reference():
             if want is None:
                 seen.add("negative cycle from 0")
             else:
-                assert [type(d) for d in got] == [type(d) for d in want]
+                # The reference's source keeps its int 0 start.
+                assert all(d is None or type(d) is Fraction for d in got)
                 seen.add("unreached vertex" if None in want else "all reached")
     assert seen == {
         "feasible", "negative cycle", "negative cycle from 0",

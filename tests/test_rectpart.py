@@ -15,7 +15,6 @@ from geomgraph.geometry import (
     Segment,
     is_interior_chord,
     load_polygon,
-    orientation,
     point_in_polygon,
     segments_intersect,
 )
@@ -442,9 +441,12 @@ def _face_walk_rectangles(poly, diagonals, cuts):
             e = nxt[e]
         if not cycle or _signed_area2(cycle) <= 0:
             continue
+        # Every micro edge is axis-parallel, so the walk turns where it
+        # changes axis.
         m = len(cycle)
         corners = [cycle[i] for i in range(m)
-                   if orientation(cycle[i - 1], cycle[i], cycle[(i + 1) % m])]
+                   if (cycle[i - 1].x == cycle[i].x)
+                   != (cycle[i].x == cycle[(i + 1) % m].x)]
         if len(corners) != 4:  # a hole of another shape, which no segment enters
             assert any(set(corners) == set(hole) for hole in poly.holes)
             continue

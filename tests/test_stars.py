@@ -247,14 +247,13 @@ def _fraction_star(d: DistanceMatrix):
     lam = Fraction(0)
     while True:
         cycle = bellman_ford_multi(
-            g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count),
-            Fraction(0),
+            g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count)
         ).negative_cycle
         if cycle is None:
             break
         lam = -sum(arcs[a][2] for a in cycle) / sum(arcs[a][3] for a in cycle)
     dist = bellman_ford_multi(
-        g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
+        g.vertex_count, evaluate_arcs(g, lam), (0,)
     ).distances
     n = d.n
     hub = tuple((dist[1 + n + p] - dist[1 + p]) / 2 for p in range(n))
@@ -298,6 +297,25 @@ def test_hub_self_check_refuses_a_hub_that_misses_delta(monkeypatch):
     assert str(caught.value) == (
         "the hub vector does not embed: contraction: H[0]+H[1] < D[0][1]"
     )
+
+
+def test_reachability_check_refuses_a_delta_below_the_optimum(monkeypatch):
+    # Below the optimum a negative cycle is left, and s reaches every
+    # vertex, so the distances fail the reachability check; that also covers
+    # a delta below 1, as for TRI, whose optimum is 1.
+    cases = [(d, optimal_star_embedding(d).dilation)
+             for d in (TRI, cycle_metric(4), random_metric(6, 3))]
+    for d, best in cases:
+        for lo in (Fraction(1, 2), best - Fraction(1, 10**6)):
+            monkeypatch.setattr(
+                stars, "parametric_feasible_interval",
+                lambda _g, lo=lo: FeasibleInterval(empty=False, lo=lo),
+            )
+            with pytest.raises(AssertionError) as caught:
+                optimal_star_embedding(d)
+            assert str(caught.value) == (
+                "every auxiliary vertex must be reachable at delta"
+            )
 
 
 def test_single_point_metric_cannot_be_embedded():

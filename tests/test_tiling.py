@@ -333,14 +333,13 @@ def _fraction_threshold(g):
     lam = Fraction(360)
     while True:
         cycle = bellman_ford_multi(
-            g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count),
-            Fraction(0),
+            g.vertex_count, evaluate_arcs(g, lam), range(g.vertex_count)
         ).negative_cycle
         if cycle is None:
             break
         lam = sum(arcs[a][2] for a in cycle) / -sum(arcs[a][3] for a in cycle)
     dist = bellman_ford_multi(
-        g.vertex_count, evaluate_arcs(g, lam), (0,), Fraction(0)
+        g.vertex_count, evaluate_arcs(g, lam), (0,)
     ).distances
     return lam, dist
 
