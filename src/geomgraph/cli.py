@@ -243,8 +243,12 @@ def _solve(args) -> int:
     if args.verify:
         status, detail = row.check(x, r)
     if getattr(args, "svg_path", None):
+        try:
+            drawing = row.draw(x, r)
+        except OverflowError as exc:  # float() of a value past a float's range
+            raise InputError("a drawn value is too large for a float") from exc
         with open(args.svg_path, "w", encoding="utf-8") as fh:
-            fh.write(row.draw(x, r))
+            fh.write(drawing)
     if args.json_mode:
         inputs = [args.infile]
         if getattr(args, "quads", None):

@@ -555,7 +555,10 @@ def polygon_to_json(poly: Polygon) -> str:
     """Serialize a polygon with integer coordinates to the JSON format."""
     def as_int_pair(p: Point) -> list[int]:
         if p.x.denominator != 1 or p.y.denominator != 1:
-            raise InputError(f"vertex {p} is not integral; the file format is")
+            raise InputError(
+                f"vertex {p} is not integral; the file format holds only "
+                "integer coordinates"
+            )
         return [int(p.x), int(p.y)]
 
     doc = {

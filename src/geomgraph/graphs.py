@@ -251,9 +251,10 @@ def konig_independent_set(g: BipartiteGraph, m: Matching) -> frozenset[tuple[str
     """Maximum independent set from a maximum matching (König's theorem).
 
     Vertices are tagged ("L", i) or ("R", j).  The matching is re-validated:
-    it must consist of graph edges, be vertex-disjoint per side, and admit no
-    augmenting path; otherwise InputError is raised.  The returned set always
-    has size left_count + right_count - |m|.
+    it must consist of graph edges and admit no augmenting path; otherwise
+    InputError is raised.  It is vertex-disjoint per side already, since
+    `Matching` refuses a repeated first or second slot.  The returned set
+    always has size left_count + right_count - |m|.
     """
     edge_set = set(g.edges)
     match_l = [-1] * g.left_count
@@ -261,8 +262,6 @@ def konig_independent_set(g: BipartiteGraph, m: Matching) -> frozenset[tuple[str
     for l, r in m.pairs:
         if (l, r) not in edge_set:
             raise InputError(f"matching pair ({l},{r}) is not a graph edge")
-        if match_l[l] != -1 or match_r[r] != -1:
-            raise InputError("matching pairs are not vertex-disjoint")
         match_l[l] = r
         match_r[r] = l
 

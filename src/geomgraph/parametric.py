@@ -27,10 +27,10 @@ common denominator D of all intercepts and slopes, and a probe at lam = p/q
 weighs each arc D*I*q + D*S*p, which is D*q times its exact weight.  A
 positive scale keeps every sum and comparison, so the probe relaxes the
 same arcs and returns the same negative cycle as one on Fractions would;
-:func:`distances_at` divides its distances back by D*q.  The scaling starts
-at load: `stars.DistanceMatrix` and `tiling.Tiling` keep their values as
-ints at one D per input, and the solvers build their graphs from those
-ints, so no Fraction arc is ever made.
+the solvers divide a feasible probe's distances back by D*q.  The scaling
+starts at load: `stars.DistanceMatrix` and `tiling.Tiling` keep their
+values as ints at one D per input, and the solvers build their graphs
+from those ints, so no Fraction arc is ever made.
 
 - :func:`parametric_feasible_interval` walks up to the lower endpoint from
   below every cycle root, and down to the upper endpoint from above them.
@@ -140,18 +140,11 @@ def feasibility_witness(g: ParamDigraph, lam: Fraction) -> tuple[int, ...] | Non
 def _scaled_distances(
     g: ParamDigraph, lam: Fraction
 ) -> tuple[list[int | None] | None, int]:
-    """distances_at's distances times the unit D*q, as ints, and that unit."""
+    """Shortest-path distances from vertex 0 at lam times the unit D*q, as
+    ints (None for a vertex it cannot reach), or None when a negative cycle
+    is reachable from 0; and that unit."""
     arcs, unit = _scaled_weights(g, lam)
     return bellman_ford_multi(g.vertex_count, arcs, (0,)).distances, unit
-
-
-def distances_at(g: ParamDigraph, lam: Fraction) -> tuple[Fraction | None, ...] | None:
-    """Exact shortest-path distances from vertex 0 at lam (None for a vertex
-    it cannot reach), or None when a negative cycle is reachable from 0."""
-    dist, unit = _scaled_distances(g, lam)
-    if dist is None:
-        return None
-    return tuple(None if d is None else Fraction(d, unit) for d in dist)
 
 
 # ---------------------------------------------------------------------------

@@ -175,19 +175,10 @@ def good_diagonals(poly: Polygon) -> tuple[Segment, ...]:
     return _segments(poly, _good_chords(_CellGrid(poly)))
 
 
-def independent_diagonals(
-    poly: Polygon,
-) -> tuple[tuple[Segment, ...], tuple[Segment, ...]]:
-    """(chosen, all): a maximum set of pairwise non-intersecting good
-    diagonals, and every good diagonal, both in canonical order."""
-    grid = _CellGrid(poly)
-    chords = _good_chords(grid)
-    return _segments(poly, _independent(grid, chords)), _segments(poly, chords)
-
-
 def min_rectangle_count(poly: Polygon) -> int:
     """The minimum number of rectangles: n/2 + h - g - 1."""
-    chosen, _ = independent_diagonals(poly)
+    grid = _CellGrid(poly)
+    chosen = _independent(grid, _good_chords(grid))
     return poly.total_vertices // 2 + len(poly.holes) - len(chosen) - 1
 
 
@@ -241,11 +232,10 @@ def _emit_cuts(grid: _CellGrid, poly: Polygon, chosen) -> list[tuple]:
 @dataclass(frozen=True)
 class RectPartition:
     """A minimum partition: rectangles as (lower-left, upper-right) corner
-    pairs, plus the chords and cuts that produced them."""
+    pairs, plus the chosen chords that produced them."""
 
     rectangles: tuple[tuple[Point, Point], ...]
     diagonals: tuple[Segment, ...]
-    cuts: tuple[Segment, ...]
 
     @property
     def count(self) -> int:
@@ -260,7 +250,7 @@ def build_partition(poly: Polygon) -> RectPartition:
     fill of inside cells across the cell sides that no wall covers."""
     grid = _CellGrid(poly)
     chosen = _independent(grid, _good_chords(grid))
-    cuts = _emit_cuts(grid, poly, chosen)
+    _emit_cuts(grid, poly, chosen)
     xs, ys, walls, inside = grid.xs, grid.ys, grid.walls, grid.inside
 
     rects: list[tuple[IntPoint, IntPoint]] = []
@@ -297,12 +287,10 @@ def build_partition(poly: Polygon) -> RectPartition:
         raise AssertionError(f"{len(rects)} rectangles, expected {expected}")
     fx = [Fraction(x, poly._scale) for x in xs]
     fy = [Fraction(y, poly._scale) for y in ys]
-    verts = poly.all_vertices
     return RectPartition(
         tuple((Point(fx[i0], fy[j0]), Point(fx[i1], fy[j1]))
               for (i0, j0), (i1, j1) in sorted(rects)),
         _segments(poly, chosen),
-        tuple(Segment(verts[g], Point(fx[i], fy[j])) for g, (i, j) in cuts),
     )
 
 

@@ -27,6 +27,9 @@ accepted swap relabels only the cycles that merged, and bisections split
 triangles in place.  The public `vertex_ring`, `merge_move`,
 `cycle_cover_from_matching` and `bisect_pair` work on whole meshes and
 share the driver's helpers.
+
+The fixed meshes ship as OFF files in `instances/`; the one mesh built
+here is `octahedron`, the seed that `sphere_like_mesh` grows.
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ __all__ = [
     "merge_move",
     "bisect_pair",
     "single_strip",
-    "tetrahedron",
     "octahedron",
-    "icosahedron",
     "sphere_like_mesh",
     "mesh_from_off",
     "mesh_to_off",
@@ -603,15 +604,8 @@ def single_strip(mesh: TriMesh) -> StripResult:
 
 
 # ---------------------------------------------------------------------------
-# fixtures and generators
+# the seed mesh and the generator
 # ---------------------------------------------------------------------------
-
-
-def tetrahedron() -> TriMesh:
-    return TriMesh(
-        ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)),
-        ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
-    )
 
 
 def octahedron() -> TriMesh:
@@ -622,24 +616,6 @@ def octahedron() -> TriMesh:
             (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
         ),
     )
-
-
-def icosahedron() -> TriMesh:
-    """Combinatorial icosahedron: two pentagonal caps and a ten-triangle
-    band.  Coordinates are rational stand-ins; only incidence matters."""
-    vertices = (
-        (0, 0, 5),
-        (4, 0, 2), (1, 4, 2), (-4, 2, 2), (-3, -3, 2), (2, -4, 2),
-        (3, 3, -2), (-1, 4, -2), (-4, 0, -2), (-1, -4, -2), (3, -3, -2),
-        (0, 0, -5),
-    )
-    faces = (
-        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-        (1, 6, 2), (2, 7, 3), (3, 8, 4), (4, 9, 5), (5, 10, 1),
-        (2, 6, 7), (3, 7, 8), (4, 8, 9), (5, 9, 10), (1, 10, 6),
-        (7, 6, 11), (8, 7, 11), (9, 8, 11), (10, 9, 11), (6, 10, 11),
-    )
-    return TriMesh(vertices, faces)
 
 
 def sphere_like_mesh(seed: int, triangles: int = 100) -> TriMesh:

@@ -397,8 +397,10 @@ def reconstruct_positions(
         raise InputError(f"{len(dirs)} directions for {m} zones")
     units: dict[int, tuple[float, float]] = {}
     for z, theta in enumerate(dirs, 1):
+        # Reduced exactly first: a direction past a float's range is still
+        # a heading.
         for signed, angle in ((z, theta), (-z, theta + 180)):
-            rad = math.radians(float(angle))
+            rad = math.radians(float(angle % 360))
             units[signed] = math.cos(rad), math.sin(rad)
 
     def walk(t: int, anchor_side: int, anchor: tuple[float, float]):

@@ -5,8 +5,9 @@ rational digraph.  These keep the Fraction forms, so the tests can check
 the int paths against exact weights: a digraph with rational arc weights,
 a negative-cycle search over all of it, the residual graph of a
 circulation, a parametric graph's arcs as Fractions and at one value of
-lambda, membership in a feasible interval, and the fixed-width feasibility
-bisection that `verify.check_star` must reproduce.
+lambda, its exact distances from vertex 0 at one value, membership in a
+feasible interval, and the fixed-width feasibility bisection that
+`verify.check_star` must reproduce.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,12 @@ from fractions import Fraction
 
 from geomgraph.errors import InputError, integer, rational
 from geomgraph.graphs import FlowNetwork, bellman_ford_multi
-from geomgraph.parametric import FeasibleInterval, ParamDigraph, feasibility_witness
+from geomgraph.parametric import (
+    FeasibleInterval,
+    ParamDigraph,
+    _scaled_distances,
+    feasibility_witness,
+)
 from geomgraph.stars import DistanceMatrix, build_parametric_graph
 
 
@@ -71,6 +77,15 @@ def fraction_arcs(g: ParamDigraph) -> tuple[tuple[int, int, Fraction, Fraction],
 def evaluate_arcs(g: ParamDigraph, lam: Fraction) -> list[tuple[int, int, Fraction]]:
     """The arcs' exact weights at lam, as (tail, head, weight)."""
     return [(t, h, i + s * lam) for (t, h, i, s) in fraction_arcs(g)]
+
+
+def distances_at(g: ParamDigraph, lam: Fraction) -> tuple[Fraction | None, ...] | None:
+    """Exact shortest-path distances from vertex 0 at lam (None for a vertex
+    it cannot reach), or None when a negative cycle is reachable from 0."""
+    dist, unit = _scaled_distances(g, lam)
+    if dist is None:
+        return None
+    return tuple(None if d is None else Fraction(d, unit) for d in dist)
 
 
 def is_feasible(g: ParamDigraph, lam: Fraction) -> bool:

@@ -516,6 +516,61 @@ def test_svg_output_is_written(tmp_path, capsys):
     capsys.readouterr()
 
 
+# A rhombus whose first zone direction is past a float's range: 360·10⁴⁰⁰
+# is 0 degrees and 10⁴⁰⁰⁰ is 280, so each solves, verifies and draws.
+HUGE_DIRECTIONS = {
+    "360e400": ("360" + "0" * 400, "min angle: 90, adjustments: -60 0"),
+    "1e4000": ("1e4000", "min angle: 90, adjustments: 0 -20"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_DIRECTIONS))
+def test_a_direction_past_a_floats_range_solves_verifies_and_draws(
+    case, tmp_path, capsys
+):
+    direction, summary = HUGE_DIRECTIONS[case]
+    instance, target = tmp_path / "huge.tiling", tmp_path / "huge.svg"
+    instance.write_text(json.dumps({
+        "directions": [direction, "30"], "tiles": [[1, 2, -1, -2]],
+        "adjacencies": [],
+    }), encoding="utf-8")
+    argv = ["tiling", "--in", str(instance), "--verify", "--svg", str(target)]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == f"{summary}, verify: passed\n"
+    assert [line for line in out.err.splitlines()
+            if not line.startswith("elapsed:")] == []
+    assert target.read_text(encoding="utf-8").rstrip().endswith("</svg>")
+
+
+# Valid inputs that solve but hold a coordinate past a float's range, so
+# their drawing cannot be made.
+HUGE_DRAWINGS = {
+    "cluster": ("pts", "0 0\n1 0\n1e4000 0\n", ["cluster", "--d2", "1"]),
+    "gallery": (
+        "poly", json.dumps({"outer": [[0, 0], [10**400, 0], [0, 1]]}),
+        ["gallery"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_DRAWINGS))
+def test_a_drawing_past_a_floats_range_exits_two_and_writes_no_file(
+    case, tmp_path, capsys
+):
+    suffix, text, argv = HUGE_DRAWINGS[case]
+    instance, target = tmp_path / f"huge.{suffix}", tmp_path / "out.svg"
+    instance.write_text(text, encoding="utf-8")
+    assert main([*argv, "--in", str(instance), "--svg", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [line for line in out.err.splitlines()
+            if not line.startswith("elapsed:")] == [
+        "error: a drawn value is too large for a float"
+    ]
+    assert not target.exists()
+
+
 def test_svg_drawings_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     main(["tiling", "--in", path("skew3.tiling"), "--svg", str(a)])

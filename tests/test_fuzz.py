@@ -2,9 +2,10 @@
 
 Every shipped instance is mutated by deleting, inserting, duplicating or
 swapping tokens and lines, with fixed seeds, and each mutant goes through
-`cli.main`, with `--verify` on every other one.  A mutant may be rejected
-(exit 2) or solved (exit 0, its oracle passing); it must never exit 1 (an
-oracle disagreeing with the solver) or 3 (an uncaught exception).  Seeded
+`cli.main`, with `--verify` on every other one and `--svg` on every one
+whose subcommand draws.  A mutant may be rejected (exit 2) or solved
+(exit 0, its oracle passing); it must never exit 1 (an oracle disagreeing
+with the solver) or 3 (an uncaught exception).  Seeded
 `gen` instances at the oracle size bounds must solve and verify.
 """
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from geomgraph.cli import main
+from geomgraph.cli import _SOLVERS, main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 MUTANTS_PER_FILE = 20
@@ -77,6 +78,8 @@ def test_mutated_instances_exit_zero_or_two(name, tmp_path, capsys):
                 argv = [cmd[0], "--in", str(mutant), *cmd[1:]]
             if k % 2:
                 argv.append("--verify")
+            if _SOLVERS[argv[0]].draw:
+                argv += ["--svg", str(tmp_path / "m.svg")]
             code = _exit_code(argv, capsys)
             if code not in (0, 2):
                 bad.append((k, argv[0], code, mutant.read_text(encoding="utf-8")))

@@ -11,7 +11,6 @@ from geomgraph.graphs import bellman_ford_multi
 from geomgraph.parametric import (
     INF,
     ParamDigraph,
-    distances_at,
     feasibility_witness,
     karp_orlin_threshold,
     parametric_feasible_interval,
@@ -32,6 +31,7 @@ from geomgraph.verify import max_cycle_bound, min_cycle_ratio
 from cycle_reference import least_cycle_sums, simple_cycle_sums
 from graph_reference import (
     WeightedDigraph,
+    distances_at,
     evaluate_arcs,
     fraction_arcs,
     interval_contains,

@@ -25,7 +25,6 @@ from geomgraph.rectpart import (
     build_partition,
     concave_vertices,
     good_diagonals,
-    independent_diagonals,
     min_rectangle_count,
     random_orthogonal_polygon,
 )
@@ -76,9 +75,11 @@ def test_good_diagonals_plus_and_annulus():
 
 
 def test_independent_diagonals_on_the_plus():
-    chosen, every = independent_diagonals(PLUS)
-    assert len(every) == 4
-    assert len(chosen) == 2  # the two parallel chords
+    chosen = build_partition(PLUS).diagonals
+    assert len(good_diagonals(PLUS)) == 4
+    assert set(chosen) <= set(good_diagonals(PLUS))
+    # The two parallel chords.
+    assert len(chosen) == 2 and len({s.a.y == s.b.y for s in chosen}) == 1
 
 
 def test_min_rectangle_count_fixtures():
@@ -195,7 +196,6 @@ def test_partition_of_non_integer_fixtures_is_the_integer_one_moved(move):
         assert got == RectPartition(
             tuple((move(ll), move(ur)) for ll, ur in part.rectangles),
             tuple(Segment(move(s.a), move(s.b)) for s in part.diagonals),
-            tuple(Segment(move(s.a), move(s.b)) for s in part.cuts),
         )
         assert check_rectpart(moved, got)[0] == "passed"
 
@@ -332,7 +332,7 @@ def test_partition_around_carved_polyomino_holes():
 
 def _partition(*rects) -> RectPartition:
     return RectPartition(
-        tuple((Point(*ll), Point(*ur)) for ll, ur in rects), (), ()
+        tuple((Point(*ll), Point(*ur)) for ll, ur in rects), ()
     )
 
 
@@ -509,12 +509,25 @@ def _ray_cast_cuts(poly, chosen):
     return tuple(cuts)
 
 
+def _grid_cuts(poly):
+    """The cuts of build_partition's private cut stage, as segments."""
+    grid = rectpart._CellGrid(poly)
+    chosen = rectpart._independent(grid, rectpart._good_chords(grid))
+    verts, scale = poly.all_vertices, poly._scale
+    return tuple(
+        Segment(verts[g], Point(Fraction(grid.xs[i], scale),
+                                Fraction(grid.ys[j], scale)))
+        for g, (i, j) in rectpart._emit_cuts(grid, poly, chosen)
+    )
+
+
 def _assert_grid_matches_the_references(poly, label):
     part = build_partition(poly)
     assert good_diagonals(poly) == _chord_test_diagonals(poly), label
-    assert part.cuts == _ray_cast_cuts(poly, part.diagonals), label
+    cuts = _ray_cast_cuts(poly, part.diagonals)
+    assert _grid_cuts(poly) == cuts, label
     assert part.rectangles == _face_walk_rectangles(
-        poly, part.diagonals, part.cuts
+        poly, part.diagonals, cuts
     ), label
 
 

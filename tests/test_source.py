@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -68,13 +70,42 @@ def test_verify_takes_only_the_partition_type_and_the_corners_from_rectpart():
     assert _taken_by_verify("rectpart") <= {"RectPartition", "concave_vertices"}
 
 
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _identifiers(node):
+    """Each name an AST names: a Name, an Attribute's attr, or the last part
+    of an import alias."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def _code_words(markdown: str) -> set[str]:
+    """The words of a Markdown text's fenced blocks and inline code spans,
+    not of its prose."""
+    fence = re.compile(r"^```.*?^```", re.M | re.S)
+    code = fence.findall(markdown) + re.findall(r"`[^`]+`", fence.sub("", markdown))
+    return set(re.findall(r"\w+", "\n".join(code)))
+
+
 def _unreached_public_names() -> list[str]:
     """Public top-level defs and classes of the package, and public methods
     of its classes, that nothing but the tests reaches.  A name is reached
     by an AST reference in the package outside its own definition (a
     method's own def, or a top-level name's whole statement), and not an
-    `__all__` string; by a key of `__init__._HOME`; by a word of the
-    README; or by a word of a `perfbench/*.py` file."""
+    `__all__` string; by a key of `__init__._HOME`; by a word of an inline
+    code span or a fenced block of the README, not of its prose; by an
+    identifier of a `perfbench/*.py` file, not a word of its strings; or by
+    a name that `perfbench/tracer.py`'s TRACED patches."""
     referenced = {}  # name -> {(module, statement index, member index)}
     defined = []  # (dotted name, name, where its definition sits)
     home = set()
@@ -99,24 +130,16 @@ def _unreached_public_names() -> list[str]:
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                 ]
             for part_where, part in parts:
-                for node in ast.walk(part):
-                    if isinstance(node, ast.Name):
-                        name = node.id
-                    elif isinstance(node, ast.Attribute):
-                        name = node.attr
-                    elif isinstance(node, ast.alias):
-                        name = node.name.rsplit(".", 1)[-1]
-                    else:
-                        continue
+                for name in _identifiers(part):
                     referenced.setdefault(name, set()).add(part_where)
-    text = (ROOT / "README.md").read_text(encoding="utf-8") + "".join(
-        p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
-    )
-    words = set(re.findall(r"\w+", text)) | home
+    reached = home | _code_words((ROOT / "README.md").read_text(encoding="utf-8"))
+    for path in sorted(BENCH.glob("*.py")):
+        reached.update(_identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+    reached.update(*_load(BENCH / "tracer.py").TRACED.values())
     return sorted(
         dotted
         for dotted, name, where in defined
-        if name not in words
+        if name not in reached
         and all(at[: len(where)] == where for at in referenced.get(name, ()))
     )
 
@@ -127,11 +150,47 @@ def test_every_public_name_is_reached_from_outside_the_tests():
     assert _unreached_public_names() == []
 
 
-def _load(path: Path):
-    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _unread_answer_fields() -> list[str]:
+    """Fields and public properties of the answer dataclasses that the
+    CLI's solver rows return, that no attribute read in cli.py, svg.py,
+    verify.py or a `perfbench/*.py` file names."""
+    from geomgraph import cli
+
+    returned = {
+        typing.get_type_hints(getattr(cli, name))["return"]
+        for row in cli._SOLVERS.values()
+        for name in row.solve.__code__.co_names
+    }
+    answers = sorted(
+        (t for t in returned if dataclasses.is_dataclass(t)),
+        key=lambda t: t.__name__,
+    )
+    assert [t.__name__ for t in answers] == [
+        "AngleSolution", "BendAssignment", "GuardCertificate",
+        "RectPartition", "StarEmbedding", "StripResult",
+    ]
+    read = set()
+    sources = [PACKAGE / f"{m}.py" for m in ("cli", "svg", "verify")]
+    for path in sources + sorted(BENCH.glob("*.py")):
+        read |= {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return [
+        f"{t.__name__}.{name}"
+        for t in answers
+        for name in [f.name for f in dataclasses.fields(t)] + [
+            n for n, v in vars(t).items()
+            if isinstance(v, property) and not n.startswith("_")
+        ]
+        if name not in read
+    ]
+
+
+def test_every_answer_field_is_read_outside_the_tests():
+    # A field that only tests read is built on every solve for nothing.
+    assert _unread_answer_fields() == []
 
 
 def test_benchmark_harness_names_still_resolve():

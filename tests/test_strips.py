@@ -16,7 +16,6 @@ from geomgraph.strips import (
     bisect_pair,
     cycle_cover_from_matching,
     dual_graph,
-    icosahedron,
     load_mesh,
     merge_move,
     mesh_from_off,
@@ -24,12 +23,14 @@ from geomgraph.strips import (
     octahedron,
     single_strip,
     sphere_like_mesh,
-    tetrahedron,
     vertex_ring,
 )
 from geomgraph.verify import check_strip
+from test_cli import path
 
 ROOT = Path(__file__).resolve().parent.parent
+TETRA = load_mesh(path("tetrahedron.off"))
+ICOSA = load_mesh(path("icosahedron.off"))
 
 # ---------------------------------------------------------------------------
 # mesh validation
@@ -77,7 +78,7 @@ def test_mesh_needs_four_triangles_and_single_edge_sharing():
 def test_mesh_rejects_vertex_indices_that_are_not_ints():
     # Truncating with int() would read 2.9 as 2 and True as 1, and both
     # meshes would validate as the tetrahedron.
-    verts = tetrahedron().vertices
+    verts = TETRA.vertices
     with pytest.raises(InputError, match="float vertex index 2.9"):
         TriMesh(verts, [(0, 2.9, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
     with pytest.raises(InputError, match="bool vertex index True"):
@@ -86,15 +87,16 @@ def test_mesh_rejects_vertex_indices_that_are_not_ints():
 
 def test_mesh_euler_count_must_match_a_sphere():
     # Two disjoint tetrahedra: V - E + F = 4.
-    tet = tetrahedron()
-    verts = list(tet.vertices) + [(x + 10, y, z) for x, y, z in tet.vertices]
-    tris = list(tet.triangles) + [(a + 4, b + 4, c + 4) for a, b, c in tet.triangles]
+    verts = list(TETRA.vertices) + [(x + 10, y, z) for x, y, z in TETRA.vertices]
+    tris = list(TETRA.triangles) + [
+        (a + 4, b + 4, c + 4) for a, b, c in TETRA.triangles
+    ]
     with pytest.raises(InputError, match="topological sphere"):
         TriMesh(verts, tris)
 
 
 def test_fixture_meshes_are_valid_and_duals_are_cubic():
-    for mesh in (tetrahedron(), octahedron(), icosahedron()):
+    for mesh in (TETRA, octahedron(), ICOSA):
         g = dual_graph(mesh)
         adj = g.adjacency()
         assert all(len(nbrs) == 3 for nbrs in adj)
@@ -110,7 +112,7 @@ def test_sphere_like_mesh_needs_at_least_one_triangle(count):
 
 
 def _checked_meshes():
-    yield from (tetrahedron(), octahedron(), icosahedron())
+    yield from (TETRA, octahedron(), ICOSA)
     for size in (8, 24, 96, 500):
         for seed in range(20):
             mesh = sphere_like_mesh(seed, size)
@@ -250,7 +252,7 @@ def test_strip_operations_take_only_int_ids():
 
 
 def test_bisect_pair_replaces_one_shared_edge():
-    mesh = tetrahedron()
+    mesh = TETRA
     bigger = bisect_pair(mesh, 0, 1)
     assert len(bigger.triangles) == len(mesh.triangles) + 2
     assert len(bigger.vertices) == len(mesh.vertices) + 1
@@ -266,7 +268,7 @@ def test_bisect_pair_replaces_one_shared_edge():
 
 
 def test_platonic_meshes_strip_without_growing():
-    for mesh in (tetrahedron(), octahedron(), icosahedron()):
+    for mesh in (TETRA, octahedron(), ICOSA):
         res = single_strip(mesh)
         assert res.added_triangles == 0
         assert res.growth == 1
@@ -449,7 +451,7 @@ def test_single_strip_coerces_nothing_and_validates_only_a_new_mesh(monkeypatch)
     # The topology and the dual graph come from the validated mesh as they
     # are: no value goes through `rational` or `integer`, the matching runs
     # once, and only a mesh that bisection changed is validated again.
-    meshes = [octahedron(), icosahedron()] + [
+    meshes = [octahedron(), ICOSA] + [
         sphere_like_mesh(seed, 96) for seed in range(5)
     ]
     calls = {"coerce": 0, "validate": 0, "match": 0}
@@ -509,7 +511,7 @@ def test_off_errors_name_the_line():
         mesh_from_off("PLY\n")
     with pytest.raises(InputError, match="expected 'V F E'"):
         mesh_from_off("OFF\n4 4\n")
-    good = mesh_to_off(tetrahedron()).splitlines()
+    good = mesh_to_off(TETRA).splitlines()
     # Negative counts whose sum is the row count would split the rows the
     # same way as the true counts, so they are rejected before the split.
     for counts in ("-4 12 6", "12 -4 6", "4 -1 6"):
